@@ -163,17 +163,11 @@ def build_schedule(cfg: ExperimentConfig, rng: np.random.Generator) -> schedules
 # ---------------------------------------------------------------------------
 
 
-def _finite_late_tv(labels_or_idx, target, burn_fraction=0.5, *, as_indices=False) -> float:
+def _finite_late_tv(indices, target, burn_fraction=0.5) -> float:
+    """TV distance to the target of the empirical law of the late state indices."""
     pi = kernels.target_distribution(target)
-    n = len(labels_or_idx)
-    late = labels_or_idx[int(n * burn_fraction):]
-    if as_indices:
-        counts = np.bincount(late, minlength=target.support.size).astype(float)
-    else:
-        index = {lab: i for i, lab in enumerate(target.support.labels)}
-        counts = np.zeros(target.support.size)
-        for lab in late:
-            counts[index[lab]] += 1
+    late = np.asarray(indices[int(len(indices) * burn_fraction):], dtype=np.intp)
+    counts = np.bincount(late, minlength=target.support.size).astype(float)
     emp = counts / counts.sum()
     return float(0.5 * np.abs(emp - pi.to_float().probs).sum())
 
@@ -266,8 +260,9 @@ def _run_shmem(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     (out / "metrics.csv").write_text(shmem.samples_csv(record))
     summary = {"experiment": "run", "writes": len(record.samples), "config": record.config}
     if target.is_finite:
+        index = target.support.index
         summary["late_tv"] = _finite_late_tv(
-            record.states(), target, cfg.params.get("burn_fraction", 0.5)
+            [index(s) for s in record.states()], target, cfg.params.get("burn_fraction", 0.5)
         )
     return EXIT_OK, summary
 
@@ -336,10 +331,10 @@ def _run_pserver(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         tvs = []
         for slot in range(cfg.m):
             idx = pserver.replica_marginal_indices(record, slot, target)
-            tvs.append(_finite_late_tv(idx, target, burn, as_indices=True))
+            tvs.append(_finite_late_tv(idx, target, burn))
         summary["replica_marginal_tv"] = tvs
     elif target.is_finite:
-        summary["late_tv"] = _finite_late_tv(record.states, target, burn, as_indices=True)
+        summary["late_tv"] = _finite_late_tv(record.states, target, burn)
         srv = pserver.render_server_kernel(target, kernel.proposal)
         pi = kernels.target_distribution(target).to_float().probs
         db = max(

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionError,
@@ -34,6 +35,8 @@ from .measures import (
     FiniteDistribution,
     StochasticMatrix,
     apply_operator,
+    distribution_rows,
+    matrix_power,
     random_distribution,
     random_stochastic_matrix,
     stationary_distribution,
@@ -66,31 +69,51 @@ class MeasureTrace:
         return len(self.mus)
 
 
-def _window_stats(values: list, b: int, reduce) -> list:
-    out = []
-    for k in range(len(values)):
-        lo = max(0, k - b + 1)
-        out.append(reduce(values[lo : k + 1]))
-    return out
+def _window_stats(values: np.ndarray, b: int, reduce) -> np.ndarray:
+    # Reduce each trailing window of b values; the first b-1 windows are
+    # truncated at 0, which front-padding with values[0] reproduces.
+    width = min(b, len(values))
+    padded = np.concatenate([np.full(width - 1, values[0], dtype=values.dtype), values])
+    return reduce(sliding_window_view(padded, width), axis=1)
+
+
+def _ladder(
+    m: StochasticMatrix, mu0: FiniteDistribution, pi: FiniteDistribution, depth: int
+) -> tuple[list, np.ndarray]:
+    """``mu0 P^k`` and its TV distance to ``pi`` for k = 0..depth."""
+    if m.exact or mu0.exact:  # exact or mixed operands keep apply_operator's arithmetic
+        rungs = [mu0]
+        for _ in range(depth):
+            rungs.append(apply_operator(m, rungs[-1]))
+        return rungs, np.array([tv_distance(mu, pi) for mu in rungs], dtype=object)
+    rows = np.empty((depth + 1, m.space.size))
+    rows[0] = mu0.probs
+    for k in range(depth):
+        rows[k + 1] = rows[k] @ m.rows  # the vector-matrix product apply_operator takes
+    dist = 0.5 * np.abs(rows - pi.to_float().probs).sum(axis=1)
+    return [mu0, *distribution_rows(m.space, rows[1:])], dist
 
 
 def _propagate_events(
     m: StochasticMatrix, mu0: FiniteDistribution, schedule: Schedule, pi: FiniteDistribution
 ) -> MeasureTrace:
-    mus = [mu0]
+    # Every event applies the same kernel, so mu_v = mu0 P^{p_v}: only the
+    # depths are per event, distributions and distances are per depth.
     p = [0]
-    d = [tv_distance(mu0, pi)]
     for ev in schedule.events:
-        j = ev.read_from + 1  # version index: read_from -1 is version 0
-        nxt = apply_operator(m, mus[j])
-        mus.append(nxt)
-        p.append(p[j] + 1)
-        d.append(tv_distance(nxt, pi))
+        p.append(p[ev.read_from + 1] + 1)  # read_from -1 is version 0
+    rungs, dist = _ladder(m, mu0, pi, max(p))
+    depth = np.array(p)
+    d = dist[depth]
     b = schedule.staleness_bound
-    d_star = _window_stats(d, b, max)
-    p_star = _window_stats(p, b, min)
     return MeasureTrace(
-        schedule, pi, tuple(mus), tuple(d), tuple(d_star), tuple(p), tuple(p_star)
+        schedule,
+        pi,
+        tuple(rungs[k] for k in p),
+        tuple(d.tolist()),
+        tuple(_window_stats(d, b, np.max).tolist()),
+        tuple(p),
+        tuple(_window_stats(depth, b, np.min).tolist()),
     )
 
 
@@ -242,16 +265,16 @@ def propagate_unbounded_counterexample(
 def matrix_power_consistency(
     trace: MeasureTrace, m: StochasticMatrix, *, tol: float = 1e-10
 ) -> bool:
-    """Check mu_v equals the p_v-fold kernel power applied to mu_0."""
+    """Check mu_v equals mu_0 times the p_v-th power of the kernel.
+
+    The powers come from :func:`matrix_power`, not from the operator ladder
+    that produced the trace, so this is an independent cross-check.
+    """
     mu0 = trace.mus[0]
-    powers = {0: mu0}
-    current = mu0
-    for k in range(1, max(trace.p) + 1):
-        current = apply_operator(m, current)
-        powers[k] = current
+    expected = {k: apply_operator(matrix_power(m, k), mu0) for k in set(trace.p)}
     zero = 0 if trace.exact else tol
     return all(
-        tv_distance(trace.mus[v], powers[trace.p[v]]) <= zero
+        tv_distance(trace.mus[v], expected[trace.p[v]]) <= zero
         for v in range(trace.n_versions)
     )
 

@@ -75,6 +75,16 @@ def _require_same_space(a: StateSpace, b: StateSpace, what: str) -> None:
         raise DimensionError(f"{what} live on different state spaces")
 
 
+def _check_float_probs(probs: np.ndarray) -> None:
+    # One pass over a vector or over every row of a 2-D array.
+    if np.any(probs < 0):
+        raise ValidationError("negative probability entry")
+    sums = probs.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > SUM_TOL
+    if np.any(bad):
+        raise ValidationError(f"probabilities sum to {sums[bad][0]!r}, not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """A probability vector over a :class:`StateSpace`.
@@ -100,10 +110,7 @@ class FiniteDistribution:
             if sum(probs) != 1:
                 raise ValidationError("exact probabilities must sum to 1")
         else:
-            if np.any(probs < 0):
-                raise ValidationError("negative probability entry")
-            if abs(float(probs.sum()) - 1.0) > SUM_TOL:
-                raise ValidationError(f"probabilities sum to {probs.sum()!r}, not 1")
+            _check_float_probs(probs)
 
     @property
     def exact(self) -> bool:
@@ -280,6 +287,27 @@ def tv_distance(a: FiniteDistribution, b: FiniteDistribution):
     ap = a.to_float().probs
     bp = b.to_float().probs
     return 0.5 * float(np.abs(ap - bp).sum())
+
+
+def distribution_rows(space: StateSpace, rows: np.ndarray) -> list:
+    """One float distribution per row of ``rows``, validated in one pass.
+
+    Runs the checks of :class:`FiniteDistribution` on all rows at once.  The
+    array is made read-only and each result's ``probs`` is a view of its row,
+    not a copy.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != space.size:
+        raise DimensionError(f"rows of shape {rows.shape} for a space of size {space.size}")
+    _check_float_probs(rows)
+    rows.flags.writeable = False
+    out = []
+    for row in rows:
+        dist = object.__new__(FiniteDistribution)
+        object.__setattr__(dist, "space", space)
+        object.__setattr__(dist, "probs", row)
+        out.append(dist)
+    return out
 
 
 def _is_primitive(rows: np.ndarray) -> bool:

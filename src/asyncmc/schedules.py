@@ -115,14 +115,19 @@ def _check_feasible(m: int, b: int, length: int) -> None:
 def _edf_safe_workers(deadlines: list[int], seq: int) -> list[int]:
     # Candidates whose choice leaves the remaining deadlines schedulable:
     # after serving w at `seq`, the i-th earliest other deadline must be
-    # reachable at seq+1+i.
-    m = len(deadlines)
-    safe = []
-    for w in range(m):
-        others = sorted(deadlines[v] for v in range(m) if v != w)
-        if all(d >= seq + 1 + i for i, d in enumerate(others)):
-            safe.append(w)
-    return safe
+    # reachable at seq+1+i.  Sort once; dropping the rank-r deadline keeps
+    # rank i < r at slot seq+1+i and moves rank k > r to slot seq+k.  So r
+    # is safe iff no rank i < r has slack (deadline - seq - i) below 1 and
+    # no rank k > r has negative slack: the safe ranks form one interval.
+    order = sorted(range(len(deadlines)), key=deadlines.__getitem__)
+    lo, hi = 0, len(order) - 1
+    for i, w in enumerate(order):
+        slack = deadlines[w] - seq - i
+        if slack < 0:
+            lo = i
+        if slack < 1 and i < hi:
+            hi = i
+    return sorted(order[lo : hi + 1])
 
 
 def random_schedule(
@@ -239,29 +244,38 @@ def schedule_to_jsonl(s: Schedule) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_field(doc: dict, field: str, line: int) -> int:
+    if field not in doc:
+        raise ValidationError(f"trace line {line}: missing field {field!r}")
+    value = doc[field]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"trace line {line}: field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def schedule_from_jsonl(text: str | Iterable[str]) -> Schedule:
     """Parse a JSONL trace; infers workers/bound when the meta line is absent."""
     if isinstance(text, str):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-    else:
-        lines = [ln for ln in text if ln.strip()]
+        text = text.splitlines()
     workers = bound = None
     events = []
-    for ln in lines:
+    for line, ln in enumerate(text, start=1):
+        if not ln.strip():
+            continue
         try:
             doc = json.loads(ln)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad JSONL line: {exc}") from exc
+            raise ValidationError(f"trace line {line}: bad JSONL line: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValidationError(f"trace line {line}: expected a JSON object")
         if doc.get("kind") == "meta":
-            workers = int(doc["workers"])
-            bound = int(doc["staleness_bound"])
+            workers = _int_field(doc, "workers", line)
+            bound = _int_field(doc, "staleness_bound", line)
             continue
-        try:
-            events.append(
-                Event(int(doc["seq"]), int(doc["worker"]), int(doc["read_from"]), doc.get("kind", "write"))
-            )
-        except KeyError as exc:
-            raise ValidationError(f"event line missing field {exc}") from exc
+        seq, worker, read_from = (_int_field(doc, f, line) for f in ("seq", "worker", "read_from"))
+        if worker < 0:
+            raise ValidationError(f"trace line {line}: field 'worker' is negative ({worker})")
+        events.append(Event(seq, worker, read_from, doc.get("kind", "write")))
     if not events and workers is None:
         raise ValidationError("trace contains no events")
     if workers is None:

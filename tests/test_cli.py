@@ -154,3 +154,16 @@ class TestValidateCommand:
 
     def test_missing_file_usage(self):
         assert main(["validate", "/nonexistent/trace.jsonl"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value,message", [("x", "must be an integer"), (-3, "is negative")])
+    def test_bad_worker_value_is_usage_error(self, tmp_path, capsys, value, message):
+        lines = schedule_to_jsonl(synchronous_schedule(2, 10, b=4)).splitlines()
+        doc = json.loads(lines[4])
+        doc["worker"] = value
+        lines[4] = json.dumps(doc)
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines[1:]))  # no meta line: workers are inferred
+        assert main(["validate", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "line 4" in err and "'worker'" in err and message in err
+        assert "Traceback" not in err

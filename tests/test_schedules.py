@@ -137,6 +137,21 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             schedule_from_jsonl("")
 
+    @pytest.mark.parametrize(
+        "line,field",
+        [
+            ('{"seq": "0", "worker": 0, "read_from": -1}', "seq"),
+            ('{"seq": 0, "worker": 0.5, "read_from": -1}', "worker"),
+            ('{"seq": 0, "worker": 0, "read_from": true}', "read_from"),
+            ('{"seq": 0, "worker": -1, "read_from": -1}', "worker"),
+            ('{"kind": "meta", "workers": "2", "staleness_bound": 3}', "workers"),
+        ],
+    )
+    def test_wrong_type_or_range_names_field_and_line(self, line, field):
+        text = '{"seq": 0, "worker": 0, "read_from": -1}\n\n' + line
+        with pytest.raises(ValidationError, match=f"trace line 3: field '{field}'"):
+            schedule_from_jsonl(text)
+
 
 class TestMinimalBound:
     def test_matches_validate_boundary(self):
