@@ -23,7 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, kernels, measure_sim, measures, pserver, schedules, shmem
-from .errors import AsyncMCError, LivenessError, ParameterError, ValidationError
+from .errors import (
+    AsyncMCError,
+    LivenessError,
+    ParameterError,
+    UnsupportedTargetError,
+    ValidationError,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,6 +178,14 @@ def _finite_late_tv(indices, target, burn_fraction=0.5) -> float:
     return float(0.5 * np.abs(emp - pi.to_float().probs).sum())
 
 
+def _burn_fraction(cfg: ExperimentConfig, default: float) -> float:
+    """``params.burn_fraction``, checked to leave at least one late sample."""
+    burn = cfg.params.get("burn_fraction", default)
+    if not isinstance(burn, (int, float)) or isinstance(burn, bool) or not 0 <= burn < 1:
+        raise ValidationError(f"params.burn_fraction: must lie in [0, 1), got {burn!r}")
+    return burn
+
+
 def _run_measure_sim(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
@@ -248,6 +262,7 @@ def _run_shmem(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     if cfg.experiment != "run":
         raise ValidationError(f"experiment: unknown shmem experiment {cfg.experiment!r}")
 
+    burn = _burn_fraction(cfg, 0.5)
     if cfg.mode == "shmem_real":
         record = shmem.run_async(
             kernel, cfg.m, cfg.horizon, cfg.seed, cfg.params.get("watchdog_b", 50 * cfg.m * 10)
@@ -262,7 +277,7 @@ def _run_shmem(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     if target.is_finite:
         index = target.support.index
         summary["late_tv"] = _finite_late_tv(
-            [index(s) for s in record.states()], target, cfg.params.get("burn_fraction", 0.5)
+            [index(s) for s in record.states()], target, burn
         )
     return EXIT_OK, summary
 
@@ -284,7 +299,7 @@ def _run_pserver(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
     delay = build_delay(cfg.delay)
-    burn = cfg.params.get("burn_fraction", 0.2)
+    burn = _burn_fraction(cfg, 0.2)
     init = tuple(cfg.params["init"]) if "init" in cfg.params else None
     frozen = tuple(cfg.params.get("frozen_workers", ()))
 
@@ -324,8 +339,8 @@ def _run_pserver(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         kernel, cfg.m, cfg.horizon, delay, cfg.correction, cfg.seed,
         init=init, frozen_workers=frozen, coupled=cfg.experiment == "coupled",
     )
-    _write_text_stream(out / "trace.jsonl", _pserver_trace_lines(record))
-    _write_text_stream(out / "metrics.csv", _pserver_csv_lines(record))
+    _write_text_stream(out / "trace.jsonl", pserver.trace_jsonl_lines(record))
+    _write_text_stream(out / "metrics.csv", pserver.messages_csv_lines(record))
     summary: dict = {"experiment": cfg.experiment, "accept_rate": record.accept_rate}
     if cfg.experiment == "coupled":
         tvs = []
@@ -335,14 +350,20 @@ def _run_pserver(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         summary["replica_marginal_tv"] = tvs
     elif target.is_finite:
         summary["late_tv"] = _finite_late_tv(record.states, target, burn)
-        srv = pserver.render_server_kernel(target, kernel.proposal)
-        pi = kernels.target_distribution(target).to_float().probs
-        db = max(
-            abs(pi[i] * srv.rows[i][j] - pi[j] * srv.rows[j][i])
-            for i in range(srv.space.size)
-            for j in range(srv.space.size)
-        )
-        summary["detailed_balance_error"] = float(db)
+        try:
+            srv = kernels.render_matrix(kernel)
+        except UnsupportedTargetError:
+            # e.g. a zero-weight state: the zero-delay kernel has no finite
+            # rendering, but the run itself is still valid
+            summary["detailed_balance_error"] = None
+        else:
+            pi = kernels.target_distribution(target).to_float().probs
+            db = max(
+                abs(pi[i] * srv.rows[i][j] - pi[j] * srv.rows[j][i])
+                for i in range(srv.space.size)
+                for j in range(srv.space.size)
+            )
+            summary["detailed_balance_error"] = float(db)
     else:
         summary.update(_gaussian_summary(record, target, burn, cfg.params.get("n_batches", 50)))
     return EXIT_OK, summary
@@ -408,26 +429,6 @@ def _write_text_stream(path: Path, lines) -> None:
         for line in lines:
             fh.write(line)
             fh.write("\n")
-
-
-def _pserver_trace_lines(record: pserver.PServerRecord):
-    s = record.trace
-    yield json.dumps({"kind": "meta", "workers": s.workers, "staleness_bound": s.staleness_bound})
-    for i, ev in enumerate(s.events):
-        flag = "true" if record.accepted[i] else "false"
-        yield (
-            f'{{"seq": {ev.seq}, "worker": {ev.worker}, "read_from": {ev.read_from}, '
-            f'"kind": "server_commit", "accepted": {flag}}}'
-        )
-
-
-def _pserver_csv_lines(record: pserver.PServerRecord):
-    yield "seq,worker,read_version,accepted,log_ratio"
-    for i in range(len(record.workers)):
-        yield (
-            f"{i},{record.workers[i]},{record.read_versions[i]},"
-            f"{int(record.accepted[i])},{record.log_ratios[i]!r}"
-        )
 
 
 # ---------------------------------------------------------------------------

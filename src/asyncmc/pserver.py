@@ -49,10 +49,11 @@ from .kernels import (
     default_init,
     worker_streams,
 )
-from .measures import StateSpace, StochasticMatrix
-from .schedules import Event, Schedule
+from .measures import StateSpace
+from .schedules import Event, Schedule, minimal_valid_bound
 
 NEG_INF = float("-inf")
+POS_INF = float("inf")
 MODES = ("mh_corrected", "naive_accept")
 DELAY_KINDS = ("fifo_fixed", "fifo_random", "reorder_random")
 
@@ -84,6 +85,17 @@ class ServerMessage:
     params: dict = field(default_factory=dict)
 
 
+def _check_number(name: str, value, *, integer: bool = False) -> None:
+    if integer:
+        ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and math.isfinite(value) and value >= 0
+    if not ok:
+        kind = "an integer >= 0" if integer else "a finite number >= 0"
+        raise ParameterError(f"{name}: must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DelayModel:
     """Latency law, per-worker send cadence, and the staleness cap.
@@ -91,7 +103,8 @@ class DelayModel:
     ``params`` per kind: ``latency`` (fifo_fixed), ``mean`` (fifo_random,
     geometric), ``span`` (reorder_random, uniform integer).  Optional keys
     for any kind: ``periods`` (scalar or per-worker list of send cadences)
-    and ``jitter``.
+    and ``jitter``.  Every number must be finite and non-negative, and
+    ``span`` an integer.
     """
 
     kind: str
@@ -101,22 +114,47 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in DELAY_KINDS:
             raise ParameterError(f"unknown delay kind {self.kind!r}")
-        if self.staleness_cap < 0:
-            raise ParameterError("staleness cap must be non-negative")
+        cap = self.staleness_cap
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+            raise ParameterError(f"delay.staleness_cap: must be an integer >= 0, got {cap!r}")
+        params = self.params
+        if not isinstance(params, dict):
+            raise ParameterError(f"delay.params: must be an object, got {params!r}")
+        for key in ("latency", "mean", "jitter"):
+            if key in params:
+                _check_number(f"delay.params.{key}", params[key])
+        if "span" in params:
+            _check_number("delay.params.span", params["span"], integer=True)
+        periods = params.get("periods", 1.0)
+        if isinstance(periods, (list, tuple)):
+            for i, period in enumerate(periods):
+                _check_number(f"delay.params.periods[{i}]", period)
+        else:
+            _check_number("delay.params.periods", periods)
 
-    def latency(self, rng: np.random.Generator) -> float:
+    def latency_sampler(self, rng: np.random.Generator):
+        """A no-argument function drawing one message latency from ``rng``."""
         if self.kind == "fifo_fixed":
-            return float(self.params.get("latency", 0.0))
+            latency = float(self.params.get("latency", 0.0))
+            return lambda: latency
         if self.kind == "fifo_random":
-            mean = float(self.params.get("mean", 2.0))
-            return float(rng.geometric(1.0 / (1.0 + mean)) - 1)
-        return float(rng.integers(0, int(self.params.get("span", 8)) + 1))
+            p = 1.0 / (1.0 + float(self.params.get("mean", 2.0)))
+            geometric = rng.geometric
+            return lambda: float(geometric(p) - 1)
+        high = self.params.get("span", 8) + 1
+        integers = rng.integers
+        return lambda: float(integers(0, high))
 
-    def period(self, worker: int) -> float:
+    def periods(self, m: int) -> list[float]:
+        """Send cadence of each of ``m`` workers."""
         periods = self.params.get("periods", 1.0)
-        if isinstance(periods, (int, float)):
-            return float(periods)
-        return float(periods[worker])
+        if not isinstance(periods, (list, tuple)):
+            return [float(periods)] * m
+        if len(periods) != m:
+            raise ParameterError(
+                f"delay.params.periods: has {len(periods)} entries, need one per worker (m={m})"
+            )
+        return [float(p) for p in periods]
 
     @property
     def jitter(self) -> float:
@@ -164,19 +202,28 @@ class SlotProposal:
         return self.base.logpdf(ys[self.slot], xs[self.slot], params)
 
 
-def _candidate(st: ServerState, msg: ServerMessage):
+def _candidate(current, x_star, log_pi_x_star: float, params: dict):
     """The proposed next server state and, when known, its shipped density."""
-    site = msg.params.get("site")
-    slot = msg.params.get("slot")
-    if slot is not None:
-        out = list(st.tagged.value)
-        out[slot] = msg.x_star[slot]
-        return tuple(out), None
-    if site is not None:
-        out = list(st.tagged.value)
-        out[site] = msg.x_star[site]
-        return tuple(out), None
-    return msg.x_star, msg.log_pi_x_star
+    component = params.get("slot")
+    if component is None:
+        component = params.get("site")
+    if component is None:
+        return x_star, log_pi_x_star
+    out = list(current)
+    out[component] = x_star[component]
+    return tuple(out), None
+
+
+def _log_accept_ratio(num: float, den: float) -> float:
+    """``num - den``; a zero-density numerator wins over a zero denominator."""
+    if num == NEG_INF:
+        return NEG_INF
+    if den == NEG_INF:
+        return POS_INF
+    log_ratio = num - den
+    if math.isnan(log_ratio):
+        raise NumericError(f"non-finite acceptance arithmetic: num={num}, den={den}")
+    return log_ratio
 
 
 def server_receive(
@@ -192,7 +239,8 @@ def server_receive(
     """Process one message; returns (new state, accepted, log accept ratio).
 
     Exactly one uniform is drawn per message in either mode, so corrected
-    and naive runs with the same seed consume identical randomness.
+    and naive runs with the same seed consume identical randomness.  This is
+    the one-message reference for the loop in :func:`run_pserver`.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -215,20 +263,11 @@ def server_receive(
                 f"server cached density {st.tagged.log_pi} disagrees with target ({cached})"
             )
 
-    cand_value, cand_lp = _candidate(st, msg)
+    cand_value, cand_lp = _candidate(st.tagged.value, msg.x_star, msg.log_pi_x_star, msg.params)
     if cand_lp is None:
         cand_lp = target.log_unnorm(cand_value)
     log_f_reverse = family.logpdf(st.tagged.value, msg.x, msg.params)
-    num = cand_lp + log_f_reverse
-    den = st.tagged.log_pi + msg.log_f_forward
-    if num == NEG_INF:
-        log_ratio = NEG_INF
-    elif den == NEG_INF:
-        log_ratio = float("inf")
-    else:
-        log_ratio = num - den
-    if math.isnan(log_ratio):
-        raise NumericError(f"non-finite acceptance arithmetic: num={num}, den={den}")
+    log_ratio = _log_accept_ratio(cand_lp + log_f_reverse, st.tagged.log_pi + msg.log_f_forward)
 
     u = rng.random()
     accepted = mode == "naive_accept" or log_ratio >= 0.0 or u < math.exp(log_ratio)
@@ -241,9 +280,13 @@ def server_receive(
 
 @dataclass(frozen=True)
 class PServerRecord:
-    """Trace of a parameter-server run, arrays sized by the horizon."""
+    """What a parameter-server run did, one array entry per processed message.
 
-    trace: Schedule
+    Message ``i`` produced server version ``i + 1`` from a read of version
+    ``read_versions[i]``; as a schedule event it is ``seq = i`` reading
+    ``read_from = read_versions[i] - 1``.
+    """
+
     workers: np.ndarray
     read_versions: np.ndarray
     accepted: np.ndarray
@@ -255,6 +298,23 @@ class PServerRecord:
     @property
     def accept_rate(self) -> float:
         return float(self.accepted.mean())
+
+    @property
+    def staleness_bound(self) -> int:
+        triples = np.column_stack(
+            (np.arange(len(self.workers)), self.workers, self.read_versions - 1)
+        )
+        return minimal_valid_bound(triples, self.config["m"])
+
+    @property
+    def trace(self) -> Schedule:
+        """The run as a ``server_commit`` schedule, built from the arrays on each access."""
+        reads = (self.read_versions - 1).tolist()
+        events = tuple(
+            Event(seq, worker, read_from, "server_commit")
+            for seq, (worker, read_from) in enumerate(zip(self.workers.tolist(), reads))
+        )
+        return Schedule(events, self.config["m"], self.staleness_bound)
 
     def state_labels(self) -> list:
         if not self.target.is_finite:
@@ -287,20 +347,29 @@ def run_pserver(
     frozen_workers: tuple = (),
     coupled: bool = False,
     max_resends: int = 1000,
-    debug_revalidate: bool = False,
 ) -> PServerRecord:
     """Drive ``m`` workers against one simulated server for ``horizon`` messages.
 
     Every processed message, accepted or rejected, increments the server
-    version and lands in the trace; the recorded state row is the server
+    version and lands in the record; the recorded state row is the server
     state right after processing.  With ``coupled=True`` the server holds
     ``m`` replica slots of the target and worker ``i`` only ever updates
     slot ``i``.
+
+    The loop does per message what :func:`server_receive` does, on plain
+    tuples: a heap entry is ``(time, tiebreak, worker, message)`` with
+    ``message`` None for a send, and a message in flight is ``(read_version,
+    x, x_star, log_pi_x_star, log_f_forward, params)``.  Each worker's stream
+    gives its proposal draws when it sends (dropped stale messages included)
+    and one uniform per processed message; the infra stream gives one start
+    offset per non-frozen worker, then a latency per send and a jitter per
+    processed message, in the order they happen.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
     if m < 1 or horizon < 1:
         raise ParameterError("m and horizon must be positive")
+    periods = delay.periods(m)
 
     base_target = kernel.target
     if coupled:
@@ -315,55 +384,26 @@ def run_pserver(
         worker_props = [prop] * m
         if init is None:
             init = default_init(base_target)
-    registry = {p.proposal_id: p for p in worker_props}
 
-    init_lp = target.log_unnorm(init)
+    log_unnorm = target.log_unnorm
+    init_lp = log_unnorm(init)
     if init_lp == NEG_INF:
         raise ValidationError("initial state lies outside the target support")
-    st = ServerState(TaggedState(init, init_lp))
 
     rngs = worker_streams(seed, m, extra=1)
     infra = rngs[m]
+    latency = delay.latency_sampler(infra)
+    jitter, infra_random = delay.jitter, infra.random
+    samplers = [p.sample for p in worker_props]
+    logpdfs = [p.logpdf for p in worker_props]
+    uniforms = [r.random for r in rngs[:m]]
     frozen = set(frozen_workers)
+
     heap: list = []
-    tiebreak = 0
-
-    def push(t: float, kind: str, payload):
-        nonlocal tiebreak
-        heapq.heappush(heap, (t, tiebreak, kind, payload))
-        tiebreak += 1
-
-    frozen_reads: dict = {}
-    resend_counts = [0] * m
-    sends = 0
-
-    def compose(worker: int, t: float, *, force_fresh: bool = False):
-        nonlocal sends
-        sends += 1
-        if worker in frozen and not force_fresh and worker in frozen_reads:
-            x, rv = frozen_reads[worker]
-        else:
-            x, rv = st.tagged.value, st.version
-            frozen_reads[worker] = (x, rv)
-        prop = worker_props[worker]
-        y, params = prop.sample(x, rngs[worker])
-        msg = ServerMessage(
-            worker=worker,
-            read_version=rv,
-            x=x,
-            x_star=y,
-            log_pi_x_star=target.log_unnorm(y),
-            log_f_forward=prop.logpdf(y, x, params),
-            proposal_id=prop.proposal_id,
-            params=params,
-        )
-        push(t + delay.latency(infra), "deliver", msg)
-
     for w in range(m):
-        if w in frozen:
-            push(0.0, "send", w)
-        else:
-            push(float(infra.uniform(0.0, delay.jitter + 1e-9)), "send", w)
+        start = 0.0 if w in frozen else (jitter + 1e-9) * infra_random()
+        heapq.heappush(heap, (start, w, w, None))
+    tiebreak = m
 
     is_finite = target.is_finite
     if is_finite:
@@ -376,89 +416,72 @@ def run_pserver(
     accepted_arr = np.empty(horizon, dtype=bool)
     ratios_arr = np.empty(horizon, dtype=float)
 
-    processed = 0
+    naive = mode == "naive_accept"
+    cap = delay.staleness_cap
+    heappush, heappop, exp = heapq.heappush, heapq.heappop, math.exp
+    value, log_pi = init, init_lp
+    frozen_reads: dict = {}
+    resend_counts = [0] * m
+    sends = 0
+    processed = 0  # also the server version
     while processed < horizon:
-        t, _, kind, payload = heapq.heappop(heap)
-        if kind == "send":
-            compose(payload, t)
-            continue
-        msg: ServerMessage = payload
-        staleness = st.version - msg.read_version
-        if staleness > delay.staleness_cap:
+        t, _, w, msg = heappop(heap)
+        if msg is not None:
+            read_version, x, x_star, lp_star, log_f_forward, params = msg
+            if processed - read_version <= cap:
+                cand, cand_lp = _candidate(value, x_star, lp_star, params)
+                if cand_lp is None:
+                    cand_lp = log_unnorm(cand)
+                log_ratio = _log_accept_ratio(
+                    cand_lp + logpdfs[w](value, x, params), log_pi + log_f_forward
+                )
+                u = uniforms[w]()
+                accepted = naive or log_ratio >= 0.0 or u < exp(log_ratio)
+                if accepted:
+                    value, log_pi = cand, cand_lp
+                workers_arr[processed] = w
+                reads_arr[processed] = read_version
+                accepted_arr[processed] = accepted
+                ratios_arr[processed] = log_ratio
+                states[processed] = index[value] if is_finite else value
+                processed += 1
+                heappush(heap, (t + periods[w] + jitter * infra_random(), tiebreak, w, None))
+                tiebreak += 1
+                continue
             # backpressure: re-read now and resend rather than apply a read
             # staler than the model allows
-            w = msg.worker
             resend_counts[w] += 1
             if resend_counts[w] > max_resends:
                 raise LivenessError(
-                    f"worker {w} exceeded {max_resends} stale resends (cap {delay.staleness_cap})"
+                    f"worker {w} exceeded {max_resends} stale resends (cap {cap})"
                 )
-            compose(w, t, force_fresh=True)
-            continue
-        st, accepted, log_ratio = server_receive(
-            st, msg, target, registry, rngs[msg.worker], mode=mode, debug_revalidate=debug_revalidate
-        )
-        workers_arr[processed] = msg.worker
-        reads_arr[processed] = msg.read_version
-        accepted_arr[processed] = accepted
-        ratios_arr[processed] = log_ratio
-        if is_finite:
-            states[processed] = index[st.tagged.value]
+            frozen_reads.pop(w, None)  # a resend reads afresh, frozen or not
+        if w in frozen_reads:
+            x, read_version = frozen_reads[w]
         else:
-            states[processed] = st.tagged.value
-        processed += 1
-        push(t + delay.period(msg.worker) + float(infra.uniform(0.0, delay.jitter)), "send", msg.worker)
+            x, read_version = value, processed
+            if w in frozen:
+                frozen_reads[w] = (x, read_version)
+        sends += 1
+        x_star, params = samplers[w](x, rngs[w])
+        msg = (read_version, x, x_star, log_unnorm(x_star), logpdfs[w](x_star, x, params), params)
+        heappush(heap, (t + latency(), tiebreak, w, msg))
+        tiebreak += 1
 
-    events = tuple(
-        Event(int(i), int(workers_arr[i]), int(reads_arr[i]) - 1, "server_commit")
-        for i in range(horizon)
-    )
-    bound = int(max(1, (np.arange(horizon) - (reads_arr - 1)).max()))
-    for w in range(m):
-        where = np.flatnonzero(workers_arr == w)
-        gaps = np.diff(np.concatenate(([-1], where, [horizon])))
-        bound = max(bound, int(gaps.max()))
-    trace = Schedule(events, m, bound)
     config = {
         "mode": f"pserver:{mode}",
         "kernel": kernel.describe(),
         "m": m,
         "horizon": horizon,
         "seed": seed,
-        "delay": {"kind": delay.kind, "params": delay.params, "staleness_cap": delay.staleness_cap},
+        "delay": {"kind": delay.kind, "params": delay.params, "staleness_cap": cap},
         "coupled": coupled,
         "frozen_workers": sorted(frozen),
         "messages_sent": sends,
         "resends": sum(resend_counts),
-        "pending_at_exit": sum(1 for item in heap if item[2] == "deliver"),
+        "pending_at_exit": sum(1 for item in heap if item[3] is not None),
     }
-    return PServerRecord(
-        trace, workers_arr, reads_arr, accepted_arr, ratios_arr, states, config, target
-    )
-
-
-def render_server_kernel(target: TargetDensity, proposal) -> StochasticMatrix:
-    """Enumerate the zero-staleness server chain as a transition matrix.
-
-    Every message then reads the current state, so row ``s`` mixes the
-    proposal's distribution with the server's accept rule evaluated at
-    ``x = x_s``.
-    """
-    if not target.is_finite:
-        raise UnsupportedTargetError("only finite targets can be enumerated")
-    if not hasattr(proposal, "support_logpdfs"):
-        raise UnsupportedTargetError("proposal is not enumerable")
-    space = target.support
-    n = space.size
-    lp = np.array([target.log_unnorm(lab) for lab in space.labels])
-    rows = np.zeros((n, n))
-    for i, lab in enumerate(space.labels):
-        lq = proposal.support_logpdfs(lab)
-        for j in range(n):
-            log_ratio = (lp[j] + lq[i]) - (lp[i] + lq[j])
-            rows[i, j] = math.exp(lq[j]) * min(1.0, math.exp(min(log_ratio, 0.0)))
-        rows[i, i] += 1.0 - rows[i].sum()
-    return StochasticMatrix(space, rows)
+    return PServerRecord(workers_arr, reads_arr, accepted_arr, ratios_arr, states, config, target)
 
 
 def replica_marginal_indices(record: PServerRecord, slot: int, base: TargetDensity) -> np.ndarray:
@@ -471,32 +494,35 @@ def replica_marginal_indices(record: PServerRecord, slot: int, base: TargetDensi
     return lookup[record.states]
 
 
-def pserver_trace_jsonl(record: PServerRecord) -> str:
-    """Shared JSONL event format plus the per-message accepted flag."""
-    s = record.trace
-    lines = [
-        json.dumps({"kind": "meta", "workers": s.workers, "staleness_bound": s.staleness_bound})
-    ]
-    for i, ev in enumerate(s.events):
-        lines.append(
-            json.dumps(
-                {
-                    "seq": ev.seq,
-                    "worker": ev.worker,
-                    "read_from": ev.read_from,
-                    "kind": ev.kind,
-                    "accepted": bool(record.accepted[i]),
-                }
-            )
+def trace_jsonl_lines(record: PServerRecord):
+    """The shared JSONL event format plus each message's accepted flag, line by line."""
+    yield json.dumps(
+        {"kind": "meta", "workers": record.config["m"], "staleness_bound": record.staleness_bound}
+    )
+    reads = (record.read_versions - 1).tolist()
+    rows = zip(record.workers.tolist(), reads, record.accepted.tolist())
+    for seq, (worker, read_from, accepted) in enumerate(rows):
+        flag = "true" if accepted else "false"
+        yield (
+            f'{{"seq": {seq}, "worker": {worker}, "read_from": {read_from}, '
+            f'"kind": "server_commit", "accepted": {flag}}}'
         )
-    return "\n".join(lines) + "\n"
 
 
-def messages_csv(record: PServerRecord) -> str:
-    lines = ["seq,worker,read_version,accepted,log_ratio"]
-    for i in range(len(record.workers)):
-        lines.append(
-            f"{i},{record.workers[i]},{record.read_versions[i]},"
-            f"{int(record.accepted[i])},{record.log_ratios[i]!r}"
-        )
-    return "\n".join(lines) + "\n"
+# The log_ratio column has always been written as ``repr`` of a numpy
+# float64, which numpy 2 spells ``np.float64(-1.25)``; the template keeps
+# those bytes while formatting plain floats.
+_LOG_RATIO_FORMAT = repr(np.float64(0.5)).replace("0.5", "{!r}").format
+
+
+def messages_csv_lines(record: PServerRecord):
+    """One CSV row per processed message, after a header row."""
+    yield "seq,worker,read_version,accepted,log_ratio"
+    rows = zip(
+        record.workers.tolist(),
+        record.read_versions.tolist(),
+        record.accepted.tolist(),
+        record.log_ratios.tolist(),
+    )
+    for seq, (worker, read_version, accepted, log_ratio) in enumerate(rows):
+        yield f"{seq},{worker},{read_version},{int(accepted)},{_LOG_RATIO_FORMAT(log_ratio)}"

@@ -210,21 +210,20 @@ def adversarial_schedules(m: int, b: int, length: int) -> dict[str, Schedule]:
 def minimal_valid_bound(events, workers: int) -> int:
     """Smallest staleness bound under which these event triples validate.
 
-    ``events`` holds ``(seq, worker, read_from)`` triples in seq order; the
-    result covers both read staleness and every worker's write gaps
-    (including the virtual writes at -1 and at the end).
+    ``events`` holds ``(seq, worker, read_from)`` triples in seq order, as a
+    sequence or an ``(n, 3)`` array; the result covers both read staleness
+    and every worker's write gaps (including the virtual writes at -1 and at
+    the end).
     """
-    last = [-1] * workers
-    worst = 1
-    n = 0
-    for seq, worker, read_from in events:
-        worst = max(worst, seq - read_from)
-        worst = max(worst, *(seq - last[w] for w in range(workers)))
-        last[worker] = seq
-        n = seq + 1
-    for w in range(workers):
-        worst = max(worst, n - last[w])
-    return worst
+    seq, worker, read_from = np.asarray(events, dtype=np.int64).reshape(-1, 3).T
+    n = int(seq[-1]) + 1 if len(seq) else 0
+    # each worker's writes, bracketed by its virtual writes at -1 and n
+    every = np.arange(workers)
+    owners = np.concatenate((worker, every, every))
+    times = np.concatenate((seq, np.full(workers, -1), np.full(workers, n)))
+    order = np.lexsort((times, owners))
+    gaps = np.diff(times[order])[np.diff(owners[order]) == 0]
+    return max(1, int((seq - read_from).max(initial=1)), int(gaps.max(initial=1)))
 
 
 # ---------------------------------------------------------------------------

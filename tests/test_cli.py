@@ -167,3 +167,76 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "line 4" in err and "'worker'" in err and message in err
         assert "Traceback" not in err
+
+
+def _small_pserver_config(tmp_path, **overrides) -> dict:
+    doc = canned_config("pserver_gaussian").to_dict()
+    doc.update(horizon=200, out_dir=str(tmp_path / "out"))
+    for key, value in overrides.items():
+        doc[key] = {**doc[key], **value}
+    return doc
+
+
+def _replay_config(tmp_path, burn) -> dict:
+    return {
+        "name": "x", "mode": "shmem_replay", "seed": 1, "m": 2, "b": 4, "horizon": 50,
+        "target": {"type": "finite", "weights": [1.0, 2.0, 3.0]},
+        "kernel": {"kind": "metropolis_hastings", "proposal": {"type": "uniform_independence"}},
+        "params": {"burn_fraction": burn}, "out_dir": str(tmp_path / "out"),
+    }
+
+
+def _run_file(tmp_path, doc) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return main(["run", str(path)])
+
+
+class TestMalformedRunParameters:
+    @pytest.mark.parametrize(
+        "params,field",
+        [
+            ({"jitter": -0.3}, "delay.params.jitter"),
+            ({"jitter": 1e309}, "delay.params.jitter"),
+            ({"span": 2.5}, "delay.params.span"),
+            ({"span": -1}, "delay.params.span"),
+            ({"mean": -1.0}, "delay.params.mean"),
+            ({"latency": "soon"}, "delay.params.latency"),
+            ({"periods": [1.0, 2.0]}, "delay.params.periods"),
+        ],
+    )
+    def test_bad_delay_params_exit_1(self, tmp_path, capsys, params, field):
+        doc = _small_pserver_config(tmp_path)
+        doc["delay"] = {**doc["delay"], "params": {**doc["delay"]["params"], **params}}
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("burn", [1.0, -0.1, 1.5, "half", True])
+    @pytest.mark.parametrize("mode", ["pserver", "shmem_replay"])
+    def test_bad_burn_fraction_exit_1(self, tmp_path, capsys, burn, mode):
+        if mode == "pserver":
+            doc = _small_pserver_config(tmp_path, params={"burn_fraction": burn})
+        else:
+            doc = _replay_config(tmp_path, burn)
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        assert "params.burn_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_burn_fraction_below_one_writes_valid_json(self, tmp_path):
+        assert _run_file(tmp_path, _replay_config(tmp_path, 0.99)) == EXIT_OK
+        text = (tmp_path / "out" / "summary.json").read_text()
+        json.loads(text, parse_constant=lambda name: pytest.fail(f"summary holds {name}"))
+
+
+def test_pserver_zero_weight_target_runs(tmp_path):
+    doc = {
+        "name": "x", "mode": "pserver", "seed": 1, "m": 2, "horizon": 200,
+        "target": {"type": "finite", "weights": [1.0, 2.0, 0.0]},
+        "kernel": {"kind": "metropolis_hastings", "proposal": {"type": "uniform_independence"}},
+        "correction": "mh_corrected", "out_dir": str(tmp_path / "out"),
+        "delay": {"kind": "fifo_random", "params": {"mean": 2.0}, "staleness_cap": 64},
+    }
+    assert _run_file(tmp_path, doc) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["detailed_balance_error"] is None and summary["late_tv"] < 0.2

@@ -21,6 +21,7 @@ from asyncmc.kernels import (
     finite_target,
     gaussian_target,
     mh_step,
+    render_matrix,
     target_distribution,
     worker_streams,
 )
@@ -30,12 +31,11 @@ from asyncmc.pserver import (
     ServerState,
     TaggedState,
     coupled_embed,
-    messages_csv,
-    pserver_trace_jsonl,
-    render_server_kernel,
+    messages_csv_lines,
     replica_marginal_indices,
     run_pserver,
     server_receive,
+    trace_jsonl_lines,
 )
 from asyncmc.schedules import validate
 
@@ -160,9 +160,9 @@ class TestZeroDelay:
         assert record.state_labels() == expected
 
     def test_server_kernel_detailed_balance(self):
-        target = three_state()
-        srv = render_server_kernel(target, UniformIndependenceProposal(target.support))
-        pi = target_distribution(target).to_float().probs
+        spec = mh_uniform()
+        srv = render_matrix(spec)
+        pi = target_distribution(spec.target).to_float().probs
         worst = max(
             abs(pi[i] * srv.rows[i][j] - pi[j] * srv.rows[j][i])
             for i in range(3)
@@ -237,6 +237,28 @@ class TestRunPServer:
         with pytest.raises(ParameterError):
             DelayModel("warp", {}, 1)
 
+    @pytest.mark.parametrize(
+        "kind,params,field",
+        [
+            ("fifo_fixed", {"jitter": -0.1}, "jitter"),
+            ("fifo_fixed", {"jitter": float("inf")}, "jitter"),
+            ("fifo_fixed", {"jitter": "0.3"}, "jitter"),
+            ("fifo_fixed", {"latency": float("nan")}, "latency"),
+            ("fifo_random", {"mean": -2.0}, "mean"),
+            ("reorder_random", {"span": 2.5}, "span"),
+            ("reorder_random", {"span": -1}, "span"),
+            ("fifo_fixed", {"periods": [1.0, -1.0]}, r"periods\[1\]"),
+        ],
+    )
+    def test_delay_params_validated_at_construction(self, kind, params, field):
+        with pytest.raises(ParameterError, match=f"delay.params.{field}:"):
+            DelayModel(kind, params)
+
+    def test_periods_list_must_match_m(self):
+        delay = DelayModel("fifo_fixed", {"periods": [1.0, 2.0]})
+        with pytest.raises(ParameterError, match="delay.params.periods: has 2 entries"):
+            run_pserver(mh_uniform(), 3, 10, delay, "mh_corrected", 1)
+
     def test_systematic_kernel_unsupported(self):
         target = gaussian_target([0.0, 0.0], GaussianTarget.bivariate_correlated(0.2).precision)
         spec = KernelSpec("systematic_gibbs", target)
@@ -301,13 +323,13 @@ class TestCoupled:
 class TestExports:
     def test_trace_jsonl_has_accept_flags(self):
         record = run_pserver(mh_uniform(), 1, 50, zero_delay(), "mh_corrected", 3)
-        lines = pserver_trace_jsonl(record).strip().splitlines()
+        lines = list(trace_jsonl_lines(record))
         assert len(lines) == 51
         assert '"accepted":' in lines[1]
         assert '"kind": "server_commit"' in lines[1] or '"kind":"server_commit"' in lines[1].replace(" ", "")
 
     def test_messages_csv_columns(self):
         record = run_pserver(mh_uniform(), 1, 20, zero_delay(), "mh_corrected", 3)
-        lines = messages_csv(record).strip().splitlines()
+        lines = list(messages_csv_lines(record))
         assert lines[0] == "seq,worker,read_version,accepted,log_ratio"
         assert len(lines) == 21

@@ -1,18 +1,31 @@
-"""The depth-ladder propagation and the one-sort EDF check against references.
+"""Fast paths against straightforward references.
 
-The references below are the straightforward per-event implementations:
-one operator application and one TV distance per event, and one sort per
-candidate worker.  The fast paths must agree with them exactly (``==`` and
-equal bytes, never approximately), because the canned experiments'
-artifacts are required to stay byte-identical.
+The references below are the per-event implementations: one operator
+application and one TV distance per event, one sort per candidate worker,
+and a parameter-server loop that sends every message through
+``server_receive`` as a ``ServerMessage``.  The fast paths must agree with
+them exactly (``==`` and equal bytes, never approximately), because the
+canned experiments' artifacts are required to stay byte-identical.
 """
 import dataclasses
+import heapq
 
 import numpy as np
 import pytest
 
 from asyncmc import schedules
-from asyncmc.errors import ValidationError
+from asyncmc.errors import LivenessError, ValidationError
+from asyncmc.kernels import (
+    GaussianIndependenceProposal,
+    GaussianTarget,
+    KernelSpec,
+    TableIndependenceProposal,
+    UniformIndependenceProposal,
+    default_init,
+    finite_target,
+    gaussian_target,
+    worker_streams,
+)
 from asyncmc.measure_sim import (
     frozen_worker_schedule,
     matrix_power_consistency,
@@ -32,7 +45,18 @@ from asyncmc.measures import (
     stationary_distribution,
     tv_distance,
 )
-from asyncmc.schedules import adversarial_schedules, random_schedule
+from asyncmc.pserver import (
+    DelayModel,
+    ServerMessage,
+    ServerState,
+    SlotProposal,
+    TaggedState,
+    _worker_proposal,
+    coupled_embed,
+    run_pserver,
+    server_receive,
+)
+from asyncmc.schedules import Event, Schedule, adversarial_schedules, random_schedule
 
 
 def reference_propagate(m, mu0, schedule, pi):
@@ -202,3 +226,177 @@ class TestEdfSafeWorkers:
         fast = random_schedule(workers, b, 400, np.random.default_rng(seed))
         monkeypatch.setattr(schedules, "_edf_safe_workers", reference_edf_safe_workers)
         assert random_schedule(workers, b, 400, np.random.default_rng(seed)) == fast
+
+
+def reference_latency(delay, rng):
+    if delay.kind == "fifo_fixed":
+        return float(delay.params.get("latency", 0.0))
+    if delay.kind == "fifo_random":
+        mean = float(delay.params.get("mean", 2.0))
+        return float(rng.geometric(1.0 / (1.0 + mean)) - 1)
+    return float(rng.integers(0, int(delay.params.get("span", 8)) + 1))
+
+
+def reference_period(delay, worker):
+    periods = delay.params.get("periods", 1.0)
+    return float(periods) if isinstance(periods, (int, float)) else float(periods[worker])
+
+
+def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
+                          frozen_workers=(), coupled=False, max_resends=1000):
+    """One ``ServerMessage`` and one ``server_receive`` call per message."""
+    if coupled:
+        target = coupled_embed(kernel.target, m)
+        worker_props = [SlotProposal(_worker_proposal(kernel), w) for w in range(m)]
+        if init is None:
+            init = tuple(default_init(kernel.target) for _ in range(m))
+    else:
+        target = kernel.target
+        worker_props = [_worker_proposal(kernel)] * m
+        if init is None:
+            init = default_init(kernel.target)
+    registry = {p.proposal_id: p for p in worker_props}
+    st = ServerState(TaggedState(init, target.log_unnorm(init)))
+    rngs = worker_streams(seed, m, extra=1)
+    infra = rngs[m]
+    frozen = set(frozen_workers)
+    heap, tiebreak = [], 0
+
+    def push(t, kind, payload):
+        nonlocal tiebreak
+        heapq.heappush(heap, (t, tiebreak, kind, payload))
+        tiebreak += 1
+
+    frozen_reads, resend_counts, sends = {}, [0] * m, 0
+
+    def compose(worker, t, force_fresh=False):
+        nonlocal sends
+        sends += 1
+        if worker in frozen and not force_fresh and worker in frozen_reads:
+            x, rv = frozen_reads[worker]
+        else:
+            x, rv = st.tagged.value, st.version
+            frozen_reads[worker] = (x, rv)
+        prop = worker_props[worker]
+        y, params = prop.sample(x, rngs[worker])
+        msg = ServerMessage(worker, rv, x, y, target.log_unnorm(y), prop.logpdf(y, x, params),
+                            prop.proposal_id, params)
+        push(t + reference_latency(delay, infra), "deliver", msg)
+
+    for w in range(m):
+        push(0.0 if w in frozen else float(infra.uniform(0.0, delay.jitter + 1e-9)), "send", w)
+
+    is_finite = target.is_finite
+    index = {lab: i for i, lab in enumerate(target.support.labels)} if is_finite else None
+    rows, log_ratios = [], []
+    workers, reads, accepted = [], [], []
+    while len(rows) < horizon:
+        t, _, kind, payload = heapq.heappop(heap)
+        if kind == "send":
+            compose(payload, t)
+            continue
+        msg = payload
+        if st.version - msg.read_version > delay.staleness_cap:
+            resend_counts[msg.worker] += 1
+            if resend_counts[msg.worker] > max_resends:
+                raise LivenessError(
+                    f"worker {msg.worker} exceeded {max_resends} stale resends "
+                    f"(cap {delay.staleness_cap})"
+                )
+            compose(msg.worker, t, force_fresh=True)
+            continue
+        st, acc, log_ratio = server_receive(st, msg, target, registry, rngs[msg.worker], mode=mode)
+        workers.append(msg.worker)
+        reads.append(msg.read_version)
+        accepted.append(acc)
+        log_ratios.append(log_ratio)
+        rows.append(index[st.tagged.value] if is_finite else st.tagged.value)
+        push(t + reference_period(delay, msg.worker) + float(infra.uniform(0.0, delay.jitter)),
+             "send", msg.worker)
+
+    events = tuple(Event(i, w, r - 1, "server_commit") for i, (w, r) in enumerate(zip(workers, reads)))
+    bound = max(1, max(e.seq - e.read_from for e in events))
+    for w in range(m):
+        gaps = np.diff([-1] + [e.seq for e in events if e.worker == w] + [horizon])
+        bound = max(bound, int(gaps.max()))
+    config = {
+        "resends": sum(resend_counts),
+        "messages_sent": sends,
+        "pending_at_exit": sum(1 for item in heap if item[2] == "deliver"),
+    }
+    return {
+        "workers": np.array(workers, dtype=np.int32),
+        "read_versions": np.array(reads, dtype=np.int64),
+        "accepted": np.array(accepted, dtype=bool),
+        "log_ratios": np.array(log_ratios, dtype=float),
+        "states": np.array(rows, dtype=np.int64 if is_finite else float),
+        "trace": Schedule(events, m, bound),
+        "config": config,
+    }
+
+
+def assert_pserver_identical(kernel, m, horizon, delay, mode, seed, **kwargs):
+    got = run_pserver(kernel, m, horizon, delay, mode, seed, **kwargs)
+    want = reference_run_pserver(kernel, m, horizon, delay, mode, seed, **kwargs)
+    for name in ("workers", "read_versions", "accepted", "states"):
+        array = getattr(got, name)
+        assert array.dtype == want[name].dtype and np.array_equal(array, want[name]), name
+    assert got.log_ratios.tobytes() == want["log_ratios"].tobytes()
+    assert got.trace == want["trace"]
+    assert got.staleness_bound == want["trace"].staleness_bound
+    assert {k: got.config[k] for k in want["config"]} == want["config"]
+    return got
+
+
+class TestServerLoop:
+    def test_single_worker_zero_delay(self):
+        target = finite_target([1.0, 2.0, 3.0])
+        kernel = KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support))
+        delay = DelayModel("fifo_fixed", {"latency": 0.0, "jitter": 0.0}, staleness_cap=0)
+        assert_pserver_identical(kernel, 1, 2000, delay, "mh_corrected", 21)
+
+    def test_table_independence_with_resends(self):
+        target = finite_target([1.0, 2.0, 3.0, 0.5])
+        prop = TableIndependenceProposal(target.support, [1.0, 3.0, 2.0, 1.0])
+        kernel = KernelSpec("metropolis_hastings", target, prop)
+        delay = DelayModel("reorder_random", {"span": 12}, staleness_cap=5)
+        record = assert_pserver_identical(kernel, 3, 3000, delay, "mh_corrected", 8)
+        assert record.config["resends"] > 0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_gaussian_independence_bench_shape(self, seed):
+        target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.5).precision)
+        kernel = KernelSpec("metropolis_hastings", target, GaussianIndependenceProposal([0.0, 0.0], 1.5))
+        delay = DelayModel("reorder_random", {"span": 8, "jitter": 0.3}, staleness_cap=64)
+        assert_pserver_identical(kernel, 4, 3000, delay, "mh_corrected", seed)
+
+    @pytest.mark.parametrize("cap", [10**9, 6])
+    @pytest.mark.parametrize("mode", ["mh_corrected", "naive_accept"])
+    def test_gibbs_frozen_worker_with_periods(self, mode, cap):
+        # under a finite cap the frozen worker's resends refresh its frozen read
+        target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.9).precision)
+        kernel = KernelSpec("gibbs_single_site", target)
+        delay = DelayModel(
+            "fifo_fixed", {"latency": 0.0, "periods": [1.0, 2.0, 2.0], "jitter": 0.5}, staleness_cap=cap
+        )
+        record = assert_pserver_identical(
+            kernel, 3, 3000, delay, mode, 202, init=(3.0, -3.0), frozen_workers=(0,)
+        )
+        assert (record.config["resends"] > 0) == (cap < 3000)
+
+    def test_coupled_slots(self):
+        target = finite_target([1.0, 2.0, 3.0])
+        kernel = KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support))
+        delay = DelayModel("fifo_random", {"mean": 2.0}, staleness_cap=64)
+        assert_pserver_identical(kernel, 2, 3000, delay, "mh_corrected", 6, coupled=True)
+
+    def test_liveness_error_message(self):
+        target = finite_target([1.0, 2.0, 3.0])
+        kernel = KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support))
+        delay = DelayModel("fifo_fixed", {"latency": 1.0, "jitter": 0.0}, staleness_cap=0)
+        messages = []
+        for run in (run_pserver, reference_run_pserver):
+            with pytest.raises(LivenessError) as info:
+                run(kernel, 3, 1000, delay, "mh_corrected", 2, max_resends=50)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
