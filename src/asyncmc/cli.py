@@ -39,6 +39,10 @@ EXIT_VIOLATION = 3
 MODES = ("measure_sim", "shmem_real", "shmem_replay", "pserver")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -56,10 +60,17 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ValidationError(f"name: must be a plain directory name, got {name!r}")
         if self.mode not in MODES:
             raise ValidationError(f"mode: unknown mode {self.mode!r}")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ValidationError("seed: a fixed integer seed is mandatory")
+        for field_name in ("m", "b", "horizon"):
+            value = getattr(self, field_name)
+            if not _is_int(value):
+                raise ValidationError(f"{field_name}: must be an integer, got {value!r}")
         if self.m < 1:
             raise ValidationError("m: need at least one worker")
         if self.horizon < 1:
@@ -92,14 +103,25 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _required(doc: dict, where: str, *names):
+    """The named fields of a config object, or a ValidationError naming the first missing one."""
+    for name in names:
+        if name not in doc:
+            raise ValidationError(f"{where}.{name}: required field is missing")
+    return [doc[name] for name in names]
+
+
 def build_target(doc: dict) -> kernels.TargetDensity:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"target: must be an object, got {doc!r}")
     kind = doc.get("type")
     if kind == "finite":
-        return kernels.finite_target(doc["weights"], doc.get("labels"))
+        (weights,) = _required(doc, "target", "weights")
+        return kernels.finite_target(weights, doc.get("labels"))
     if kind == "gaussian":
-        return kernels.gaussian_target(doc["mean"], doc["precision"])
+        return kernels.gaussian_target(*_required(doc, "target", "mean", "precision"))
     if kind == "gaussian_correlated":
-        gt = kernels.GaussianTarget.bivariate_correlated(doc["rho"])
+        gt = kernels.GaussianTarget.bivariate_correlated(*_required(doc, "target", "rho"))
         return kernels.gaussian_target(gt.mean, gt.precision)
     raise ValidationError(f"target.type: unknown target type {kind!r}")
 
@@ -264,9 +286,10 @@ def _run_shmem(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
 
     burn = _burn_fraction(cfg, 0.5)
     if cfg.mode == "shmem_real":
-        record = shmem.run_async(
-            kernel, cfg.m, cfg.horizon, cfg.seed, cfg.params.get("watchdog_b", 50 * cfg.m * 10)
-        )
+        watchdog_b = cfg.params.get("watchdog_b", 50 * cfg.m * 10)
+        if not _is_int(watchdog_b) or watchdog_b < 1:
+            raise ValidationError(f"params.watchdog_b: must be an integer >= 1, got {watchdog_b!r}")
+        record = shmem.run_async(kernel, cfg.m, cfg.horizon, cfg.seed, watchdog_b)
     else:
         rng = np.random.default_rng(cfg.seed)
         schedule = build_schedule(cfg, rng)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,10 +186,11 @@ class UniformIndependenceProposal:
     def __init__(self, space: StateSpace, proposal_id: str = "uniform_independence"):
         self.space = space
         self.proposal_id = proposal_id
+        self._size = space.size
         self._log_q = -math.log(space.size)
 
     def sample(self, x, rng: np.random.Generator):
-        return self.space.labels[int(rng.integers(self.space.size))], {}
+        return self.space.labels[int(rng.integers(self._size))], {}
 
     def logpdf(self, y, x, params=None) -> float:
         return self._log_q if y in self.space._index else NEG_INF
@@ -400,8 +401,7 @@ class KernelSpec:
         return f"{self.kind}" + (f"[{prop}]" if prop else "")
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     state: object
     log_pi: float
     accepted: bool

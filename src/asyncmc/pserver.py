@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +49,7 @@ from .kernels import (
     worker_streams,
 )
 from .measures import StateSpace
-from .schedules import Event, Schedule, minimal_valid_bound
+from .schedules import Event, Schedule, minimal_valid_bound, trace_lines
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -354,7 +353,10 @@ def run_pserver(
     version and lands in the record; the recorded state row is the server
     state right after processing.  With ``coupled=True`` the server holds
     ``m`` replica slots of the target and worker ``i`` only ever updates
-    slot ``i``.
+    slot ``i``.  A message staler than the delay model's cap is dropped and
+    its worker re-reads and resends; :class:`LivenessError` is raised when
+    one worker's message is dropped more than ``max_resends`` times in a row
+    (the count restarts each time one of its messages lands).
 
     The loop does per message what :func:`server_receive` does, on plain
     tuples: a heap entry is ``(time, tiebreak, worker, message)`` with
@@ -421,8 +423,8 @@ def run_pserver(
     heappush, heappop, exp = heapq.heappush, heapq.heappop, math.exp
     value, log_pi = init, init_lp
     frozen_reads: dict = {}
-    resend_counts = [0] * m
-    sends = 0
+    stalled = [0] * m  # consecutive stale resends of each worker's current message
+    resends = sends = 0
     processed = 0  # also the server version
     while processed < horizon:
         t, _, w, msg = heappop(heap)
@@ -445,13 +447,15 @@ def run_pserver(
                 ratios_arr[processed] = log_ratio
                 states[processed] = index[value] if is_finite else value
                 processed += 1
+                stalled[w] = 0
                 heappush(heap, (t + periods[w] + jitter * infra_random(), tiebreak, w, None))
                 tiebreak += 1
                 continue
             # backpressure: re-read now and resend rather than apply a read
             # staler than the model allows
-            resend_counts[w] += 1
-            if resend_counts[w] > max_resends:
+            resends += 1
+            stalled[w] += 1
+            if stalled[w] > max_resends:
                 raise LivenessError(
                     f"worker {w} exceeded {max_resends} stale resends (cap {cap})"
                 )
@@ -478,7 +482,7 @@ def run_pserver(
         "coupled": coupled,
         "frozen_workers": sorted(frozen),
         "messages_sent": sends,
-        "resends": sum(resend_counts),
+        "resends": resends,
         "pending_at_exit": sum(1 for item in heap if item[3] is not None),
     }
     return PServerRecord(workers_arr, reads_arr, accepted_arr, ratios_arr, states, config, target)
@@ -495,18 +499,17 @@ def replica_marginal_indices(record: PServerRecord, slot: int, base: TargetDensi
 
 
 def trace_jsonl_lines(record: PServerRecord):
-    """The shared JSONL event format plus each message's accepted flag, line by line."""
-    yield json.dumps(
-        {"kind": "meta", "workers": record.config["m"], "staleness_bound": record.staleness_bound}
+    """The shared JSONL trace format plus each message's accepted flag, line by line."""
+    bound = record.staleness_bound  # before the row lists, so its temporaries are gone
+    events = zip(
+        itertools.count(),
+        record.workers.tolist(),
+        (record.read_versions - 1).tolist(),
+        itertools.repeat("server_commit"),
     )
-    reads = (record.read_versions - 1).tolist()
-    rows = zip(record.workers.tolist(), reads, record.accepted.tolist())
-    for seq, (worker, read_from, accepted) in enumerate(rows):
-        flag = "true" if accepted else "false"
-        yield (
-            f'{{"seq": {seq}, "worker": {worker}, "read_from": {read_from}, '
-            f'"kind": "server_commit", "accepted": {flag}}}'
-        )
+    flags = [', "accepted": false', ', "accepted": true']
+    extras = map(flags.__getitem__, record.accepted.tolist())
+    return trace_lines(record.config["m"], bound, events, extras)
 
 
 # The log_ratio column has always been written as ``repr`` of a numpy

@@ -16,9 +16,10 @@ Two invariants define validity:
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -27,16 +28,26 @@ from .errors import ParameterError, ValidationError
 EVENT_KINDS = ("write", "server_commit")
 
 
-@dataclass(frozen=True)
-class Event:
+class _EventFields(NamedTuple):
     seq: int
     worker: int
     read_from: int
     kind: str = "write"
 
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise ValidationError(f"unknown event kind {self.kind!r}")
+
+class Event(_EventFields):
+    """One write: an immutable ``(seq, worker, read_from, kind)`` tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, seq: int, worker: int, read_from: int, kind: str = "write"):
+        if kind not in EVENT_KINDS:
+            raise ValidationError(f"unknown event kind {kind!r}")
+        return tuple.__new__(cls, (seq, worker, read_from, kind))
+
+    @classmethod
+    def _make(cls, iterable):  # keeps ``_replace`` behind the kind check
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -69,38 +80,45 @@ class ScheduleViolation:
 def validate(s: Schedule) -> ScheduleViolation | None:
     """Return ``None`` when valid, else a report naming the first bad seq."""
     b, m = s.staleness_bound, s.workers
+    events = s.events
     last_write = [-1] * m
-    for k, ev in enumerate(s.events):
-        if ev.seq != k:
-            return ScheduleViolation(ev.seq, "sequence", f"expected seq {k}")
-        if not 0 <= ev.worker < m:
-            return ScheduleViolation(k, "sequence", f"worker {ev.worker} out of range")
-        if not -1 <= ev.read_from < ev.seq:
+    for k, (seq, worker, read_from, _) in enumerate(events):
+        if seq != k:
+            return ScheduleViolation(seq, "sequence", f"expected seq {k}")
+        if not 0 <= worker < m:
+            return ScheduleViolation(k, "sequence", f"worker {worker} out of range")
+        if not -1 <= read_from < seq:
             return ScheduleViolation(
-                k, "sequence", f"read_from {ev.read_from} outside [-1, {ev.seq})"
+                k, "sequence", f"read_from {read_from} outside [-1, {seq})"
             )
-        if ev.seq - ev.read_from > b:
+        if seq - read_from > b:
             return ScheduleViolation(
-                k, "staleness", f"staleness {ev.seq - ev.read_from} exceeds bound {b}"
+                k, "staleness", f"staleness {seq - read_from} exceeds bound {b}"
             )
-        # a worker silent for more than b events has already broken a window
-        for w in range(m):
-            if w != ev.worker and k - last_write[w] > b:
-                return ScheduleViolation(
-                    k, "no_worker_dies", f"worker {w} silent through window ending at {k}"
-                )
-        if k - last_write[ev.worker] > b:
-            return ScheduleViolation(
-                k, "no_worker_dies", f"worker {ev.worker} silent through window ending at {k}"
-            )
-        last_write[ev.worker] = k
-    n = len(s.events)
+        # A worker last writing at t first breaks a window at k = t + b + 1,
+        # and earlier events found every earlier break, so only the writer
+        # of event k - b - 1 (or, at k == b, a worker yet to write) can be
+        # silent too long here.
+        t = k - b - 1
+        if t >= 0 and last_write[events[t].worker] == t or t == -1 and -1 in last_write:
+            return _silent_worker(last_write, k, worker, b)
+        last_write[worker] = k
+    n = len(events)
     for w in range(m):
         if n - last_write[w] > b:
             return ScheduleViolation(
                 max(n - 1, 0), "no_worker_dies", f"worker {w} absent from the final window"
             )
     return None
+
+
+def _silent_worker(last_write: list, k: int, writer: int, b: int) -> ScheduleViolation:
+    # other workers first, in order, then the writer of event k itself
+    order = [w for w in range(len(last_write)) if w != writer] + [writer]
+    silent = next(w for w in order if k - last_write[w] > b)
+    return ScheduleViolation(
+        k, "no_worker_dies", f"worker {silent} silent through window ending at {k}"
+    )
 
 
 def _check_feasible(m: int, b: int, length: int) -> None:
@@ -231,16 +249,28 @@ def minimal_valid_bound(events, workers: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+_KIND_JSON = {kind: json.dumps(kind) for kind in EVENT_KINDS}
+
+
+def trace_lines(workers: int, staleness_bound: int, events, extras=None):
+    """The meta line, then one line per ``(seq, worker, read_from, kind)`` row.
+
+    Each line is the ``json.dumps`` text of its object, formatted directly
+    from the integers.  ``extras``, when given, yields per event a string of
+    further ``, "key": value`` members placed before the closing brace.
+    """
+    yield json.dumps({"kind": "meta", "workers": workers, "staleness_bound": staleness_bound})
+    kinds = _KIND_JSON
+    for (seq, worker, read_from, kind), extra in zip(events, extras or itertools.repeat("")):
+        yield (
+            f'{{"seq": {seq}, "worker": {worker}, "read_from": {read_from}, '
+            f'"kind": {kinds[kind]}{extra}}}'
+        )
+
+
 def schedule_to_jsonl(s: Schedule) -> str:
     """One event per line; a leading meta line carries workers and bound."""
-    lines = [json.dumps({"kind": "meta", "workers": s.workers, "staleness_bound": s.staleness_bound})]
-    for ev in s.events:
-        lines.append(
-            json.dumps(
-                {"seq": ev.seq, "worker": ev.worker, "read_from": ev.read_from, "kind": ev.kind}
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(trace_lines(s.workers, s.staleness_bound, s.events)) + "\n"
 
 
 def _int_field(doc: dict, field: str, line: int) -> int:

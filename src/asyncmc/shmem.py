@@ -192,13 +192,15 @@ def replay(kernel: KernelSpec, schedule: Schedule, seed: int, *, init=None) -> R
     if init is None:
         init = default_init(kernel.target)
     rngs = worker_streams(seed, schedule.workers)
-    versions = {-1: init}
+    events = schedule.events
+    # version v lives at index v; the initial state, version -1, at the end
+    versions = [None] * len(events) + [init]
     samples = []
-    for ev in schedule.events:
-        state = versions[ev.read_from]
-        step = kernel_step(kernel, state, rngs[ev.worker])
-        versions[ev.seq] = step.state
-        samples.append((ev.seq, ev.worker, step.state))
+    append = samples.append
+    for seq, worker, read_from, _ in events:
+        state = kernel_step(kernel, versions[read_from], rngs[worker]).state
+        versions[seq] = state
+        append((seq, worker, state))
     config = {
         "mode": "shmem_replay",
         "kernel": kernel.describe(),
@@ -254,6 +256,12 @@ def _state_str(state) -> str:
 
 def samples_csv(record: RunRecord) -> str:
     lines = ["seq,worker,state"]
+    # Keyed by identity, not equality: equal states such as 0.0 and -0.0
+    # print differently.  Every key stays alive in ``record.samples``.
+    texts = {}
     for seq, worker, state in record.samples:
-        lines.append(f'{seq},{worker},"{_state_str(state)}"')
+        text = texts.get(id(state))
+        if text is None:
+            text = texts[id(state)] = _state_str(state)
+        lines.append(f'{seq},{worker},"{text}"')
     return "\n".join(lines) + "\n"

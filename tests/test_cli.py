@@ -240,3 +240,46 @@ def test_pserver_zero_weight_target_runs(tmp_path):
     assert _run_file(tmp_path, doc) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["detailed_balance_error"] is None and summary["late_tv"] < 0.2
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"seed": True}, "seed"),
+            ({"horizon": "5"}, "horizon"),
+            ({"m": 2.0}, "m"),
+            ({"b": False}, "b"),
+            ({"target": None}, "target"),
+            ({"target": {"type": "finite"}}, "target.weights"),
+            ({"target": {"type": "gaussian", "mean": [0.0]}}, "target.precision"),
+            ({"name": ""}, "name"),
+            ({"name": ".."}, "name"),
+            ({"name": "a\\b"}, "name"),
+        ],
+    )
+    def test_bad_field_exit_1(self, tmp_path, capsys, overrides, field):
+        doc = {**_replay_config(tmp_path, 0.5), **overrides}
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{field}:" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_name_cannot_leave_the_output_root(self, tmp_path, capsys, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        doc = _replay_config(tmp_path, 0.5)
+        del doc["out_dir"]
+        doc["name"] = "../escaped"
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        assert "name:" in capsys.readouterr().err
+        assert not (work / "escaped").exists() and not (work / "asyncmc_out").exists()
+
+    @pytest.mark.parametrize("watchdog_b", [0, -5, 2.5, True])
+    def test_bad_watchdog_exit_1(self, tmp_path, capsys, watchdog_b):
+        doc = {**_replay_config(tmp_path, 0.5), "mode": "shmem_real"}
+        doc["params"] = {"watchdog_b": watchdog_b}
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "params.watchdog_b" in err and "Traceback" not in err

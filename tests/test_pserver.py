@@ -226,10 +226,32 @@ class TestRunPServer:
         assert np.array_equal(a.accepted, b.accepted)
 
     def test_backpressure_deadlock_raises_liveness(self):
+        # cap 0 and zero period: the worker that lands first re-sends at
+        # once and lands again inside every other worker's flight
         spec = mh_uniform()
-        delay = DelayModel("fifo_fixed", {"latency": 1.0, "jitter": 0.0}, staleness_cap=0)
+        delay = DelayModel(
+            "fifo_fixed", {"latency": 1.0, "jitter": 0.0, "periods": 0.0}, staleness_cap=0
+        )
         with pytest.raises(LivenessError):
             run_pserver(spec, m=3, horizon=1000, delay=delay, mode="mh_corrected", seed=2, max_resends=50)
+
+    def test_max_resends_caps_a_stall_not_the_run(self):
+        # the frozen worker's stale message is dropped once, then its fresh
+        # resend lands; over the run that adds up to more than max_resends
+        target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.9).precision)
+        delay = DelayModel(
+            "fifo_fixed", {"latency": 0.0, "periods": [1.0, 2.0, 2.0], "jitter": 0.5}, staleness_cap=6
+        )
+        record = run_pserver(
+            KernelSpec("gibbs_single_site", target), 3, 20_000, delay, "mh_corrected", 202,
+            init=(3.0, -3.0), frozen_workers=(0,),
+        )
+        assert record.config["resends"] > 1000
+        assert validate(record.trace) is None
+        # at cap 0 with unit periods the workers land in turn, two resends each
+        delay = DelayModel("fifo_fixed", {"latency": 1.0, "jitter": 0.0}, staleness_cap=0)
+        record = run_pserver(mh_uniform(), 3, 1000, delay, "mh_corrected", 2, max_resends=50)
+        assert record.config["resends"] > 50
 
     def test_mode_validation(self):
         with pytest.raises(ParameterError):

@@ -2,13 +2,17 @@
 
 The references below are the per-event implementations: one operator
 application and one TV distance per event, one sort per candidate worker,
-and a parameter-server loop that sends every message through
-``server_receive`` as a ``ServerMessage``.  The fast paths must agree with
-them exactly (``==`` and equal bytes, never approximately), because the
-canned experiments' artifacts are required to stay byte-identical.
+a parameter-server loop that sends every message through
+``server_receive`` as a ``ServerMessage``, a replay loop over a dict of
+versions, a ``validate`` that checks every worker's silence at every event,
+and trace and samples writers with one ``json.dumps`` per line.  The fast
+paths must agree with them exactly (``==`` and equal bytes, never
+approximately), because the canned experiments' artifacts are required to
+stay byte-identical.
 """
 import dataclasses
 import heapq
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from asyncmc import schedules
 from asyncmc.errors import LivenessError, ValidationError
 from asyncmc.kernels import (
     GaussianIndependenceProposal,
+    GaussianRandomWalkProposal,
     GaussianTarget,
     KernelSpec,
     TableIndependenceProposal,
@@ -24,6 +29,8 @@ from asyncmc.kernels import (
     default_init,
     finite_target,
     gaussian_target,
+    kernel_step,
+    product_finite_target,
     worker_streams,
 )
 from asyncmc.measure_sim import (
@@ -55,8 +62,19 @@ from asyncmc.pserver import (
     coupled_embed,
     run_pserver,
     server_receive,
+    trace_jsonl_lines,
 )
-from asyncmc.schedules import Event, Schedule, adversarial_schedules, random_schedule
+from asyncmc.schedules import (
+    Event,
+    Schedule,
+    ScheduleViolation,
+    adversarial_schedules,
+    random_schedule,
+    schedule_to_jsonl,
+    synchronous_schedule,
+    validate,
+)
+from asyncmc.shmem import RunRecord, replay, samples_csv
 
 
 def reference_propagate(m, mu0, schedule, pi):
@@ -267,7 +285,7 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
         heapq.heappush(heap, (t, tiebreak, kind, payload))
         tiebreak += 1
 
-    frozen_reads, resend_counts, sends = {}, [0] * m, 0
+    frozen_reads, stalled, resends, sends = {}, [0] * m, 0, 0
 
     def compose(worker, t, force_fresh=False):
         nonlocal sends
@@ -297,8 +315,9 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
             continue
         msg = payload
         if st.version - msg.read_version > delay.staleness_cap:
-            resend_counts[msg.worker] += 1
-            if resend_counts[msg.worker] > max_resends:
+            resends += 1
+            stalled[msg.worker] += 1
+            if stalled[msg.worker] > max_resends:
                 raise LivenessError(
                     f"worker {msg.worker} exceeded {max_resends} stale resends "
                     f"(cap {delay.staleness_cap})"
@@ -306,6 +325,7 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
             compose(msg.worker, t, force_fresh=True)
             continue
         st, acc, log_ratio = server_receive(st, msg, target, registry, rngs[msg.worker], mode=mode)
+        stalled[msg.worker] = 0
         workers.append(msg.worker)
         reads.append(msg.read_version)
         accepted.append(acc)
@@ -320,7 +340,7 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
         gaps = np.diff([-1] + [e.seq for e in events if e.worker == w] + [horizon])
         bound = max(bound, int(gaps.max()))
     config = {
-        "resends": sum(resend_counts),
+        "resends": resends,
         "messages_sent": sends,
         "pending_at_exit": sum(1 for item in heap if item[2] == "deliver"),
     }
@@ -384,6 +404,17 @@ class TestServerLoop:
         )
         assert (record.config["resends"] > 0) == (cap < 3000)
 
+    def test_resends_past_max_resends_in_one_run(self):
+        target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.9).precision)
+        kernel = KernelSpec("gibbs_single_site", target)
+        delay = DelayModel(
+            "fifo_fixed", {"latency": 0.0, "periods": [1.0, 2.0, 2.0], "jitter": 0.5}, staleness_cap=6
+        )
+        record = assert_pserver_identical(
+            kernel, 3, 20_000, delay, "mh_corrected", 202, init=(3.0, -3.0), frozen_workers=(0,)
+        )
+        assert record.config["resends"] > 1000
+
     def test_coupled_slots(self):
         target = finite_target([1.0, 2.0, 3.0])
         kernel = KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support))
@@ -393,10 +424,246 @@ class TestServerLoop:
     def test_liveness_error_message(self):
         target = finite_target([1.0, 2.0, 3.0])
         kernel = KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support))
-        delay = DelayModel("fifo_fixed", {"latency": 1.0, "jitter": 0.0}, staleness_cap=0)
+        delay = DelayModel(
+            "fifo_fixed", {"latency": 1.0, "jitter": 0.0, "periods": 0.0}, staleness_cap=0
+        )
         messages = []
         for run in (run_pserver, reference_run_pserver):
             with pytest.raises(LivenessError) as info:
                 run(kernel, 3, 1000, delay, "mh_corrected", 2, max_resends=50)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+# ---------------------------------------------------------------------------
+# Shared-memory replay path: writers, replay loop, validate, Event
+# ---------------------------------------------------------------------------
+
+
+def reference_schedule_to_jsonl(s):
+    """One ``json.dumps`` per line."""
+    lines = [json.dumps({"kind": "meta", "workers": s.workers, "staleness_bound": s.staleness_bound})]
+    for ev in s.events:
+        lines.append(
+            json.dumps({"seq": ev.seq, "worker": ev.worker, "read_from": ev.read_from, "kind": ev.kind})
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_server_trace_lines(record):
+    yield json.dumps(
+        {"kind": "meta", "workers": record.config["m"], "staleness_bound": record.staleness_bound}
+    )
+    for ev, accepted in zip(record.trace.events, record.accepted.tolist()):
+        doc = {"seq": ev.seq, "worker": ev.worker, "read_from": ev.read_from, "kind": ev.kind}
+        yield json.dumps({**doc, "accepted": accepted})
+
+
+def reference_samples_csv(record):
+    """One ``json.dumps`` per sample."""
+    lines = ["seq,worker,state"]
+    for seq, worker, state in record.samples:
+        text = json.dumps(list(state)) if isinstance(state, tuple) else json.dumps(state)
+        lines.append(f'{seq},{worker},"{text}"')
+    return "\n".join(lines) + "\n"
+
+
+def reference_replay_samples(kernel, schedule, seed):
+    """The dict-of-versions loop, one ``Event`` attribute read at a time."""
+    rngs = worker_streams(seed, schedule.workers)
+    versions = {-1: default_init(kernel.target)}
+    samples = []
+    for ev in schedule.events:
+        step = kernel_step(kernel, versions[ev.read_from], rngs[ev.worker])
+        versions[ev.seq] = step.state
+        samples.append((ev.seq, ev.worker, step.state))
+    return tuple(samples)
+
+
+def reference_validate(s):
+    """Every worker's silence checked at every event."""
+    b, m = s.staleness_bound, s.workers
+    last_write = [-1] * m
+    for k, ev in enumerate(s.events):
+        if ev.seq != k:
+            return ScheduleViolation(ev.seq, "sequence", f"expected seq {k}")
+        if not 0 <= ev.worker < m:
+            return ScheduleViolation(k, "sequence", f"worker {ev.worker} out of range")
+        if not -1 <= ev.read_from < ev.seq:
+            return ScheduleViolation(k, "sequence", f"read_from {ev.read_from} outside [-1, {ev.seq})")
+        if ev.seq - ev.read_from > b:
+            return ScheduleViolation(
+                k, "staleness", f"staleness {ev.seq - ev.read_from} exceeds bound {b}"
+            )
+        for w in range(m):
+            if w != ev.worker and k - last_write[w] > b:
+                return ScheduleViolation(
+                    k, "no_worker_dies", f"worker {w} silent through window ending at {k}"
+                )
+        if k - last_write[ev.worker] > b:
+            return ScheduleViolation(
+                k, "no_worker_dies", f"worker {ev.worker} silent through window ending at {k}"
+            )
+        last_write[ev.worker] = k
+    n = len(s.events)
+    for w in range(m):
+        if n - last_write[w] > b:
+            return ScheduleViolation(
+                max(n - 1, 0), "no_worker_dies", f"worker {w} absent from the final window"
+            )
+    return None
+
+
+def replay_kernels():
+    finite = finite_target([1.0, 2.0, 3.0, 0.5])
+    product = product_finite_target([(0, 1), (0, 1, 2)], lambda x: float(x[0] + x[1]))
+    gauss = gaussian_target((0.5, -1.0), GaussianTarget.bivariate_correlated(0.8).precision)
+    return {
+        "finite_uniform": KernelSpec(
+            "metropolis_hastings", finite, UniformIndependenceProposal(finite.support)
+        ),
+        "finite_table": KernelSpec(
+            "metropolis_hastings", finite,
+            TableIndependenceProposal(finite.support, [1.0, 3.0, 2.0, 1.0]),
+        ),
+        "product_gibbs": KernelSpec("gibbs_single_site", product),
+        "gaussian_walk": KernelSpec("metropolis_hastings", gauss, GaussianRandomWalkProposal(0.7)),
+        "gaussian_gibbs": KernelSpec("gibbs_single_site", gauss),
+        "gaussian_systematic": KernelSpec("systematic_gibbs", gauss),
+    }
+
+
+def replay_schedules(m, b, length, seed):
+    named = {"random": random_schedule(m, b, length, np.random.default_rng(seed))}
+    named["synchronous"] = synchronous_schedule(m, length, b)
+    named.update(adversarial_schedules(m, b, length))
+    return named
+
+
+class TestReplayPath:
+    @pytest.mark.parametrize("kernel_name", sorted(replay_kernels()))
+    @pytest.mark.parametrize("m,b,seed", [(1, 1, 0), (3, 5, 1), (4, 8, 2)])
+    def test_replay_and_writers_match_references(self, kernel_name, m, b, seed):
+        kernel = replay_kernels()[kernel_name]
+        for name, schedule in replay_schedules(m, b, 600, seed).items():
+            record = replay(kernel, schedule, seed)
+            want = reference_replay_samples(kernel, schedule, seed)
+            # repr tells 0.0 from -0.0 and keeps label types apart
+            assert repr(record.samples) == repr(want), name
+            assert samples_csv(record) == reference_samples_csv(record), name
+            assert schedule_to_jsonl(schedule) == reference_schedule_to_jsonl(schedule), name
+
+    def test_samples_csv_tells_equal_states_apart(self):
+        negative = (-0.0, 1.0)
+        states = [(0.0, 1.0), negative, (0.0, 1.0), negative, 1, 1.0, True, (float("nan"), 2.5)]
+        schedule = synchronous_schedule(1, len(states))
+        record = RunRecord(schedule, tuple((k, 0, s) for k, s in enumerate(states)), {})
+        text = samples_csv(record)
+        assert text == reference_samples_csv(record)
+        assert text.count('"[-0.0, 1.0]"') == 2 and text.count('"[0.0, 1.0]"') == 2
+
+    def test_server_commit_traces_match_reference(self):
+        target = finite_target([1.0, 2.0, 3.0])
+        kernel = KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support))
+        delay = DelayModel("reorder_random", {"span": 6}, staleness_cap=5)
+        record = run_pserver(kernel, 3, 2000, delay, "mh_corrected", 4)
+        assert list(trace_jsonl_lines(record)) == list(reference_server_trace_lines(record))
+        assert schedule_to_jsonl(record.trace) == reference_schedule_to_jsonl(record.trace)
+
+
+def _rewrite(events, k, **fields):
+    ev = events[k]
+    events[k] = Event(*(fields.get(f, getattr(ev, f)) for f in Event._fields))
+
+
+def _silence(events, worker, start, stop, m):
+    """Hand ``worker``'s writes in ``[start, stop)`` to the next worker."""
+    for k in range(max(start, 0), min(stop, len(events))):
+        if events[k].worker == worker:
+            _rewrite(events, k, worker=(worker + 1) % m)
+
+
+def mutate(schedule, rng):
+    """A copy of ``schedule`` with one randomly chosen invariant attacked."""
+    events = list(schedule.events)
+    n, m, b = len(events), schedule.workers, schedule.staleness_bound
+    k = int(rng.integers(n))
+    kind = int(rng.integers(8))
+    if kind == 0:  # wrong seq
+        _rewrite(events, k, seq=k + int(rng.choice([-2, -1, 1, 3])))
+    elif kind == 1:  # worker out of range
+        _rewrite(events, k, worker=int(rng.choice([-1, m, m + 2])))
+    elif kind == 2:  # read too stale, or outside [-1, seq)
+        _rewrite(events, k, read_from=k - b - int(rng.integers(1, 3)) if rng.random() < 0.8 else k)
+    elif kind == 3:  # another worker falls silent
+        w = int(rng.integers(m))
+        _silence(events, w, k, k + b + int(rng.integers(1, 4)), m)
+    elif kind == 4:  # the writer of event k had been silent too long
+        w = events[k].worker
+        _silence(events, w, k - b - int(rng.integers(0, 3)), k, m)
+    elif kind == 5:  # a worker missing from the final window
+        _silence(events, int(rng.integers(m)), n - b - int(rng.integers(0, 3)), n, m)
+    elif kind == 6 and m >= 3 and n > b:  # two workers miss the opening window, one writes at b
+        low, high = sorted(int(w) for w in rng.choice(m, 2, replace=False))
+        other = next(w for w in range(m) if w not in (low, high))
+        for j in range(b):
+            if events[j].worker in (low, high):
+                _rewrite(events, j, worker=other)
+        _rewrite(events, b, worker=low if rng.random() < 0.5 else high)
+    else:  # several random fields at once
+        for _ in range(int(rng.integers(1, 4))):
+            j = int(rng.integers(n))
+            _rewrite(
+                events, j,
+                worker=int(rng.integers(-1, m + 1)),
+                read_from=j - int(rng.integers(0, b + 3)),
+            )
+    return Schedule(tuple(events), m, b)
+
+
+def report_kind(report, schedule):
+    if report.invariant != "no_worker_dies":
+        for kind in ("expected seq", "out of range", "outside", "exceeds bound"):
+            if kind in report.detail:
+                return kind
+    if "final window" in report.detail:
+        return "final"
+    writer = schedule.events[report.seq].worker
+    return "silent_writer" if report.detail.startswith(f"worker {writer} ") else "silent_other"
+
+
+class TestValidateAgainstFullLoop:
+    def test_mutated_schedules(self):
+        rng = np.random.default_rng(23)
+        seen = set()
+        for trial in range(6000):
+            m = int(rng.integers(1, 6))
+            b = int(rng.integers(m, m + 6))
+            base = random_schedule(m, b, int(rng.integers(b, 4 * b + 10)), rng)
+            schedule = base if trial % 10 == 0 else mutate(base, rng)
+            got = validate(schedule)
+            assert got == reference_validate(schedule), (trial, schedule)
+            if got is not None:
+                seen.add(report_kind(got, schedule))
+        # every report the full loop can make was produced and matched
+        assert seen == {
+            "expected seq", "out of range", "outside", "exceeds bound",
+            "silent_other", "silent_writer", "final",
+        }, seen
+
+
+class TestEvent:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="unknown event kind"):
+            Event(0, 0, -1, "bogus")
+        with pytest.raises(ValidationError, match="unknown event kind"):
+            Event(0, 0, -1)._replace(kind="bogus")
+
+    def test_immutable(self):
+        ev = Event(seq=3, worker=1, read_from=2)
+        with pytest.raises(AttributeError):
+            ev.seq = 4
+        with pytest.raises(AttributeError):
+            ev.extra = 1
+        assert ev == Event(3, 1, 2, "write") and ev.kind == "write"
+        assert ev._replace(kind="server_commit").kind == "server_commit"
