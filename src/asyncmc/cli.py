@@ -127,17 +127,18 @@ def build_target(doc: dict) -> kernels.TargetDensity:
 
 
 def build_proposal(doc: dict, target: kernels.TargetDensity):
+    where = "kernel.proposal"
     kind = doc.get("type")
     if kind == "uniform_independence":
         return kernels.UniformIndependenceProposal(target.support)
     if kind == "table_independence":
-        return kernels.TableIndependenceProposal(target.support, doc["weights"])
+        return kernels.TableIndependenceProposal(target.support, *_required(doc, where, "weights"))
     if kind == "identity":
         return kernels.IdentityProposal()
     if kind == "gaussian_random_walk":
-        return kernels.GaussianRandomWalkProposal(doc["scale"])
+        return kernels.GaussianRandomWalkProposal(*_required(doc, where, "scale"))
     if kind == "gaussian_independence":
-        return kernels.GaussianIndependenceProposal(doc["center"], doc["scale"])
+        return kernels.GaussianIndependenceProposal(*_required(doc, where, "center", "scale"))
     if kind == "gibbs_site":
         return kernels.GibbsSiteProposal(target)
     raise ValidationError(f"kernel.proposal.type: unknown proposal type {kind!r}")
@@ -208,7 +209,7 @@ def _burn_fraction(cfg: ExperimentConfig, default: float) -> float:
     return burn
 
 
-def _run_measure_sim(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
     matrix = kernels.render_matrix(kernel)
@@ -226,9 +227,11 @@ def _run_measure_sim(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
             "non_convergence_demonstrated": stuck,
             "schedule_valid": schedules.validate(trace.schedule) is None,
         }
-        (out / "metrics.csv").write_text(measure_sim.measure_trace_csv(trace))
-        (out / "trace.jsonl").write_text(schedules.schedule_to_jsonl(trace.schedule))
-        return (EXIT_OK if stuck else EXIT_VIOLATION), summary
+        artifacts = {
+            "metrics.csv": measure_sim.measure_trace_csv(trace),
+            "trace.jsonl": schedules.schedule_to_jsonl(trace.schedule),
+        }
+        return (EXIT_OK if stuck else EXIT_VIOLATION), summary, artifacts
 
     if cfg.experiment == "theorem4_campaign":
         report = measure_sim.run_theorem4_campaign(
@@ -240,14 +243,12 @@ def _run_measure_sim(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
             b_max=cfg.params.get("b_max", 10),
         )
         summary = {"experiment": cfg.experiment, **dataclasses.asdict(report)}
-        _write_kv_csv(out / "metrics.csv", summary)
-        return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary
+        return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
 
     if cfg.experiment == "contraction_campaign":
         report = measures.run_contraction_campaign(cfg.params.get("instances", 1000), cfg.seed)
         summary = {"experiment": cfg.experiment, **dataclasses.asdict(report)}
-        _write_kv_csv(out / "metrics.csv", summary)
-        return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary
+        return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
 
     if cfg.experiment != "run":
         raise ValidationError(f"experiment: unknown measure_sim experiment {cfg.experiment!r}")
@@ -266,20 +267,21 @@ def _run_measure_sim(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         "depth_floor": report.depth_floor,
         "failures": list(report.failures),
     }
-    (out / "metrics.csv").write_text(measure_sim.measure_trace_csv(trace))
-    (out / "trace.jsonl").write_text(schedules.schedule_to_jsonl(trace.schedule))
-    return (EXIT_OK if report.passed else EXIT_VIOLATION), summary
+    artifacts = {
+        "metrics.csv": measure_sim.measure_trace_csv(trace),
+        "trace.jsonl": schedules.schedule_to_jsonl(trace.schedule),
+    }
+    return (EXIT_OK if report.passed else EXIT_VIOLATION), summary, artifacts
 
 
-def _run_shmem(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+def _run_shmem(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
 
     if cfg.experiment == "torn_state":
         result = shmem.torn_state_stress(cfg.m, cfg.params.get("ops", 10**6), cfg.seed)
         summary = {"experiment": cfg.experiment, **result}
-        _write_kv_csv(out / "metrics.csv", summary)
-        return (EXIT_OK if result["failures"] == 0 else EXIT_VIOLATION), summary
+        return (EXIT_OK if result["failures"] == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
 
     if cfg.experiment != "run":
         raise ValidationError(f"experiment: unknown shmem experiment {cfg.experiment!r}")
@@ -294,15 +296,17 @@ def _run_shmem(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         rng = np.random.default_rng(cfg.seed)
         schedule = build_schedule(cfg, rng)
         record = shmem.replay(kernel, schedule, cfg.seed)
-    (out / "trace.jsonl").write_text(schedules.schedule_to_jsonl(record.trace))
-    (out / "metrics.csv").write_text(shmem.samples_csv(record))
+    artifacts = {
+        "trace.jsonl": schedules.schedule_to_jsonl(record.trace),
+        "metrics.csv": shmem.samples_csv(record),
+    }
     summary = {"experiment": "run", "writes": len(record.samples), "config": record.config}
     if target.is_finite:
         index = target.support.index
         summary["late_tv"] = _finite_late_tv(
             [index(s) for s in record.states()], target, burn
         )
-    return EXIT_OK, summary
+    return EXIT_OK, summary, artifacts
 
 
 def _gaussian_summary(record: pserver.PServerRecord, target, burn_fraction, n_batches) -> dict:
@@ -318,9 +322,14 @@ def _gaussian_summary(record: pserver.PServerRecord, target, burn_fraction, n_ba
     }
 
 
-def _run_pserver(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
+    if kernel.kind == "metropolis_hastings" and not isinstance(kernel.proposal, pserver.SERVER_PROPOSALS):
+        raise ValidationError(
+            f"kernel.proposal.type: {cfg.kernel['proposal']['type']!r} moves from the current "
+            "state, which the server's correction does not support; use an independence proposal"
+        )
     delay = build_delay(cfg.delay)
     burn = _burn_fraction(cfg, 0.2)
     init = tuple(cfg.params["init"]) if "init" in cfg.params else None
@@ -349,11 +358,10 @@ def _run_pserver(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
             "naive_inflation_factor": (naive_var / truth_var).tolist(),
             "corrected_relative_error": ((corrected_var - truth_var) / truth_var).tolist(),
         }
-        _write_kv_csv(out / "metrics.csv", {
+        return EXIT_OK, summary, _kv_csv({
             "naive_var_0": naive_var[0], "naive_var_1": naive_var[1],
             "corrected_var_0": corrected_var[0], "corrected_var_1": corrected_var[1],
         })
-        return EXIT_OK, summary
 
     if cfg.experiment not in ("run", "coupled"):
         raise ValidationError(f"experiment: unknown pserver experiment {cfg.experiment!r}")
@@ -362,8 +370,10 @@ def _run_pserver(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         kernel, cfg.m, cfg.horizon, delay, cfg.correction, cfg.seed,
         init=init, frozen_workers=frozen, coupled=cfg.experiment == "coupled",
     )
-    _write_text_stream(out / "trace.jsonl", pserver.trace_jsonl_lines(record))
-    _write_text_stream(out / "metrics.csv", pserver.messages_csv_lines(record))
+    artifacts = {
+        "trace.jsonl": pserver.trace_jsonl_lines(record),
+        "metrics.csv": pserver.messages_csv_lines(record),
+    }
     summary: dict = {"experiment": cfg.experiment, "accept_rate": record.accept_rate}
     if cfg.experiment == "coupled":
         tvs = []
@@ -389,10 +399,10 @@ def _run_pserver(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
             summary["detailed_balance_error"] = float(db)
     else:
         summary.update(_gaussian_summary(record, target, burn, cfg.params.get("n_batches", 50)))
-    return EXIT_OK, summary
+    return EXIT_OK, summary, artifacts
 
 
-def _run_determinism(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
+def _run_determinism(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     names = cfg.params.get("configs")
     if not names:
         raise ValidationError("params.configs: list of canned config names required")
@@ -421,35 +431,46 @@ def _run_determinism(cfg: ExperimentConfig, out: Path) -> tuple[int, dict]:
         "mismatches": mismatches,
         "deterministic": not mismatches,
     }
-    _write_kv_csv(out / "metrics.csv", {"configs": len(names), "mismatches": len(mismatches)})
-    return (EXIT_OK if not mismatches else EXIT_VIOLATION), summary
+    artifacts = _kv_csv({"configs": len(names), "mismatches": len(mismatches)})
+    return (EXIT_OK if not mismatches else EXIT_VIOLATION), summary, artifacts
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Run one config; returns (exit_code, summary). Writes artifacts."""
+    """Run one config; returns (exit_code, summary). Writes artifacts.
+
+    The runners return their artifacts and the output directory is made only
+    after the run, so a config rejected with exit 1 leaves nothing behind.
+    """
+    if cfg.experiment == "determinism_repro":
+        code, summary, artifacts = _run_determinism(cfg)
+    elif cfg.mode == "measure_sim":
+        code, summary, artifacts = _run_measure_sim(cfg)
+    elif cfg.mode in ("shmem_real", "shmem_replay"):
+        code, summary, artifacts = _run_shmem(cfg)
+    else:
+        code, summary, artifacts = _run_pserver(cfg)
     out = Path(cfg.out_dir) if cfg.out_dir else Path("asyncmc_out") / cfg.name
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.experiment == "determinism_repro":
-        code, summary = _run_determinism(cfg, out)
-    elif cfg.mode == "measure_sim":
-        code, summary = _run_measure_sim(cfg, out)
-    elif cfg.mode in ("shmem_real", "shmem_replay"):
-        code, summary = _run_shmem(cfg, out)
-    else:
-        code, summary = _run_pserver(cfg, out)
+    for name, text in artifacts.items():
+        _write_text(out / name, text)
     summary = {"name": cfg.name, "seed": cfg.seed, **summary}
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return code, summary
 
 
-def _write_kv_csv(path: Path, doc: dict) -> None:
+def _kv_csv(doc: dict) -> dict:
+    """A ``metrics.csv`` artifact of ``key,value`` rows, keys sorted."""
     lines = ["key,value"] + [f"{k},{doc[k]!r}" for k in sorted(doc)]
-    path.write_text("\n".join(lines) + "\n")
+    return {"metrics.csv": "\n".join(lines) + "\n"}
 
 
-def _write_text_stream(path: Path, lines) -> None:
+def _write_text(path: Path, text) -> None:
+    """Write a string as is, or any other iterable one line at a time."""
+    if isinstance(text, str):
+        path.write_text(text)
+        return
     with path.open("w") as fh:
-        for line in lines:
+        for line in text:
             fh.write(line)
             fh.write("\n")
 

@@ -9,9 +9,10 @@ divergence of uncorrected asynchronous Gibbs.
 
 How a proposal lands depends on its scope:
 
-* full-state proposals (independence, random walk) replace the whole server
-  state on accept, and the server trusts the worker-shipped density of the
-  proposed state;
+* full-state proposals replace the whole server state on accept, and the
+  server trusts the worker-shipped density of the proposed state;
+  :func:`run_pserver` takes only those whose law ignores the current state
+  (``SERVER_PROPOSALS``), and rejects a random walk;
 * site proposals (Gibbs conditionals) and slot proposals (coupled replicas)
   apply their one updated component to the server's current state, which is
   the componentwise reading of the coupled-operator picture; the density of
@@ -42,9 +43,12 @@ from .errors import (
     ValidationError,
 )
 from .kernels import (
+    GaussianIndependenceProposal,
     GibbsSiteProposal,
     KernelSpec,
+    TableIndependenceProposal,
     TargetDensity,
+    UniformIndependenceProposal,
     default_init,
     worker_streams,
 )
@@ -55,6 +59,11 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 MODES = ("mh_corrected", "naive_accept")
 DELAY_KINDS = ("fifo_fixed", "fifo_random", "reorder_random")
+# The full-state proposals whose law ignores the state they move from.  Only
+# for those is the reverse density f(x_s | x) of a stale read x the valid
+# MH ratio; a random walk's law moves with x, and its corrected server chain
+# is not pi-invariant.
+SERVER_PROPOSALS = (UniformIndependenceProposal, TableIndependenceProposal, GaussianIndependenceProposal)
 
 
 @dataclass(frozen=True)
@@ -328,6 +337,12 @@ class PServerRecord:
 
 def _worker_proposal(kernel: KernelSpec):
     if kernel.kind == "metropolis_hastings":
+        if not isinstance(kernel.proposal, SERVER_PROPOSALS):
+            raise UnsupportedTargetError(
+                f"the server's correction needs a proposal that ignores the current state "
+                f"({', '.join(p.__name__ for p in SERVER_PROPOSALS)}), "
+                f"got {type(kernel.proposal).__name__}"
+            )
         return kernel.proposal
     if kernel.kind == "gibbs_single_site":
         return GibbsSiteProposal(kernel.target)
@@ -499,7 +514,11 @@ def replica_marginal_indices(record: PServerRecord, slot: int, base: TargetDensi
 
 
 def trace_jsonl_lines(record: PServerRecord):
-    """The shared JSONL trace format plus each message's accepted flag, line by line."""
+    """The shared JSONL trace format plus each message's accepted flag, line by line.
+
+    Nothing is computed before the first line is asked for, so a caller may
+    hold this next to other writers without their row lists overlapping.
+    """
     bound = record.staleness_bound  # before the row lists, so its temporaries are gone
     events = zip(
         itertools.count(),
@@ -509,7 +528,7 @@ def trace_jsonl_lines(record: PServerRecord):
     )
     flags = [', "accepted": false', ', "accepted": true']
     extras = map(flags.__getitem__, record.accepted.tolist())
-    return trace_lines(record.config["m"], bound, events, extras)
+    yield from trace_lines(record.config["m"], bound, events, extras)
 
 
 # The log_ratio column has always been written as ``repr`` of a numpy

@@ -130,14 +130,16 @@ def _check_feasible(m: int, b: int, length: int) -> None:
         raise ParameterError(f"length {length} shorter than staleness bound {b}")
 
 
-def _edf_safe_workers(deadlines: list[int], seq: int) -> list[int]:
+def _edf_safe_workers(order: list[int], deadlines: list[int], seq: int) -> list[int]:
     # Candidates whose choice leaves the remaining deadlines schedulable:
     # after serving w at `seq`, the i-th earliest other deadline must be
-    # reachable at seq+1+i.  Sort once; dropping the rank-r deadline keeps
-    # rank i < r at slot seq+1+i and moves rank k > r to slot seq+k.  So r
-    # is safe iff no rank i < r has slack (deadline - seq - i) below 1 and
-    # no rank k > r has negative slack: the safe ranks form one interval.
-    order = sorted(range(len(deadlines)), key=deadlines.__getitem__)
+    # reachable at seq+1+i.  `order` lists the workers by (deadline, index);
+    # dropping the rank-r deadline keeps rank i < r at slot seq+1+i and moves
+    # rank k > r to slot seq+k.  So r is safe iff no rank i < r has slack
+    # (deadline - seq - i) below 1 and no rank k > r has negative slack: the
+    # safe ranks form one interval.  While every slack is non-negative, as
+    # random_schedule keeps it, a worker due at `seq` has rank 0 and slack 0
+    # and so is the only safe one.
     lo, hi = 0, len(order) - 1
     for i, w in enumerate(order):
         slack = deadlines[w] - seq - i
@@ -148,6 +150,52 @@ def _edf_safe_workers(deadlines: list[int], seq: int) -> list[int]:
     return sorted(order[lo : hi + 1])
 
 
+_WORDS_PER_FETCH = 2048  # 32-bit words fetched from the generator at a time
+_WORD = 0xFFFFFFFF
+
+
+class _BoundedDraws:
+    """``int(rng.integers(k))`` for each bound ``k`` asked for, bit for bit.
+
+    numpy draws a scalar in ``[0, k)`` by Lemire's multiply-and-reject on
+    32-bit words from the bit generator's ``next_uint32``, the words its
+    uint32 fill returns too, and ``k == 1`` consumes none.  So the words are
+    fetched in bulk and the method is rerun on them.  ``close`` rewinds the
+    generator to before the last fetch and draws again only the words used,
+    so it ends exactly where the scalar calls would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.words = []
+        self.pos = 0
+        self.state = None  # the generator's state before the words in hand
+
+    def below(self, k: int) -> int:
+        if k == 1:
+            return 0
+        x = self._word() * k
+        if x & _WORD < k:
+            threshold = (_WORD + 1) % k
+            while x & _WORD < threshold:
+                x = self._word() * k
+        return x >> 32
+
+    def _word(self) -> int:
+        pos = self.pos
+        if pos == len(self.words):
+            self.state = self.rng.bit_generator.state
+            self.words = self.rng.integers(0, _WORD + 1, size=_WORDS_PER_FETCH, dtype=np.uint32).tolist()
+            pos = 0
+        self.pos = pos + 1
+        return self.words[pos]
+
+    def close(self) -> None:
+        if self.state is not None:
+            self.rng.bit_generator.state = self.state
+            self.rng.integers(0, _WORD + 1, size=self.pos, dtype=np.uint32)
+
+
 def random_schedule(
     m: int, b: int, length: int, rng: np.random.Generator, kind: str = "write"
 ) -> Schedule:
@@ -156,21 +204,32 @@ def random_schedule(
     Worker choice is random among options that keep the liveness deadlines
     satisfiable; staleness is uniform over the legal range, so both the
     fully fresh read (``read_from == seq - 1``) and the maximally stale one
-    (``seq - read_from == b``) occur with positive probability.
+    (``seq - read_from == b``) occur with positive probability.  ``rng`` is
+    consumed and left exactly as by two scalar ``rng.integers`` calls per
+    event, one for the worker and one for the staleness.
     """
     _check_feasible(m, b, length)
+    if kind not in EVENT_KINDS:
+        raise ValidationError(f"unknown event kind {kind!r}")
+    draws = _BoundedDraws(rng)
+    below = draws.below
     deadlines = [b - 1] * m  # each worker must first write within the opening window
+    order = list(range(m))  # workers by (deadline, index)
+    new_event = tuple.__new__
     events = []
     for seq in range(length):
-        safe = _edf_safe_workers(deadlines, seq)
-        if not safe:  # pragma: no cover - b >= m keeps this unreachable
+        pool = _edf_safe_workers(order, deadlines, seq)
+        if not pool:  # pragma: no cover - b >= m keeps this unreachable
             raise ParameterError("scheduling dead end; parameters infeasible")
-        urgent = [w for w in safe if deadlines[w] == seq]
-        pool = urgent if urgent else safe
-        worker = int(pool[int(rng.integers(len(pool)))])
+        worker = pool[below(len(pool))]
+        # The new deadline seq + b is strictly the largest, so the worker
+        # moves to the end and `order` stays sorted by (deadline, index).
+        order.remove(worker)
+        order.append(worker)
         deadlines[worker] = seq + b
-        staleness = 1 + int(rng.integers(min(seq + 1, b)))
-        events.append(Event(seq, worker, seq - staleness, kind))
+        read_from = seq - 1 - below(seq + 1 if seq < b else b)
+        events.append(new_event(Event, (seq, worker, read_from, kind)))
+    draws.close()
     sched = Schedule(tuple(events), m, b)
     violation = validate(sched)
     if violation is not None:  # pragma: no cover - generator soundness guard

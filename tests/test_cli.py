@@ -186,6 +186,10 @@ def _replay_config(tmp_path, burn) -> dict:
     }
 
 
+def _mh(proposal: dict) -> dict:
+    return {"kind": "metropolis_hastings", "proposal": proposal}
+
+
 def _run_file(tmp_path, doc) -> int:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
@@ -221,7 +225,7 @@ class TestMalformedRunParameters:
             doc = _replay_config(tmp_path, burn)
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         assert "params.burn_fraction" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_burn_fraction_below_one_writes_valid_json(self, tmp_path):
         assert _run_file(tmp_path, _replay_config(tmp_path, 0.99)) == EXIT_OK
@@ -256,6 +260,10 @@ class TestConfigBoundary:
             ({"name": ""}, "name"),
             ({"name": ".."}, "name"),
             ({"name": "a\\b"}, "name"),
+            ({"kernel": _mh({"type": "table_independence"})}, "kernel.proposal.weights"),
+            ({"kernel": _mh({"type": "gaussian_random_walk"})}, "kernel.proposal.scale"),
+            ({"kernel": _mh({"type": "gaussian_independence", "scale": 1.0})}, "kernel.proposal.center"),
+            ({"kernel": _mh({"type": "gaussian_independence", "center": [0.0]})}, "kernel.proposal.scale"),
         ],
     )
     def test_bad_field_exit_1(self, tmp_path, capsys, overrides, field):
@@ -263,7 +271,15 @@ class TestConfigBoundary:
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"{field}:" in err and "Traceback" not in err
-        assert not (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_server_rejects_random_walk_exit_1(self, tmp_path, capsys):
+        doc = _small_pserver_config(tmp_path)
+        doc["kernel"] = _mh({"type": "gaussian_random_walk", "scale": 0.5})
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "kernel.proposal.type:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_name_cannot_leave_the_output_root(self, tmp_path, capsys, monkeypatch):
         work = tmp_path / "work"

@@ -281,6 +281,17 @@ class TestRunPServer:
         with pytest.raises(ParameterError, match="delay.params.periods: has 2 entries"):
             run_pserver(mh_uniform(), 3, 10, delay, "mh_corrected", 1)
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_random_walk_rejected(self, coupled):
+        # N(0, 1), one worker, zero delay: the corrected server should be
+        # plain MH, but with this proposal its late variance came out 2.99
+        # (200 000 messages, seed 1) instead of 1
+        spec = KernelSpec(
+            "metropolis_hastings", gaussian_target([0.0], ((1.0,),)), GaussianRandomWalkProposal(0.5)
+        )
+        with pytest.raises(UnsupportedTargetError, match="GaussianRandomWalkProposal"):
+            run_pserver(spec, 1, 10_000, zero_delay(), "mh_corrected", 1, coupled=coupled)
+
     def test_systematic_kernel_unsupported(self):
         target = gaussian_target([0.0, 0.0], GaussianTarget.bivariate_correlated(0.2).precision)
         spec = KernelSpec("systematic_gibbs", target)

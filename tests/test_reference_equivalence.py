@@ -2,6 +2,7 @@
 
 The references below are the per-event implementations: one operator
 application and one TV distance per event, one sort per candidate worker,
+a schedule generator with two scalar ``rng.integers`` calls per event,
 a parameter-server loop that sends every message through
 ``server_receive`` as a ``ServerMessage``, a replay loop over a dict of
 versions, a ``validate`` that checks every worker's silence at every event,
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from asyncmc import schedules
-from asyncmc.errors import LivenessError, ValidationError
+from asyncmc.errors import LivenessError, ParameterError, ValidationError
 from asyncmc.kernels import (
     GaussianIndependenceProposal,
     GaussianRandomWalkProposal,
@@ -65,6 +66,7 @@ from asyncmc.pserver import (
     trace_jsonl_lines,
 )
 from asyncmc.schedules import (
+    EVENT_KINDS,
     Event,
     Schedule,
     ScheduleViolation,
@@ -228,6 +230,58 @@ class TestMatrixPowerConsistency:
         assert not matrix_power_consistency(other, m)
 
 
+def reference_random_schedule(m, b, length, rng, kind="write"):
+    """The generator with one scalar ``rng.integers`` call for the worker
+    and one for the staleness per event, and the brute-force EDF check."""
+    schedules._check_feasible(m, b, length)
+    deadlines = [b - 1] * m  # each worker must first write within the opening window
+    events = []
+    for seq in range(length):
+        safe = reference_edf_safe_workers(deadlines, seq)
+        if not safe:
+            raise ParameterError("scheduling dead end; parameters infeasible")
+        urgent = [w for w in safe if deadlines[w] == seq]
+        pool = urgent if urgent else safe
+        worker = int(pool[int(rng.integers(len(pool)))])
+        deadlines[worker] = seq + b
+        staleness = 1 + int(rng.integers(min(seq + 1, b)))
+        events.append(Event(seq, worker, seq - staleness, kind))
+    sched = Schedule(tuple(events), m, b)
+    assert validate(sched) is None
+    return sched
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+def plain_state(rng):
+    """The bit generator's state with arrays as lists, so that ``==`` works."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+def generator_pair(bit_generator, seed, lead):
+    """Two generators in the same state after ``lead`` scalar draws; an odd
+    ``lead`` leaves a 64-bit generator holding a buffered half-word."""
+    pair = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+    for rng in pair:
+        for _ in range(lead):
+            rng.integers(7)
+    return pair
+
+
+def assert_same_draws(m, b, length, bit_generator, seed, lead=0, kind="write"):
+    fast_rng, ref_rng = generator_pair(bit_generator, seed, lead)
+    fast = random_schedule(m, b, length, fast_rng, kind)
+    assert fast == reference_random_schedule(m, b, length, ref_rng, kind)
+    assert plain_state(fast_rng) == plain_state(ref_rng)
+    assert fast_rng.integers(2**63) == ref_rng.integers(2**63)
+
+
 class TestEdfSafeWorkers:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
@@ -235,15 +289,84 @@ class TestEdfSafeWorkers:
             m = int(rng.integers(1, 8))
             seq = int(rng.integers(0, 30))
             deadlines = [int(x) for x in rng.integers(seq - 2, seq + m + 3, size=m)]
-            assert schedules._edf_safe_workers(deadlines, seq) == reference_edf_safe_workers(
+            order = sorted(range(m), key=deadlines.__getitem__)
+            assert schedules._edf_safe_workers(order, deadlines, seq) == reference_edf_safe_workers(
                 deadlines, seq
             )
 
-    @pytest.mark.parametrize("workers,b,seed", [(1, 1, 0), (2, 2, 1), (3, 5, 2), (5, 5, 3), (7, 12, 4)])
-    def test_random_schedule_unchanged(self, monkeypatch, workers, b, seed):
-        fast = random_schedule(workers, b, 400, np.random.default_rng(seed))
-        monkeypatch.setattr(schedules, "_edf_safe_workers", reference_edf_safe_workers)
-        assert random_schedule(workers, b, 400, np.random.default_rng(seed)) == fast
+
+class TestRandomScheduleDraws:
+    def test_random_shapes(self):
+        meta = np.random.default_rng(23)
+        for case in range(400):
+            m = int(meta.integers(1, 7))
+            b = int(meta.integers(m, 3 * m + 4))
+            length = int(meta.integers(b, 4 * b + 40))
+            assert_same_draws(
+                m, b, length, BIT_GENERATORS[case % len(BIT_GENERATORS)],
+                seed=int(meta.integers(2**32)), lead=int(meta.integers(0, 3)),
+                kind=EVENT_KINDS[case % 2],
+            )
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_edge_shapes(self, bit_generator, lead):
+        # m=1, b=m and length=b, and one schedule spanning several fetches
+        for m, b, length in [(1, 1, 1), (1, 1, 40), (1, 6, 6), (4, 4, 4), (4, 4, 90),
+                             (3, 9, 9), (7, 7, 300), (4, 8, 5000)]:
+            assert_same_draws(m, b, length, bit_generator, seed=1000 * m + b, lead=lead)
+
+    def test_entered_with_buffered_half_word(self):
+        fast_rng, _ = generator_pair(np.random.PCG64, 5, lead=1)
+        assert fast_rng.bit_generator.state["has_uint32"] == 1
+        assert_same_draws(3, 5, 200, np.random.PCG64, 5, lead=1)
+
+    @pytest.mark.parametrize("words_per_fetch", [1, 2, 3, 7])
+    def test_refills(self, monkeypatch, words_per_fetch):
+        monkeypatch.setattr(schedules, "_WORDS_PER_FETCH", words_per_fetch)
+        for case, bit_generator in enumerate(BIT_GENERATORS * 4):
+            m = 1 + case % 4
+            assert_same_draws(m, m + case % 3, 30 + case, bit_generator, seed=case, lead=case % 2)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError):
+            random_schedule(2, 3, 10, np.random.default_rng(0), kind="bogus")
+
+
+class TestBoundedDraws:
+    def test_rejection_on_crafted_words(self):
+        # 2**32 % k == 2**30 for k = 3 * 2**30, so a word w is rejected iff
+        # (w * k) mod 2**32 == 0, i.e. iff w is a multiple of 4
+        k = 3 << 30
+        draws = schedules._BoundedDraws(np.random.default_rng(0))
+        draws.words = [0, 4, 7, 3, 1]
+        assert draws.below(k) == (7 * k) >> 32 == 5
+        assert draws.pos == 3
+        assert draws.below(k) == (3 * k) >> 32 == 2  # low word 2**30: checked, kept
+        assert draws.below(k) == 0
+        assert draws.pos == 5
+
+    def test_matches_scalar_integers_where_rejection_is_common(self):
+        bounds = [3 << 30, 5, 1, (1 << 31) + 1, 2, (1 << 32) - 1, 1 << 32] * 4
+        rejected = 0
+        for bit_generator in BIT_GENERATORS:
+            for seed in range(10):
+                fast_rng, ref_rng = generator_pair(bit_generator, seed, lead=seed % 2)
+                draws = schedules._BoundedDraws(fast_rng)
+                got = [draws.below(k) for k in bounds]
+                rejected += draws.pos - sum(k > 1 for k in bounds)
+                draws.close()
+                assert got == [int(ref_rng.integers(k)) for k in bounds]
+                assert plain_state(fast_rng) == plain_state(ref_rng)
+        assert rejected > 0
+
+    def test_bound_one_consumes_nothing(self):
+        rng = np.random.default_rng(3)
+        before = plain_state(rng)
+        draws = schedules._BoundedDraws(rng)
+        assert [draws.below(1) for _ in range(5)] == [0] * 5
+        draws.close()
+        assert plain_state(rng) == before
 
 
 def reference_latency(delay, rng):
