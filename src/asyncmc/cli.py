@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import filecmp
+import itertools
 import json
 import sys
 import tempfile
@@ -325,6 +326,11 @@ def _gaussian_summary(record: pserver.PServerRecord, target, burn_fraction, n_ba
 def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
+    if kernel.kind not in pserver.SERVER_KERNELS:
+        raise ValidationError(
+            f"kernel.kind: {kernel.kind!r} has no parameter-server form; "
+            f"use one of {pserver.SERVER_KERNELS}"
+        )
     if kernel.kind == "metropolis_hastings" and not isinstance(kernel.proposal, pserver.SERVER_PROPOSALS):
         raise ValidationError(
             f"kernel.proposal.type: {cfg.kernel['proposal']['type']!r} moves from the current "
@@ -365,6 +371,8 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
 
     if cfg.experiment not in ("run", "coupled"):
         raise ValidationError(f"experiment: unknown pserver experiment {cfg.experiment!r}")
+    if cfg.experiment == "coupled" and not target.is_finite:
+        raise ValidationError("target.type: the coupled experiment needs a finite target")
 
     record = pserver.run_pserver(
         kernel, cfg.m, cfg.horizon, delay, cfg.correction, cfg.seed,
@@ -464,14 +472,19 @@ def _kv_csv(doc: dict) -> dict:
     return {"metrics.csv": "\n".join(lines) + "\n"}
 
 
+_LINES_PER_WRITE = 4096
+
+
 def _write_text(path: Path, text) -> None:
-    """Write a string as is, or any other iterable one line at a time."""
+    """Write a string as is, or any other iterable of lines, each ended by a
+    newline, joined into one ``write`` per ``_LINES_PER_WRITE`` lines."""
     if isinstance(text, str):
         path.write_text(text)
         return
+    lines = iter(text)
     with path.open("w") as fh:
-        for line in text:
-            fh.write(line)
+        while chunk := list(itertools.islice(lines, _LINES_PER_WRITE)):
+            fh.write("\n".join(chunk))
             fh.write("\n")
 
 

@@ -277,6 +277,7 @@ class GaussianIndependenceProposal:
         self.center = tuple(float(c) for c in center)
         self.scale = float(scale)
         self.proposal_id = proposal_id
+        self._log_scale = math.log(self.scale)
 
     def sample(self, x, rng: np.random.Generator):
         return tuple(c + self.scale * rng.standard_normal() for c in self.center), {}
@@ -285,7 +286,7 @@ class GaussianIndependenceProposal:
         lp = 0.0
         for yi, c in zip(y, self.center):
             z = (yi - c) / self.scale
-            lp += -0.5 * z * z - math.log(self.scale) - _LOG_SQRT_2PI
+            lp += -0.5 * z * z - self._log_scale - _LOG_SQRT_2PI
         return lp
 
 

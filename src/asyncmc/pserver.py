@@ -64,6 +64,10 @@ DELAY_KINDS = ("fifo_fixed", "fifo_random", "reorder_random")
 # MH ratio; a random walk's law moves with x, and its corrected server chain
 # is not pi-invariant.
 SERVER_PROPOSALS = (UniformIndependenceProposal, TableIndependenceProposal, GaussianIndependenceProposal)
+SERVER_KERNELS = ("metropolis_hastings", "gibbs_single_site")
+# Latencies are drawn from [0, span] as int64, so the top of the range is
+# numpy's int64 limit.
+MAX_SPAN = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,10 @@ class DelayModel:
                 _check_number(f"delay.params.{key}", params[key])
         if "span" in params:
             _check_number("delay.params.span", params["span"], integer=True)
+            if params["span"] > MAX_SPAN:
+                raise ParameterError(
+                    f"delay.params.span: must be at most 2**63 - 1, got {params['span']!r}"
+                )
         periods = params.get("periods", 1.0)
         if isinstance(periods, (list, tuple)):
             for i, period in enumerate(periods):
@@ -167,6 +175,67 @@ class DelayModel:
     @property
     def jitter(self) -> float:
         return float(self.params.get("jitter", 0.25))
+
+
+_RAW_WORDS_PER_FETCH = 1024  # 64-bit PCG64 outputs fetched at a time
+_LOW32 = 0xFFFFFFFF
+_LOW64 = 0xFFFFFFFFFFFFFFFF
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+
+
+class _PCG64Draws:
+    """``rng.random()`` and ``int(rng.integers(low, high))`` of a PCG64
+    ``Generator``, bit for bit, from raw 64-bit outputs fetched in bulk.
+
+    numpy makes a double of one output ``w`` as ``(w >> 11) * 2**-53``.  A
+    bounded integer below ``k = high - low`` draws nothing at ``k == 1``; up
+    to ``k == 2**32`` (one half-word, never rejected) it runs Lemire's
+    multiply-and-reject on 32-bit half-words, where PCG64 hands out an
+    output's low half and keeps the high half for the next half-word
+    (doubles and 64-bit draws leave that buffer alone); above, Lemire's
+    method runs on whole outputs.  Outputs fetched and not used are left
+    behind, so the generator is not to be drawn from again.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(f"raw-word draws need PCG64, got {type(bit_generator).__name__}")
+        state = bit_generator.state
+        self.half = state["uinteger"] if state["has_uint32"] else None
+        raw = bit_generator.random_raw
+        fetches = iter(lambda: raw(_RAW_WORDS_PER_FETCH).tolist(), None)
+        self.next64 = itertools.chain.from_iterable(fetches).__next__
+
+    def next32(self) -> int:
+        half = self.half
+        if half is not None:
+            self.half = None
+            return half
+        word = self.next64()
+        self.half = word >> 32
+        return word & _LOW32
+
+    def random(self) -> float:
+        return (self.next64() >> 11) * _DOUBLE_UNIT
+
+    def integers(self, low: int, high: int) -> int:
+        k = high - low
+        if k == 1:
+            return low
+        if k <= 1 << 32:
+            x = self.next32() * k
+            if x & _LOW32 < k:
+                threshold = (1 << 32) % k
+                while x & _LOW32 < threshold:
+                    x = self.next32() * k
+            return low + (x >> 32)
+        x = self.next64() * k
+        if x & _LOW64 < k:
+            threshold = (1 << 64) % k
+            while x & _LOW64 < threshold:
+                x = self.next64() * k
+        return low + (x >> 64)
 
 
 def coupled_embed(target: TargetDensity, m: int) -> TargetDensity:
@@ -299,7 +368,7 @@ class PServerRecord:
     read_versions: np.ndarray
     accepted: np.ndarray
     log_ratios: np.ndarray
-    states: np.ndarray  # (horizon, dim) floats, or (horizon,) label indices
+    states: np.ndarray  # (horizon, dim) floats, (horizon, m, dim) if coupled, or (horizon,) label indices
     config: dict
     target: TargetDensity
 
@@ -376,11 +445,21 @@ def run_pserver(
     The loop does per message what :func:`server_receive` does, on plain
     tuples: a heap entry is ``(time, tiebreak, worker, message)`` with
     ``message`` None for a send, and a message in flight is ``(read_version,
-    x, x_star, log_pi_x_star, log_f_forward, params)``.  Each worker's stream
-    gives its proposal draws when it sends (dropped stale messages included)
-    and one uniform per processed message; the infra stream gives one start
-    offset per non-frozen worker, then a latency per send and a jitter per
-    processed message, in the order they happen.
+    x, x_star, log_pi_x_star, log_f_forward, params)``.  For
+    ``metropolis_hastings`` the reverse density ``f(x_s | x)`` is ``q(x_s)``,
+    since every proposal in ``SERVER_PROPOSALS`` ignores ``x``: it is taken
+    once from ``logpdf`` of the initial state and replaced by the accepted
+    message's ``log_f_forward``, one value per slot when coupled.  A
+    ``gibbs_single_site`` message's reverse density depends on its read and
+    is evaluated per message.
+
+    Each worker's stream gives its proposal draws when it sends (dropped
+    stale messages included) and one uniform per processed message; the
+    infra stream gives one start offset per non-frozen worker, then a
+    latency per send and a jitter per processed message, in the order they
+    happen.  Except under ``fifo_random``, whose geometric latency needs
+    numpy, the infra stream is read as PCG64 raw outputs fetched in bulk,
+    giving the same numbers in the same order as the scalar calls.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -408,11 +487,16 @@ def run_pserver(
         raise ValidationError("initial state lies outside the target support")
 
     rngs = worker_streams(seed, m, extra=1)
-    infra = rngs[m]
+    # numpy's geometric draw cannot be rerun on raw words
+    infra = rngs[m] if delay.kind == "fifo_random" else _PCG64Draws(rngs[m])
     latency = delay.latency_sampler(infra)
     jitter, infra_random = delay.jitter, infra.random
     samplers = [p.sample for p in worker_props]
     logpdfs = [p.logpdf for p in worker_props]
+    cached_reverse = kernel.kind == "metropolis_hastings"
+    slot_of = list(range(m)) if coupled else [0] * m
+    if cached_reverse:
+        reverse = [logpdfs[w](init, init, {}) for w in range(m if coupled else 1)]
     uniforms = [r.random for r in rngs[:m]]
     frozen = set(frozen_workers)
 
@@ -427,7 +511,7 @@ def run_pserver(
         index = {lab: i for i, lab in enumerate(target.support.labels)}
         states = np.empty(horizon, dtype=np.int64)
     else:
-        states = np.empty((horizon, target.dim))
+        states = np.empty((horizon, m, base_target.dim) if coupled else (horizon, target.dim))
     workers_arr = np.empty(horizon, dtype=np.int32)
     reads_arr = np.empty(horizon, dtype=np.int64)
     accepted_arr = np.empty(horizon, dtype=bool)
@@ -449,13 +533,17 @@ def run_pserver(
                 cand, cand_lp = _candidate(value, x_star, lp_star, params)
                 if cand_lp is None:
                     cand_lp = log_unnorm(cand)
-                log_ratio = _log_accept_ratio(
-                    cand_lp + logpdfs[w](value, x, params), log_pi + log_f_forward
-                )
+                if cached_reverse:
+                    log_f_reverse = reverse[slot_of[w]]
+                else:
+                    log_f_reverse = logpdfs[w](value, x, params)
+                log_ratio = _log_accept_ratio(cand_lp + log_f_reverse, log_pi + log_f_forward)
                 u = uniforms[w]()
                 accepted = naive or log_ratio >= 0.0 or u < exp(log_ratio)
                 if accepted:
                     value, log_pi = cand, cand_lp
+                    if cached_reverse:
+                        reverse[slot_of[w]] = log_f_forward
                 workers_arr[processed] = w
                 reads_arr[processed] = read_version
                 accepted_arr[processed] = accepted
@@ -532,19 +620,20 @@ def trace_jsonl_lines(record: PServerRecord):
 
 
 # The log_ratio column has always been written as ``repr`` of a numpy
-# float64, which numpy 2 spells ``np.float64(-1.25)``; the template keeps
-# those bytes while formatting plain floats.
-_LOG_RATIO_FORMAT = repr(np.float64(0.5)).replace("0.5", "{!r}").format
+# float64, which numpy 2 spells ``np.float64(-1.25)``; wrapping the repr of
+# a plain float in this prefix and suffix keeps those bytes.
+_LOG_RATIO_PREFIX, _LOG_RATIO_SUFFIX = repr(np.float64(0.5)).split("0.5")
 
 
 def messages_csv_lines(record: PServerRecord):
     """One CSV row per processed message, after a header row."""
     yield "seq,worker,read_version,accepted,log_ratio"
+    prefix, suffix = _LOG_RATIO_PREFIX, _LOG_RATIO_SUFFIX
     rows = zip(
         record.workers.tolist(),
         record.read_versions.tolist(),
-        record.accepted.tolist(),
+        record.accepted.view(np.int8).tolist(),
         record.log_ratios.tolist(),
     )
     for seq, (worker, read_version, accepted, log_ratio) in enumerate(rows):
-        yield f"{seq},{worker},{read_version},{int(accepted)},{_LOG_RATIO_FORMAT(log_ratio)}"
+        yield f"{seq},{worker},{read_version},{accepted},{prefix}{log_ratio!r}{suffix}"

@@ -3,11 +3,13 @@ import json
 import pytest
 
 from asyncmc.cli import (
+    _LINES_PER_WRITE,
     CATALOG,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
     ExperimentConfig,
+    _write_text,
     canned_config,
     list_experiments,
     main,
@@ -204,6 +206,7 @@ class TestMalformedRunParameters:
             ({"jitter": 1e309}, "delay.params.jitter"),
             ({"span": 2.5}, "delay.params.span"),
             ({"span": -1}, "delay.params.span"),
+            ({"span": 2**63}, "delay.params.span"),
             ({"mean": -1.0}, "delay.params.mean"),
             ({"latency": "soon"}, "delay.params.latency"),
             ({"periods": [1.0, 2.0]}, "delay.params.periods"),
@@ -281,6 +284,22 @@ class TestConfigBoundary:
         assert "kernel.proposal.type:" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_server_rejects_unsupported_kernel_kind_exit_1(self, tmp_path, capsys):
+        doc = _small_pserver_config(tmp_path)
+        doc["horizon"] = 50
+        doc["kernel"] = {"kind": "systematic_gibbs"}
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "kernel.kind:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_coupled_needs_a_finite_target_exit_1(self, tmp_path, capsys):
+        doc = {**_small_pserver_config(tmp_path), "experiment": "coupled", "horizon": 50}
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "target.type:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_name_cannot_leave_the_output_root(self, tmp_path, capsys, monkeypatch):
         work = tmp_path / "work"
         work.mkdir()
@@ -299,3 +318,26 @@ class TestConfigBoundary:
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "params.watchdog_b" in err and "Traceback" not in err
+
+
+class TestWriteText:
+    @staticmethod
+    def line_by_line(path, lines):
+        with path.open("w") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _LINES_PER_WRITE - 1, _LINES_PER_WRITE, _LINES_PER_WRITE + 1, 3 * _LINES_PER_WRITE]
+    )
+    def test_lines_match_a_line_by_line_writer(self, tmp_path, n):
+        lines = [f"{i},é{'x' * (i % 5)}" for i in range(n)]
+        _write_text(tmp_path / "chunked", (line for line in lines))
+        self.line_by_line(tmp_path / "reference", lines)
+        assert (tmp_path / "chunked").read_bytes() == (tmp_path / "reference").read_bytes()
+
+    @pytest.mark.parametrize("text", ["", "key,value\nm,4\n", "no newline at the end"])
+    def test_plain_string_written_as_is(self, tmp_path, text):
+        _write_text(tmp_path / "out", text)
+        assert (tmp_path / "out").read_bytes() == text.encode()

@@ -269,12 +269,17 @@ class TestRunPServer:
             ("fifo_random", {"mean": -2.0}, "mean"),
             ("reorder_random", {"span": 2.5}, "span"),
             ("reorder_random", {"span": -1}, "span"),
+            ("reorder_random", {"span": 2**63}, "span"),
             ("fifo_fixed", {"periods": [1.0, -1.0]}, r"periods\[1\]"),
         ],
     )
     def test_delay_params_validated_at_construction(self, kind, params, field):
         with pytest.raises(ParameterError, match=f"delay.params.{field}:"):
             DelayModel(kind, params)
+
+    def test_span_up_to_the_int64_limit_accepted(self):
+        # numpy draws latencies in [0, span] as int64, so 2**63 - 1 is the largest span
+        assert DelayModel("reorder_random", {"span": 2**63 - 1}).params["span"] == 2**63 - 1
 
     def test_periods_list_must_match_m(self):
         delay = DelayModel("fifo_fixed", {"periods": [1.0, 2.0]})

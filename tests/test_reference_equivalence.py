@@ -3,6 +3,7 @@
 The references below are the per-event implementations: one operator
 application and one TV distance per event, one sort per candidate worker,
 a schedule generator with two scalar ``rng.integers`` calls per event,
+scalar ``Generator.random``/``integers`` calls for the raw-word draws,
 a parameter-server loop that sends every message through
 ``server_receive`` as a ``ServerMessage``, a replay loop over a dict of
 versions, a ``validate`` that checks every worker's silence at every event,
@@ -18,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from asyncmc import schedules
+from asyncmc import pserver, schedules
 from asyncmc.errors import LivenessError, ParameterError, ValidationError
 from asyncmc.kernels import (
     GaussianIndependenceProposal,
@@ -369,6 +370,45 @@ class TestBoundedDraws:
         assert plain_state(rng) == before
 
 
+RAW_DRAW_BOUNDS = (1, 2, 3, 9, (1 << 31) + 1, 3 << 30, 1 << 32, (1 << 32) + 1, 1 << 40, 1 << 63)
+
+
+class TestPCG64Draws:
+    @pytest.mark.parametrize("words_per_fetch", [1, 2, 3, None])
+    def test_matches_scalar_generator_calls(self, monkeypatch, words_per_fetch):
+        # random interleavings of doubles and bounded draws, entered with and
+        # without a buffered half-word; with 1-3 outputs per fetch, refills
+        # fall between a half-word and its partner
+        if words_per_fetch is not None:
+            monkeypatch.setattr(pserver, "_RAW_WORDS_PER_FETCH", words_per_fetch)
+        meta = np.random.default_rng(31)
+        for seed in range(40):
+            fast_rng, ref_rng = generator_pair(np.random.PCG64, seed, lead=seed % 2)
+            draws = pserver._PCG64Draws(fast_rng)
+            for _ in range(300):
+                if meta.random() < 0.3:
+                    assert draws.random() == ref_rng.random()
+                else:
+                    k = RAW_DRAW_BOUNDS[int(meta.integers(len(RAW_DRAW_BOUNDS)))]
+                    assert draws.integers(0, k) == int(ref_rng.integers(0, k)), k
+
+    def test_bound_one_and_doubles_leave_the_half_word(self):
+        fast_rng, ref_rng = generator_pair(np.random.PCG64, 4, lead=0)
+        draws = pserver._PCG64Draws(fast_rng)
+        low = draws.integers(0, 1 << 32)  # buffers the high half
+        assert low == int(ref_rng.integers(0, 1 << 32))
+        assert [draws.integers(0, 1), draws.random(), draws.integers(0, 1 << 40)] == [
+            0, ref_rng.random(), int(ref_rng.integers(0, 1 << 40))
+        ]
+        assert draws.integers(0, 1 << 32) == int(ref_rng.integers(0, 1 << 32))
+        assert ref_rng.bit_generator.state["has_uint32"] == 0
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS[1:])
+    def test_other_bit_generators_refused(self, bit_generator):
+        with pytest.raises(TypeError, match="PCG64"):
+            pserver._PCG64Draws(np.random.Generator(bit_generator(0)))
+
+
 def reference_latency(delay, rng):
     if delay.kind == "fifo_fixed":
         return float(delay.params.get("latency", 0.0))
@@ -543,6 +583,44 @@ class TestServerLoop:
         kernel = KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support))
         delay = DelayModel("fifo_random", {"mean": 2.0}, staleness_cap=64)
         assert_pserver_identical(kernel, 2, 3000, delay, "mh_corrected", 6, coupled=True)
+
+    def test_coupled_gaussian_independence_reordered(self):
+        target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.5).precision)
+        kernel = KernelSpec("metropolis_hastings", target, GaussianIndependenceProposal([0.0, 0.0], 1.5))
+        delay = DelayModel("reorder_random", {"span": 8, "jitter": 0.3}, staleness_cap=64)
+        record = assert_pserver_identical(kernel, 3, 3000, delay, "mh_corrected", 4, coupled=True)
+        assert record.states.shape == (3000, 3, 2)
+
+    @pytest.mark.parametrize("mode", ["mh_corrected", "naive_accept"])
+    def test_coupled_table_independence(self, mode):
+        target = finite_target([1.0, 2.0, 3.0, 0.5])
+        prop = TableIndependenceProposal(target.support, [1.0, 3.0, 2.0, 1.0])
+        kernel = KernelSpec("metropolis_hastings", target, prop)
+        delay = DelayModel("reorder_random", {"span": 5, "jitter": 0.2}, staleness_cap=64)
+        assert_pserver_identical(kernel, 3, 3000, delay, mode, 12, coupled=True)
+
+    @pytest.mark.parametrize("span", [0, 1, 2**32 - 1, 2**32, 2**40, 2**63 - 1])
+    def test_latency_spans(self, span):
+        # span 0 draws nothing, 2**32 - 1 one half-word, larger spans whole outputs
+        target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.5).precision)
+        kernel = KernelSpec("metropolis_hastings", target, GaussianIndependenceProposal([0.0, 0.0], 1.5))
+        delay = DelayModel("reorder_random", {"span": span, "jitter": 0.3}, staleness_cap=64)
+        assert_pserver_identical(kernel, 4, 600, delay, "mh_corrected", span % 97)
+
+    @pytest.mark.parametrize("mode", ["mh_corrected", "naive_accept"])
+    def test_fifo_fixed_with_jitter(self, mode):
+        target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.5).precision)
+        kernel = KernelSpec("metropolis_hastings", target, GaussianIndependenceProposal([0.0, 0.0], 1.5))
+        delay = DelayModel("fifo_fixed", {"latency": 2.0, "jitter": 0.7}, staleness_cap=64)
+        assert_pserver_identical(kernel, 4, 3000, delay, mode, 5)
+
+    def test_naive_table_independence_with_resends(self):
+        target = finite_target([1.0, 2.0, 3.0, 0.5])
+        prop = TableIndependenceProposal(target.support, [1.0, 3.0, 2.0, 1.0])
+        kernel = KernelSpec("metropolis_hastings", target, prop)
+        delay = DelayModel("reorder_random", {"span": 12}, staleness_cap=5)
+        record = assert_pserver_identical(kernel, 3, 3000, delay, "naive_accept", 8)
+        assert record.config["resends"] > 0
 
     def test_liveness_error_message(self):
         target = finite_target([1.0, 2.0, 3.0])
