@@ -36,6 +36,7 @@ from .measures import (
     StochasticMatrix,
     apply_operator,
     distribution_rows,
+    half_l1,
     matrix_power,
     random_distribution,
     random_stochastic_matrix,
@@ -80,18 +81,18 @@ def _window_stats(values: np.ndarray, b: int, reduce) -> np.ndarray:
 def _ladder(
     m: StochasticMatrix, mu0: FiniteDistribution, pi: FiniteDistribution, depth: int
 ) -> tuple[list, np.ndarray]:
-    """``mu0 P^k`` and its TV distance to ``pi`` for k = 0..depth."""
-    if m.exact or mu0.exact:  # exact or mixed operands keep apply_operator's arithmetic
-        rungs = [mu0]
-        for _ in range(depth):
-            rungs.append(apply_operator(m, rungs[-1]))
-        return rungs, np.array([tv_distance(mu, pi) for mu in rungs], dtype=object)
-    rows = np.empty((depth + 1, m.space.size))
-    rows[0] = mu0.probs
-    for k in range(depth):
-        rows[k + 1] = rows[k] @ m.rows  # the vector-matrix product apply_operator takes
-    dist = 0.5 * np.abs(rows - pi.to_float().probs).sum(axis=1)
-    return [mu0, *distribution_rows(m.space, rows[1:])], dist
+    """``mu0 P^k`` and its TV distance to ``pi`` for k = 0..depth.
+
+    Each row is the product :func:`apply_operator` takes, exact when both
+    operands are and float64 otherwise; the first takes ``mu0.probs`` itself,
+    so mixed operands also give the per-event path's values.
+    """
+    rows = np.empty((depth + 1, m.space.size), dtype=object if m.exact and mu0.exact else float)
+    rows[0] = vec = mu0.probs
+    for k in range(1, depth + 1):
+        rows[k] = vec @ m.rows
+        vec = rows[k]
+    return [mu0, *distribution_rows(m.space, rows[1:])], half_l1(rows, pi.probs)
 
 
 def _propagate_events(

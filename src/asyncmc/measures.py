@@ -3,14 +3,18 @@
 Distributions are probability vectors over an enumerated space and transition
 kernels are row-stochastic matrices acting on them by right multiplication of
 the row vector.  Two arithmetic modes coexist: float64 (default) and exact
-rationals (``fractions.Fraction`` entries in object arrays).  The rational
-mode exists so that the convergence-proof replication can run with zero
-tolerance on small instances; every operation picks the mode up from its
-operands.
+rationals, held as numpy object arrays of ``fractions.Fraction`` on which
+numpy's ``@``, ``matrix_power``, ``abs``, ``sum`` and comparisons run exactly.
+The rational mode exists so that the convergence-proof replication can run
+with zero tolerance on small instances.  Each operation is one numpy
+expression whose arithmetic follows its operands: exact when all of them are
+exact, float64 when one is float (a product with mixed operands holds Python
+floats, which the constructors turn into a float64 array).
 """
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,11 +39,16 @@ def _is_exact(arr: np.ndarray) -> bool:
     return arr.dtype == object
 
 
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
+
+
 def _as_prob_array(values: Sequence) -> np.ndarray:
-    values = list(values)
-    if any(isinstance(v, Fraction) for v in values):
-        return np.array([Fraction(v) for v in values], dtype=object)
-    return np.asarray(values, dtype=float)
+    # Exact when every entry is rational (Fractions, or the integers of an
+    # object identity), float64 when any entry is a float.
+    arr = np.asarray(values)
+    if _is_exact(arr) and all(isinstance(x, numbers.Rational) for x in arr.flat):
+        return _to_fraction(arr)
+    return np.asarray(arr, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -75,12 +84,13 @@ def _require_same_space(a: StateSpace, b: StateSpace, what: str) -> None:
         raise DimensionError(f"{what} live on different state spaces")
 
 
-def _check_float_probs(probs: np.ndarray) -> None:
-    # One pass over a vector or over every row of a 2-D array.
+def _check_probs(probs: np.ndarray) -> None:
+    # One pass over a vector or over every row of a 2-D array; exact sums
+    # must be 1 exactly, float ones within SUM_TOL.
     if np.any(probs < 0):
         raise ValidationError("negative probability entry")
-    sums = probs.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > SUM_TOL
+    sums = probs.sum(axis=-1, keepdims=True)
+    bad = np.abs(sums - 1) > (0 if _is_exact(probs) else SUM_TOL)
     if np.any(bad):
         raise ValidationError(f"probabilities sum to {sums[bad][0]!r}, not 1")
 
@@ -104,13 +114,7 @@ class FiniteDistribution:
                 f"distribution has {probs.shape[0] if probs.ndim == 1 else '?'} entries "
                 f"for a space of size {self.space.size}"
             )
-        if _is_exact(probs):
-            if any(p < 0 for p in probs):
-                raise ValidationError("negative probability entry")
-            if sum(probs) != 1:
-                raise ValidationError("exact probabilities must sum to 1")
-        else:
-            _check_float_probs(probs)
+        _check_probs(probs)
 
     @property
     def exact(self) -> bool:
@@ -129,12 +133,7 @@ class FiniteDistribution:
     @classmethod
     def from_weights(cls, space: StateSpace, weights: Sequence) -> "FiniteDistribution":
         w = _as_prob_array(weights)
-        if _is_exact(w):
-            total = sum(w)
-            if total <= 0:
-                raise ValidationError("weights must have positive total mass")
-            return cls(space, np.array([x / total for x in w], dtype=object))
-        total = float(w.sum())
+        total = w.sum()
         if not np.all(w >= 0) or total <= 0:
             raise ValidationError("weights must be non-negative with positive total")
         return cls(space, w / total)
@@ -142,7 +141,7 @@ class FiniteDistribution:
     def to_float(self) -> "FiniteDistribution":
         if not self.exact:
             return self
-        return FiniteDistribution(self.space, np.array([float(p) for p in self.probs]))
+        return FiniteDistribution(self.space, self.probs.astype(float))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -168,29 +167,12 @@ class StochasticMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = self.rows
-        if isinstance(rows, np.ndarray) and rows.dtype == object:
-            rows = np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
-        elif any(isinstance(x, Fraction) for row in rows for x in row):
-            rows = np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
-        else:
-            rows = np.asarray(rows, dtype=float)
+        rows = _as_prob_array(self.rows)
         object.__setattr__(self, "rows", rows)
         n = self.space.size
         if rows.shape != (n, n):
             raise DimensionError(f"matrix shape {rows.shape} does not match space size {n}")
-        if _is_exact(rows):
-            for i in range(n):
-                if any(x < 0 for x in rows[i]):
-                    raise ValidationError(f"negative entry in row {i}")
-                if sum(rows[i]) != 1:
-                    raise ValidationError(f"exact row {i} does not sum to 1")
-        else:
-            if np.any(rows < 0):
-                raise ValidationError("negative matrix entry")
-            err = np.abs(rows.sum(axis=1) - 1.0).max()
-            if err > SUM_TOL:
-                raise ValidationError(f"row sums deviate from 1 by {err:.3e}")
+        _check_probs(rows)
 
     @property
     def exact(self) -> bool:
@@ -199,9 +181,7 @@ class StochasticMatrix:
     def to_float(self) -> "StochasticMatrix":
         if not self.exact:
             return self
-        return StochasticMatrix(
-            self.space, np.array([[float(x) for x in row] for row in self.rows])
-        )
+        return StochasticMatrix(self.space, self.rows.astype(float))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -227,52 +207,32 @@ def _load_json_object(text: str, required: set) -> dict:
     return doc
 
 
-def _vec_dot_mat(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    if _is_exact(vec) or _is_exact(rows):
-        n = len(vec)
-        out = [sum(vec[i] * rows[i][j] for i in range(n)) for j in range(n)]
-        return np.array(out, dtype=object)
-    return vec @ rows
-
-
 def apply_operator(m: StochasticMatrix, mu: FiniteDistribution) -> FiniteDistribution:
     """One step of the distribution-level dynamics: mu -> mu P."""
     _require_same_space(m.space, mu.space, "matrix and distribution")
-    return FiniteDistribution(mu.space, _vec_dot_mat(mu.probs, m.rows))
+    return FiniteDistribution(mu.space, mu.probs @ m.rows)
 
 
 def compose(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
     """Matrix product a b, i.e. step a followed by step b."""
     _require_same_space(a.space, b.space, "matrices")
-    if a.exact or b.exact:
-        n = a.space.size
-        rows = [
-            [sum(a.rows[i][k] * b.rows[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        return StochasticMatrix(a.space, np.array(rows, dtype=object))
     return StochasticMatrix(a.space, a.rows @ b.rows)
 
 
 def matrix_power(m: StochasticMatrix, k: int) -> StochasticMatrix:
     if k < 0:
         raise ValidationError("matrix power needs k >= 0")
-    n = m.space.size
-    if m.exact:
-        ident = np.array(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)],
-            dtype=object,
-        )
-        result = StochasticMatrix(m.space, ident)
-        base = m
-        while k:
-            if k & 1:
-                result = compose(result, base)
-            k >>= 1
-            if k:
-                base = compose(base, base)
-        return result
     return StochasticMatrix(m.space, np.linalg.matrix_power(m.rows, k))
+
+
+def half_l1(x: np.ndarray, y: np.ndarray):
+    """Half the L1 distance between probability arrays along their last axis.
+
+    Exact when both arrays are; otherwise both are compared in float64.
+    """
+    if not (_is_exact(x) and _is_exact(y)):
+        x, y = x.astype(float, copy=False), y.astype(float, copy=False)
+    return np.abs(x - y).sum(axis=-1) / 2
 
 
 def tv_distance(a: FiniteDistribution, b: FiniteDistribution):
@@ -282,24 +242,21 @@ def tv_distance(a: FiniteDistribution, b: FiniteDistribution):
     exact.
     """
     _require_same_space(a.space, b.space, "distributions")
-    if a.exact and b.exact:
-        return sum(abs(x - y) for x, y in zip(a.probs, b.probs)) / 2
-    ap = a.to_float().probs
-    bp = b.to_float().probs
-    return 0.5 * float(np.abs(ap - bp).sum())
+    d = half_l1(a.probs, b.probs)
+    return d if a.exact and b.exact else float(d)
 
 
 def distribution_rows(space: StateSpace, rows: np.ndarray) -> list:
-    """One float distribution per row of ``rows``, validated in one pass.
+    """One distribution per row of ``rows``, validated in one pass.
 
-    Runs the checks of :class:`FiniteDistribution` on all rows at once.  The
-    array is made read-only and each result's ``probs`` is a view of its row,
-    not a copy.
+    Runs the conversion and checks of :class:`FiniteDistribution` on all rows
+    at once.  The array is made read-only and each result's ``probs`` is a
+    view of its row, not a copy.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = _as_prob_array(rows)
     if rows.ndim != 2 or rows.shape[1] != space.size:
         raise DimensionError(f"rows of shape {rows.shape} for a space of size {space.size}")
-    _check_float_probs(rows)
+    _check_probs(rows)
     rows.flags.writeable = False
     out = []
     for row in rows:
@@ -313,10 +270,7 @@ def distribution_rows(space: StateSpace, rows: np.ndarray) -> list:
 def _is_primitive(rows: np.ndarray) -> bool:
     # Wielandt: a primitive n x n matrix has strictly positive (n-1)^2 + 1 power.
     n = rows.shape[0]
-    if _is_exact(rows):
-        reach = np.array([[x > 0 for x in row] for row in rows], dtype=bool)
-    else:
-        reach = rows > 0
+    reach = rows > 0
     target = (n - 1) ** 2 + 1
     power = np.eye(n, dtype=bool)
     base = reach
@@ -331,30 +285,23 @@ def _is_primitive(rows: np.ndarray) -> bool:
 
 
 def _stationary_exact(m: StochasticMatrix) -> FiniteDistribution:
-    # Solve x P = x with sum(x) = 1 over the rationals by Gaussian elimination.
+    # Solve x P = x with sum(x) = 1 over the rationals by Gauss-Jordan
+    # elimination on the augmented system [P^T - I | 0], last row sum(x) = 1.
     n = m.space.size
-    a = [
-        [m.rows[j][i] - (Fraction(1) if i == j else Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-    a[n - 1] = [Fraction(1)] * n
-    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    a = np.zeros((n, n + 1), dtype=object)
+    a[:, :n] = m.rows.T - np.identity(n, dtype=object)
+    a[n - 1] = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
+        pivot = col + int(np.argmax(a[col:, col] != 0))
+        if a[pivot, col] == 0:
             raise NonErgodicKernelError("stationary system is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                rhs[r] = rhs[r] - factor * rhs[col]
-    probs = np.array(rhs, dtype=object)
-    if any(p < 0 for p in probs):
+        a[[col, pivot]] = a[[pivot, col]]
+        a[col] /= a[col, col]
+        factors = a[:, col].copy()
+        factors[col] = 0
+        a -= np.outer(factors, a[col])
+    probs = a[:, n]
+    if np.any(probs < 0):
         raise NonErgodicKernelError("stationary solve produced negative mass")
     return FiniteDistribution(m.space, probs)
 
@@ -427,20 +374,15 @@ def random_rational_matrix(
 ) -> StochasticMatrix:
     """Exact-mode analogue of :func:`random_stochastic_matrix`."""
     labels = StateSpace(tuple(range(n)))
-    weights = rng.integers(1, max_weight + 1, size=(n, n))
-    rows = [
-        [Fraction(int(w), int(weights[i].sum())) for w in weights[i]] for i in range(n)
-    ]
-    return StochasticMatrix(labels, np.array(rows, dtype=object))
+    weights = _as_prob_array(rng.integers(1, max_weight + 1, size=(n, n)).astype(object))
+    return StochasticMatrix(labels, weights / weights.sum(axis=1, keepdims=True))
 
 
 def random_rational_distribution(
     rng: np.random.Generator, n: int, *, max_weight: int = 20
 ) -> FiniteDistribution:
-    weights = rng.integers(1, max_weight + 1, size=n)
-    total = int(weights.sum())
-    probs = np.array([Fraction(int(w), total) for w in weights], dtype=object)
-    return FiniteDistribution(StateSpace(tuple(range(n))), probs)
+    weights = rng.integers(1, max_weight + 1, size=n).astype(object)
+    return FiniteDistribution.from_weights(StateSpace(tuple(range(n))), weights)
 
 
 @dataclass(frozen=True)

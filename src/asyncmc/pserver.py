@@ -246,8 +246,6 @@ def coupled_embed(target: TargetDensity, m: int) -> TargetDensity:
     """
     if m < 1:
         raise ParameterError("need at least one replica")
-    if m == 1:
-        return target
 
     def log_unnorm(xs):
         return sum(target.log_unnorm(x) for x in xs)

@@ -81,13 +81,12 @@ class RunRecord:
         return [s for _, _, s in self.samples]
 
 
-class _AsyncCoordinator:
-    """Linearizes writes: seq assignment, watchdog, and logging in one lock."""
+class _AsyncCoordinator(SharedCell):
+    """The shared cell of a threaded run, whose writes also assign the seq,
+    check the watchdog and log the event, all under the cell's lock."""
 
     def __init__(self, init_state, m: int, horizon: int, watchdog_b: int):
-        self.lock = threading.Lock()
-        self.state = init_state
-        self.version = -1
+        super().__init__(init_state)
         self.next_seq = 0
         self.last_write = [-1] * m
         self.horizon = horizon
@@ -98,13 +97,9 @@ class _AsyncCoordinator:
         self.events = []
         self.samples = []
 
-    def read(self):
-        with self.lock:
-            return self.state, self.version
-
     def commit(self, worker: int, read_version: int, state) -> bool:
         """Returns False when the worker should stop (horizon or abort)."""
-        with self.lock:
+        with self._lock:
             if self.stop:
                 return False
             if self.next_seq >= self.horizon:
@@ -121,8 +116,8 @@ class _AsyncCoordinator:
                     return False
             self.next_seq = seq + 1
             self.last_write[worker] = seq
-            self.state = state
-            self.version = seq
+            self._state = state
+            self._version = seq
             self.events.append((seq, worker, read_version))
             self.samples.append((seq, worker, state))
             return True

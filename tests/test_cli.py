@@ -236,6 +236,15 @@ class TestMalformedRunParameters:
         json.loads(text, parse_constant=lambda name: pytest.fail(f"summary holds {name}"))
 
 
+def test_coupled_single_replica_runs(tmp_path):
+    doc = canned_config("coupled_replicas").to_dict()
+    doc.update(m=1, horizon=5000, out_dir=str(tmp_path / "out"))
+    assert _run_file(tmp_path, doc) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    (tv,) = summary["replica_marginal_tv"]
+    assert tv < 0.1
+
+
 def test_pserver_zero_weight_target_runs(tmp_path):
     doc = {
         "name": "x", "mode": "pserver", "seed": 1, "m": 2, "horizon": 200,

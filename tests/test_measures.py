@@ -18,6 +18,7 @@ from asyncmc.measures import (
     apply_operator,
     check_contraction,
     compose,
+    distribution_rows,
     matrix_power,
     random_distribution,
     random_rational_distribution,
@@ -63,6 +64,14 @@ class TestConstruction:
         assert d.exact
         with pytest.raises(ValidationError):
             FiniteDistribution(space(2), [Fraction(1, 3), Fraction(2, 3) + Fraction(1, 10**12)])
+        # an excess far below SUM_TOL, which float mode would accept
+        tiny = Fraction(1, 10**15)
+        with pytest.raises(ValidationError):
+            FiniteDistribution(space(2), [Fraction(1, 3), Fraction(2, 3) + tiny])
+        with pytest.raises(ValidationError):
+            StochasticMatrix(space(2), [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 3) - tiny]])
+        with pytest.raises(ValidationError):
+            distribution_rows(space(2), np.array([[Fraction(1, 2), Fraction(1, 2) + tiny]], dtype=object))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):

@@ -12,6 +12,7 @@ from asyncmc.errors import (
     ValidationError,
 )
 from asyncmc.kernels import (
+    GaussianIndependenceProposal,
     GaussianRandomWalkProposal,
     GaussianTarget,
     KernelSpec,
@@ -324,9 +325,15 @@ class TestRunPServer:
 
 
 class TestCoupled:
-    def test_embed_m1_returns_original(self):
-        t = three_state()
-        assert coupled_embed(t, 1) is t
+    def test_m1_gaussian_run(self):
+        # one replica is a product of 1-tuples, like any other m
+        target = gaussian_target([0.0, 0.0], ((1.0, 0.0), (0.0, 1.0)))
+        spec = KernelSpec("metropolis_hastings", target, GaussianIndependenceProposal((0.0, 0.0), 1.5))
+        delay = DelayModel("fifo_random", {"mean": 2.0}, staleness_cap=64)
+        record = run_pserver(spec, m=1, horizon=2000, delay=delay, mode="mh_corrected",
+                             seed=3, coupled=True)
+        assert record.states.shape == (2000, 1, 2)
+        assert 0.3 < record.accept_rate < 0.9
 
     def test_embed_product_weights(self):
         t = three_state()

@@ -1,7 +1,9 @@
 """Fast paths against straightforward references.
 
 The references below are the per-event implementations: one operator
-application and one TV distance per event, one sort per candidate worker,
+application and one TV distance per event, element loops over
+``Fraction``s for exact mode (vector-matrix and matrix-matrix products,
+binary powering, half-L1), one sort per candidate worker,
 a schedule generator with two scalar ``rng.integers`` calls per event,
 scalar ``Generator.random``/``integers`` calls for the raw-word draws,
 a parameter-server loop that sends every message through
@@ -15,6 +17,7 @@ stay byte-identical.
 import dataclasses
 import heapq
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,7 +49,9 @@ from asyncmc.measures import (
     StateSpace,
     StochasticMatrix,
     apply_operator,
+    compose,
     distribution_rows,
+    matrix_power,
     random_distribution,
     random_rational_distribution,
     random_rational_matrix,
@@ -80,18 +85,69 @@ from asyncmc.schedules import (
 from asyncmc.shmem import RunRecord, replay, samples_csv
 
 
+def is_exact(arr):
+    return arr.dtype == object
+
+
+def reference_vec_dot_mat(vec, rows):
+    """``mu P``: numpy's product for two float arrays, else one Python sum per
+    entry in index order, exact only when both operands are."""
+    if not (is_exact(vec) or is_exact(rows)):
+        return vec @ rows
+    n = len(vec)
+    out = [sum(vec[i] * rows[i][j] for i in range(n)) for j in range(n)]
+    return np.array(out, dtype=object if is_exact(vec) and is_exact(rows) else float)
+
+
+def reference_mat_mul(a, b):
+    n = len(a)
+    rows = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return np.array(rows, dtype=object)
+
+
+def reference_matrix_power(rows, k):
+    """Binary powering of exact rows from the exact identity."""
+    n = len(rows)
+    result = np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], dtype=object)
+    base = rows
+    while k:
+        if k & 1:
+            result = reference_mat_mul(result, base)
+        k >>= 1
+        if k:
+            base = reference_mat_mul(base, base)
+    return result
+
+
+def reference_tv(x, y):
+    """Half the L1 distance: a sum over Fractions when both arrays are exact,
+    the float64 expression on float copies otherwise."""
+    if is_exact(x) and is_exact(y):
+        return sum(abs(a - b) for a, b in zip(x, y)) / 2
+    xf, yf = (np.array([float(v) for v in arr]) for arr in (x, y))
+    return 0.5 * float(np.abs(xf - yf).sum())
+
+
 def reference_propagate(m, mu0, schedule, pi):
-    mus, p, d = [mu0], [0], [tv_distance(mu0, pi)]
+    mus, p, d = [mu0.probs], [0], [reference_tv(mu0.probs, pi.probs)]
     for ev in schedule.events:
         j = ev.read_from + 1
-        nxt = apply_operator(m, mus[j])
+        nxt = reference_vec_dot_mat(mus[j], m.rows)
         mus.append(nxt)
         p.append(p[j] + 1)
-        d.append(tv_distance(nxt, pi))
+        d.append(reference_tv(nxt, pi.probs))
     b = schedule.staleness_bound
     d_star = [max(d[max(0, k - b + 1) : k + 1]) for k in range(len(d))]
     p_star = [min(p[max(0, k - b + 1) : k + 1]) for k in range(len(p))]
     return mus, d, d_star, p, p_star
+
+
+def assert_same_entries(got, want):
+    """Equal by ``==`` entry for entry, with the same dtype and entry types."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
 
 
 def reference_edf_safe_workers(deadlines, seq):
@@ -115,8 +171,7 @@ def assert_identical(trace, m, mu0, pi):
             assert np.array(got).tobytes() == np.array(want).tobytes()
     assert len(trace.mus) == len(mus)
     for got, want in zip(trace.mus, mus):
-        assert got.probs.dtype == want.probs.dtype
-        assert got.probs.tolist() == want.probs.tolist()
+        assert_same_entries(got.probs, want)
 
 
 def blended_kernel(rng, n):
@@ -193,6 +248,85 @@ class TestExactPropagation:
         for schedule in adversarial_schedules(2, 4, 40).values():
             assert_identical(propagate(m, mu0, schedule), m, mu0, pi)
         assert_identical(propagate_unbounded_counterexample(m, mu0, 40), m, mu0, pi)
+
+
+def rational_instances(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        yield rng, random_rational_matrix(rng, n), random_rational_distribution(rng, n)
+
+
+class TestExactOperations:
+    def test_apply_operator(self):
+        for _, m, mu in rational_instances(31, 40):
+            out = apply_operator(m, mu)
+            assert out.exact
+            assert_same_entries(out.probs, reference_vec_dot_mat(mu.probs, m.rows))
+
+    def test_compose(self):
+        for rng, a, _ in rational_instances(32, 40):
+            b = random_rational_matrix(rng, a.space.size)
+            product = compose(a, b)
+            assert product.exact
+            assert_same_entries(product.rows, reference_mat_mul(a.rows, b.rows))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 64])
+    def test_matrix_power(self, k):
+        for _, m, _ in rational_instances(33 + k, 8):
+            power = matrix_power(m, k)
+            assert power.exact
+            assert_same_entries(power.rows, reference_matrix_power(m.rows, k))
+
+    def test_tv_distance(self):
+        for rng, _, a in rational_instances(34, 40):
+            b = random_rational_distribution(rng, a.space.size)
+            for x, y in ((a, b), (a, a)):
+                got = tv_distance(x, y)
+                assert type(got) is Fraction and got == reference_tv(x.probs, y.probs)
+
+    def test_propagate(self):
+        for rng, m, mu0 in rational_instances(35, 12):
+            workers = int(rng.integers(1, 4))
+            schedule = random_schedule(workers, int(rng.integers(workers, 7)), 60, rng)
+            trace = propagate(m, mu0, schedule)
+            assert trace.exact
+            assert_identical(trace, m, mu0, stationary_distribution(m))
+
+
+def mixed_pairs(seed, count):
+    """An exact kernel with a float mu0 and a float kernel with an exact mu0,
+    on spaces of 2 to 11 states."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 12))
+        yield rng, random_rational_matrix(rng, n), random_distribution(rng, n)
+        yield rng, random_stochastic_matrix(rng, n), random_rational_distribution(rng, n)
+
+
+class TestMixedOperands:
+    """One exact operand and one float one give float results, equal by
+    ``==`` to what the per-event loops computed."""
+
+    def test_apply_operator(self):
+        for _, m, mu in mixed_pairs(41, 40):
+            out = apply_operator(m, mu)
+            assert not out.exact and out.probs.dtype == np.float64
+            assert_same_entries(out.probs, reference_vec_dot_mat(mu.probs, m.rows))
+
+    def test_tv_distance(self):
+        for _, m, mu in mixed_pairs(42, 40):
+            pi = stationary_distribution(m)
+            got = tv_distance(mu, pi)
+            assert type(got) is float and got == reference_tv(mu.probs, pi.probs)
+
+    def test_propagate(self):
+        for rng, m, mu0 in mixed_pairs(43, 8):
+            workers = int(rng.integers(1, 4))
+            schedule = random_schedule(workers, int(rng.integers(workers, 7)), 80, rng)
+            trace = propagate(m, mu0, schedule)
+            assert not trace.exact
+            assert_identical(trace, m, mu0, stationary_distribution(m))
 
 
 class TestLadderValidation:
