@@ -168,7 +168,11 @@ def build_mu0(doc: dict | None, space: measures.StateSpace) -> measures.FiniteDi
     if doc["type"] == "uniform":
         return measures.FiniteDistribution.uniform(space)
     if doc["type"] == "probs":
-        return measures.FiniteDistribution(space, np.asarray(doc["probs"], dtype=float))
+        (probs,) = _required(doc, "params.mu0", "probs")
+        try:
+            return measures.FiniteDistribution(space, np.asarray(probs, dtype=float))
+        except ValidationError as exc:
+            raise ValidationError(f"params.mu0.probs: {exc}") from exc
     raise ValidationError(f"params.mu0.type: unknown initial distribution {doc.get('type')!r}")
 
 
@@ -193,10 +197,10 @@ def build_schedule(cfg: ExperimentConfig, rng: np.random.Generator) -> schedules
 # ---------------------------------------------------------------------------
 
 
-def _finite_late_tv(indices, target, burn_fraction=0.5) -> float:
+def _finite_late_tv(indices, target, burn_fraction) -> float:
     """TV distance to the target of the empirical law of the late state indices."""
     pi = kernels.target_distribution(target)
-    late = np.asarray(indices[int(len(indices) * burn_fraction):], dtype=np.intp)
+    late = np.asarray(diagnostics.discard_burn_in(indices, burn_fraction), dtype=np.intp)
     counts = np.bincount(late, minlength=target.support.size).astype(float)
     emp = counts / counts.sum()
     return float(0.5 * np.abs(emp - pi.to_float().probs).sum())
@@ -301,17 +305,15 @@ def _run_shmem(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
         "trace.jsonl": schedules.schedule_to_jsonl(record.trace),
         "metrics.csv": shmem.samples_csv(record),
     }
-    summary = {"experiment": "run", "writes": len(record.samples), "config": record.config}
+    summary = {"experiment": "run", "writes": len(record.states), "config": record.config}
     if target.is_finite:
         index = target.support.index
-        summary["late_tv"] = _finite_late_tv(
-            [index(s) for s in record.states()], target, burn
-        )
+        summary["late_tv"] = _finite_late_tv([index(s) for s in record.states], target, burn)
     return EXIT_OK, summary, artifacts
 
 
 def _gaussian_summary(record: pserver.PServerRecord, target, burn_fraction, n_batches) -> dict:
-    late = record.late_states(burn_fraction)
+    late = diagnostics.discard_burn_in(record.states, burn_fraction)
     report = diagnostics.moments(late, n_batches)
     truth_mean = np.asarray(target.gaussian.mean)
     truth_cov = target.gaussian.covariance
@@ -348,7 +350,7 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
                 kernel, cfg.m, cfg.horizon, delay, arm, cfg.seed,
                 init=init, frozen_workers=frozen,
             )
-            late = record.late_states(burn)
+            late = diagnostics.discard_burn_in(record.states, burn)
             results[arm] = {
                 "variance": late.var(axis=0).tolist(),
                 "mean": late.mean(axis=0).tolist(),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -37,6 +38,23 @@ NEG_INF = float("-inf")
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _finite_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array of finite numbers, else a ValidationError naming ``name``."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ValidationError(f"{name}: must hold finite numbers, got {values!r}")
+    return arr
+
+
+def _positive_scale(scale) -> float:
+    if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not 0 < scale < math.inf:
+        raise ValidationError(f"kernel.proposal.scale: must be a finite number > 0, got {scale!r}")
+    return float(scale)
+
+
 @dataclass(frozen=True)
 class GaussianTarget:
     """Multivariate Gaussian described by its mean and precision matrix."""
@@ -45,13 +63,12 @@ class GaussianTarget:
     precision: tuple
 
     def __post_init__(self):
-        mean = tuple(float(x) for x in self.mean)
-        prec = tuple(tuple(float(x) for x in row) for row in self.precision)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "precision", prec)
-        p = np.asarray(prec)
-        if p.shape != (len(mean), len(mean)):
+        mean = _finite_array(self.mean, "target.mean")
+        p = _finite_array(self.precision, "target.precision")
+        if mean.ndim != 1 or p.shape != (len(mean), len(mean)):
             raise ValidationError("precision shape does not match mean dimension")
+        object.__setattr__(self, "mean", tuple(mean.tolist()))
+        object.__setattr__(self, "precision", tuple(map(tuple, p.tolist())))
         if np.abs(p - p.T).max() > 1e-10:
             raise ValidationError("precision matrix is not symmetric")
         try:
@@ -121,9 +138,9 @@ class TargetDensity:
 
 def finite_target(weights: Sequence[float], labels: Sequence | None = None) -> TargetDensity:
     """Target over an enumerated space with explicitly tabled weights."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or not np.isfinite(w).all() or w.sum() <= 0:
-        raise ValidationError("weights must be non-negative, finite, with positive mass")
+    w = _finite_array(weights, "target.weights")
+    if np.any(w < 0) or w.sum() <= 0:
+        raise ValidationError("target.weights: must be non-negative with positive mass")
     if labels is None:
         labels = tuple(range(len(w)))
     space = StateSpace(tuple(labels))
@@ -159,7 +176,7 @@ def product_finite_target(
 
 
 def gaussian_target(mean: Sequence[float], precision: Sequence[Sequence[float]]) -> TargetDensity:
-    gt = GaussianTarget(tuple(mean), tuple(tuple(row) for row in precision))
+    gt = GaussianTarget(mean, precision)
     return TargetDensity(dim=gt.dim, log_unnorm=gt.log_unnorm, gaussian=gt)
 
 
@@ -182,10 +199,10 @@ class UniformIndependenceProposal:
     """Propose a state uniformly from a finite space, ignoring the current one."""
 
     symmetric = True
+    proposal_id = "uniform_independence"
 
-    def __init__(self, space: StateSpace, proposal_id: str = "uniform_independence"):
+    def __init__(self, space: StateSpace):
         self.space = space
-        self.proposal_id = proposal_id
         self._size = space.size
         self._log_q = -math.log(space.size)
 
@@ -203,13 +220,13 @@ class TableIndependenceProposal:
     """Propose from a fixed categorical table over a finite space."""
 
     symmetric = False
+    proposal_id = "table_independence"
 
-    def __init__(self, space: StateSpace, weights: Sequence[float], proposal_id: str = "table_independence"):
-        w = np.asarray(weights, dtype=float)
+    def __init__(self, space: StateSpace, weights: Sequence[float]):
+        w = _finite_array(weights, "kernel.proposal.weights")
         if np.any(w < 0) or w.sum() <= 0:
-            raise ValidationError("proposal weights must be non-negative with positive mass")
+            raise ValidationError("kernel.proposal.weights: must be non-negative with positive mass")
         self.space = space
-        self.proposal_id = proposal_id
         self._probs = w / w.sum()
         self._cum = np.cumsum(self._probs)
         self._logs = np.where(self._probs > 0, np.log(np.maximum(self._probs, 1e-300)), NEG_INF)
@@ -240,20 +257,15 @@ class IdentityProposal:
     def logpdf(self, y, x, params=None) -> float:
         return 0.0 if y == x else NEG_INF
 
-    def support_logpdfs(self, x):
-        return None  # state-dependent delta; rendering handles it specially
-
 
 class GaussianRandomWalkProposal:
     """Symmetric random walk y = x + scale * N(0, I)."""
 
     symmetric = True
+    proposal_id = "gaussian_random_walk"
 
-    def __init__(self, scale: float, proposal_id: str = "gaussian_random_walk"):
-        if scale <= 0:
-            raise ValidationError("random walk scale must be positive")
-        self.scale = float(scale)
-        self.proposal_id = proposal_id
+    def __init__(self, scale: float):
+        self.scale = _positive_scale(scale)
 
     def sample(self, x, rng: np.random.Generator):
         return tuple(xi + self.scale * rng.standard_normal() for xi in x), {}
@@ -270,13 +282,11 @@ class GaussianIndependenceProposal:
     """Propose from a fixed spherical Gaussian, ignoring the current state."""
 
     symmetric = False
+    proposal_id = "gaussian_independence"
 
-    def __init__(self, center: Sequence[float], scale: float, proposal_id: str = "gaussian_independence"):
-        if scale <= 0:
-            raise ValidationError("independence proposal scale must be positive")
-        self.center = tuple(float(c) for c in center)
-        self.scale = float(scale)
-        self.proposal_id = proposal_id
+    def __init__(self, center: Sequence[float], scale: float):
+        self.center = tuple(_finite_array(center, "kernel.proposal.center").tolist())
+        self.scale = _positive_scale(scale)
         self._log_scale = math.log(self.scale)
 
     def sample(self, x, rng: np.random.Generator):
@@ -300,12 +310,12 @@ class GibbsSiteProposal:
     """
 
     symmetric = False
+    proposal_id = "gibbs_site"
 
-    def __init__(self, target: TargetDensity, proposal_id: str = "gibbs_site"):
+    def __init__(self, target: TargetDensity):
         if target.site_domains is None and target.gaussian is None:
             raise UnsupportedTargetError("target has no usable full conditionals")
         self.target = target
-        self.proposal_id = proposal_id
 
     def sample(self, x, rng: np.random.Generator):
         site = int(rng.integers(self.target.dim))
@@ -482,15 +492,15 @@ def _site_matrix(target: TargetDensity, site: int) -> np.ndarray:
     return rows
 
 
-def render_matrix(spec: KernelSpec, cap: int = RENDER_CAP) -> StochasticMatrix:
+def render_matrix(spec: KernelSpec) -> StochasticMatrix:
     """Render a finite-target kernel as an exact transition matrix."""
     target = spec.target
     if not target.is_finite:
         raise UnsupportedTargetError("only finite-support kernels can be rendered")
     space = target.support
     n = space.size
-    if n > cap:
-        raise ParameterError(f"state space size {n} exceeds render cap {cap}")
+    if n > RENDER_CAP:
+        raise ParameterError(f"state space size {n} exceeds render cap {RENDER_CAP}")
 
     if spec.kind == "gibbs_single_site":
         rows = sum(_site_matrix(target, s) for s in range(target.dim)) / target.dim

@@ -33,6 +33,8 @@ SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 POWER_ITER_STEP_TOL = 1e-13
 POWER_ITER_MAX = 10**6
+RATIONAL_MAX_WEIGHT = 20  # integer weights of the random rational matrices and distributions
+CONTRACTION_SIZES = tuple(range(2, 11))  # state-space sizes of the contraction campaign
 
 
 def _is_exact(arr: np.ndarray) -> bool:
@@ -86,7 +88,10 @@ def _require_same_space(a: StateSpace, b: StateSpace, what: str) -> None:
 
 def _check_probs(probs: np.ndarray) -> None:
     # One pass over a vector or over every row of a 2-D array; exact sums
-    # must be 1 exactly, float ones within SUM_TOL.
+    # must be 1 exactly, float ones within SUM_TOL.  Fractions are always
+    # finite; a float NaN would pass both comparisons below.
+    if not _is_exact(probs) and not np.isfinite(probs).all():
+        raise ValidationError("non-finite probability entry")
     if np.any(probs < 0):
         raise ValidationError("negative probability entry")
     sums = probs.sum(axis=-1, keepdims=True)
@@ -268,20 +273,15 @@ def distribution_rows(space: StateSpace, rows: np.ndarray) -> list:
 
 
 def _is_primitive(rows: np.ndarray) -> bool:
-    # Wielandt: a primitive n x n matrix has strictly positive (n-1)^2 + 1 power.
+    # Wielandt: a primitive n x n matrix has every power from (n-1)^2 + 1 on
+    # strictly positive, and no other nonnegative matrix has any positive
+    # power.  Squaring ((n-1)^2).bit_length() times reaches a power 2^j at
+    # or above that bound.
     n = rows.shape[0]
-    reach = rows > 0
-    target = (n - 1) ** 2 + 1
-    power = np.eye(n, dtype=bool)
-    base = reach
-    k = target
-    while k:
-        if k & 1:
-            power = (power.astype(int) @ base.astype(int)) > 0
-        k >>= 1
-        if k:
-            base = (base.astype(int) @ base.astype(int)) > 0
-    return bool(power.all())
+    reach = (rows > 0).astype(int)
+    for _ in range(((n - 1) ** 2).bit_length()):
+        reach = ((reach @ reach) > 0).astype(int)
+    return bool(reach.all())
 
 
 def _stationary_exact(m: StochasticMatrix) -> FiniteDistribution:
@@ -306,12 +306,7 @@ def _stationary_exact(m: StochasticMatrix) -> FiniteDistribution:
     return FiniteDistribution(m.space, probs)
 
 
-def stationary_distribution(
-    m: StochasticMatrix,
-    *,
-    step_tol: float = POWER_ITER_STEP_TOL,
-    max_iters: int = POWER_ITER_MAX,
-) -> FiniteDistribution:
+def stationary_distribution(m: StochasticMatrix) -> FiniteDistribution:
     """The unique limiting distribution of an ergodic kernel.
 
     Ergodicity is checked operationally: the support pattern must be
@@ -325,12 +320,12 @@ def stationary_distribution(
         return _stationary_exact(m)
     n = m.space.size
     v = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
+    for _ in range(POWER_ITER_MAX):
         nxt = v @ m.rows
-        if 0.5 * float(np.abs(nxt - v).sum()) <= step_tol:
+        if 0.5 * float(np.abs(nxt - v).sum()) <= POWER_ITER_STEP_TOL:
             return FiniteDistribution(m.space, nxt / nxt.sum())
         v = nxt
-    raise NonErgodicKernelError(f"power iteration did not converge in {max_iters} steps")
+    raise NonErgodicKernelError(f"power iteration did not converge in {POWER_ITER_MAX} steps")
 
 
 @dataclass(frozen=True)
@@ -356,12 +351,10 @@ def check_contraction(
     return ContractionCheck(bool(d_after <= d_before + tol), d_before, d_after)
 
 
-def random_stochastic_matrix(
-    rng: np.random.Generator, n: int, *, concentration: float = 1.0
-) -> StochasticMatrix:
+def random_stochastic_matrix(rng: np.random.Generator, n: int) -> StochasticMatrix:
     """Random ergodic kernel: Dirichlet rows, all entries positive a.s."""
     labels = StateSpace(tuple(range(n)))
-    rows = rng.dirichlet(np.full(n, concentration), size=n)
+    rows = rng.dirichlet(np.ones(n), size=n)
     return StochasticMatrix(labels, rows)
 
 
@@ -369,19 +362,15 @@ def random_distribution(rng: np.random.Generator, n: int) -> FiniteDistribution:
     return FiniteDistribution(StateSpace(tuple(range(n))), rng.dirichlet(np.ones(n)))
 
 
-def random_rational_matrix(
-    rng: np.random.Generator, n: int, *, max_weight: int = 20
-) -> StochasticMatrix:
+def random_rational_matrix(rng: np.random.Generator, n: int) -> StochasticMatrix:
     """Exact-mode analogue of :func:`random_stochastic_matrix`."""
     labels = StateSpace(tuple(range(n)))
-    weights = _as_prob_array(rng.integers(1, max_weight + 1, size=(n, n)).astype(object))
+    weights = _as_prob_array(rng.integers(1, RATIONAL_MAX_WEIGHT + 1, size=(n, n)).astype(object))
     return StochasticMatrix(labels, weights / weights.sum(axis=1, keepdims=True))
 
 
-def random_rational_distribution(
-    rng: np.random.Generator, n: int, *, max_weight: int = 20
-) -> FiniteDistribution:
-    weights = rng.integers(1, max_weight + 1, size=n).astype(object)
+def random_rational_distribution(rng: np.random.Generator, n: int) -> FiniteDistribution:
+    weights = rng.integers(1, RATIONAL_MAX_WEIGHT + 1, size=n).astype(object)
     return FiniteDistribution.from_weights(StateSpace(tuple(range(n))), weights)
 
 
@@ -392,15 +381,13 @@ class ContractionCampaignReport:
     worst_excess: float
 
 
-def run_contraction_campaign(
-    n_instances: int, seed: int, *, sizes: tuple = tuple(range(2, 11))
-) -> ContractionCampaignReport:
+def run_contraction_campaign(n_instances: int, seed: int) -> ContractionCampaignReport:
     """Randomized check of the TV-contraction property over many kernels."""
     rng = np.random.default_rng(seed)
     violations = 0
     worst = -np.inf
     for _ in range(n_instances):
-        n = int(rng.choice(sizes))
+        n = int(rng.choice(CONTRACTION_SIZES))
         m = random_stochastic_matrix(rng, n)
         mu = random_distribution(rng, n)
         pi = stationary_distribution(m)

@@ -397,10 +397,6 @@ class PServerRecord:
         labels = self.target.support.labels
         return [labels[i] for i in self.states]
 
-    def late_states(self, burn_fraction: float = 0.2) -> np.ndarray:
-        start = int(len(self.states) * burn_fraction)
-        return self.states[start:]
-
 
 def _worker_proposal(kernel: KernelSpec):
     if kernel.kind == "metropolis_hastings":

@@ -196,9 +196,7 @@ class _BoundedDraws:
             self.rng.integers(0, _WORD + 1, size=self.pos, dtype=np.uint32)
 
 
-def random_schedule(
-    m: int, b: int, length: int, rng: np.random.Generator, kind: str = "write"
-) -> Schedule:
+def random_schedule(m: int, b: int, length: int, rng: np.random.Generator) -> Schedule:
     """A uniformly scrambled valid schedule.
 
     Worker choice is random among options that keep the liveness deadlines
@@ -209,8 +207,6 @@ def random_schedule(
     event, one for the worker and one for the staleness.
     """
     _check_feasible(m, b, length)
-    if kind not in EVENT_KINDS:
-        raise ValidationError(f"unknown event kind {kind!r}")
     draws = _BoundedDraws(rng)
     below = draws.below
     deadlines = [b - 1] * m  # each worker must first write within the opening window
@@ -228,7 +224,7 @@ def random_schedule(
         order.append(worker)
         deadlines[worker] = seq + b
         read_from = seq - 1 - below(seq + 1 if seq < b else b)
-        events.append(new_event(Event, (seq, worker, read_from, kind)))
+        events.append(new_event(Event, (seq, worker, read_from, "write")))
     draws.close()
     sched = Schedule(tuple(events), m, b)
     violation = validate(sched)
@@ -237,12 +233,12 @@ def random_schedule(
     return sched
 
 
-def synchronous_schedule(m: int, length: int, b: int | None = None, kind: str = "write") -> Schedule:
+def synchronous_schedule(m: int, length: int, b: int | None = None) -> Schedule:
     """Round-robin workers, every read perfectly fresh."""
     if b is None:
         b = max(m, 1)
     _check_feasible(m, b, length)
-    events = tuple(Event(seq, seq % m, seq - 1, kind) for seq in range(length))
+    events = tuple(Event(seq, seq % m, seq - 1, "write") for seq in range(length))
     return Schedule(events, m, b)
 
 

@@ -71,14 +71,16 @@ class ChecksumState:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """What an execution did: its schedule, its samples, and its settings."""
+    """What an execution did: its schedule, the state written at each seq, and
+    its settings.
+
+    ``states[seq]`` is the state written by event ``trace.events[seq]``, whose
+    worker and read version the trace holds.
+    """
 
     trace: Schedule
-    samples: tuple  # (seq, worker, state) triples in seq order
+    states: list
     config: dict
-
-    def states(self) -> list:
-        return [s for _, _, s in self.samples]
 
 
 class _AsyncCoordinator(SharedCell):
@@ -94,8 +96,8 @@ class _AsyncCoordinator(SharedCell):
         self.m = m
         self.stop = False
         self.liveness_failure = None
-        self.events = []
-        self.samples = []
+        self.events = []  # (seq, worker, read_version) in seq order
+        self.states = []  # the state written at each seq
 
     def commit(self, worker: int, read_version: int, state) -> bool:
         """Returns False when the worker should stop (horizon or abort)."""
@@ -119,7 +121,7 @@ class _AsyncCoordinator(SharedCell):
             self._state = state
             self._version = seq
             self.events.append((seq, worker, read_version))
-            self.samples.append((seq, worker, state))
+            self.states.append(state)
             return True
 
 
@@ -129,8 +131,6 @@ def run_async(
     horizon: int,
     seed: int,
     watchdog_b: int,
-    *,
-    init=None,
 ) -> RunRecord:
     """Race ``m`` worker threads against one shared cell for ``horizon`` writes.
 
@@ -140,9 +140,7 @@ def run_async(
     """
     if m < 1 or horizon < 1 or watchdog_b < 1:
         raise ScheduleError("m, horizon, and watchdog_b must all be positive")
-    if init is None:
-        init = default_init(kernel.target)
-    coord = _AsyncCoordinator(init, m, horizon, watchdog_b)
+    coord = _AsyncCoordinator(default_init(kernel.target), m, horizon, watchdog_b)
     rngs = worker_streams(seed, m)
 
     def work(worker: int):
@@ -162,12 +160,8 @@ def run_async(
         worker, detail = coord.liveness_failure
         raise LivenessError(f"liveness watchdog fired: {detail}")
 
-    events = sorted(coord.events)
-    bound = minimal_valid_bound(events, m)
-    trace = Schedule(
-        tuple(Event(seq, w, rv, "write") for seq, w, rv in events), m, bound
-    )
-    samples = tuple(sorted(coord.samples, key=lambda t: t[0]))
+    events = coord.events
+    trace = Schedule(tuple(Event(*ev) for ev in events), m, minimal_valid_bound(events, m))
     config = {
         "mode": "shmem_real",
         "kernel": kernel.describe(),
@@ -176,26 +170,21 @@ def run_async(
         "seed": seed,
         "watchdog_b": watchdog_b,
     }
-    return RunRecord(trace, samples, config)
+    return RunRecord(trace, coord.states, config)
 
 
-def replay(kernel: KernelSpec, schedule: Schedule, seed: int, *, init=None) -> RunRecord:
+def replay(kernel: KernelSpec, schedule: Schedule, seed: int) -> RunRecord:
     """Deterministically execute the read/step/write loop under a schedule."""
     violation = validate(schedule)
     if violation is not None:
         raise ScheduleError(str(violation))
-    if init is None:
-        init = default_init(kernel.target)
     rngs = worker_streams(seed, schedule.workers)
     events = schedule.events
     # version v lives at index v; the initial state, version -1, at the end
-    versions = [None] * len(events) + [init]
-    samples = []
-    append = samples.append
+    versions = [None] * len(events) + [default_init(kernel.target)]
     for seq, worker, read_from, _ in events:
-        state = kernel_step(kernel, versions[read_from], rngs[worker]).state
-        versions[seq] = state
-        append((seq, worker, state))
+        versions[seq] = kernel_step(kernel, versions[read_from], rngs[worker]).state
+    versions.pop()
     config = {
         "mode": "shmem_replay",
         "kernel": kernel.describe(),
@@ -204,7 +193,7 @@ def replay(kernel: KernelSpec, schedule: Schedule, seed: int, *, init=None) -> R
         "seed": seed,
         "watchdog_b": schedule.staleness_bound,
     }
-    return RunRecord(schedule, tuple(samples), config)
+    return RunRecord(schedule, versions, config)
 
 
 def torn_state_stress(m: int, total_ops: int, seed: int) -> dict:
@@ -252,9 +241,9 @@ def _state_str(state) -> str:
 def samples_csv(record: RunRecord) -> str:
     lines = ["seq,worker,state"]
     # Keyed by identity, not equality: equal states such as 0.0 and -0.0
-    # print differently.  Every key stays alive in ``record.samples``.
+    # print differently.  Every key stays alive in ``record.states``.
     texts = {}
-    for seq, worker, state in record.samples:
+    for (seq, worker, _, _), state in zip(record.trace.events, record.states):
         text = texts.get(id(state))
         if text is None:
             text = texts[id(state)] = _state_str(state)

@@ -188,6 +188,9 @@ def _replay_config(tmp_path, burn) -> dict:
     }
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def _mh(proposal: dict) -> dict:
     return {"kind": "metropolis_hastings", "proposal": proposal}
 
@@ -276,6 +279,18 @@ class TestConfigBoundary:
             ({"kernel": _mh({"type": "gaussian_random_walk"})}, "kernel.proposal.scale"),
             ({"kernel": _mh({"type": "gaussian_independence", "scale": 1.0})}, "kernel.proposal.center"),
             ({"kernel": _mh({"type": "gaussian_independence", "center": [0.0]})}, "kernel.proposal.scale"),
+            ({"kernel": _mh({"type": "table_independence", "weights": [NAN, 1, 1]})}, "kernel.proposal.weights"),
+            ({"kernel": _mh({"type": "table_independence", "weights": [INF, 1, 1]})}, "kernel.proposal.weights"),
+            ({"kernel": _mh({"type": "gaussian_independence", "center": [0.0], "scale": NAN})},
+             "kernel.proposal.scale"),
+            ({"kernel": _mh({"type": "gaussian_independence", "center": [NAN], "scale": 1.0})},
+             "kernel.proposal.center"),
+            ({"kernel": _mh({"type": "gaussian_random_walk", "scale": "x"})}, "kernel.proposal.scale"),
+            ({"target": {"type": "finite", "weights": [1.0, NAN, 3.0]}}, "target.weights"),
+            ({"target": {"type": "gaussian", "mean": [NAN], "precision": [[1.0]]}}, "target.mean"),
+            ({"target": {"type": "gaussian", "mean": [0.0], "precision": [[INF]]}}, "target.precision"),
+            ({"mode": "measure_sim", "params": {"mu0": {"type": "probs", "probs": [NAN, 0.5, 0.5]}}},
+             "params.mu0.probs"),
         ],
     )
     def test_bad_field_exit_1(self, tmp_path, capsys, overrides, field):

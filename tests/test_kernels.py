@@ -18,6 +18,7 @@ from asyncmc.kernels import (
     GibbsSiteProposal,
     IdentityProposal,
     KernelSpec,
+    RENDER_CAP,
     TableIndependenceProposal,
     UniformIndependenceProposal,
     default_init,
@@ -259,9 +260,9 @@ class TestRenderMatrix:
             render_matrix(KernelSpec("metropolis_hastings", gt, GaussianRandomWalkProposal(1.0)))
 
     def test_cap_enforced(self):
-        target = finite_target(np.ones(64))
+        target = finite_target(np.ones(RENDER_CAP + 1))
         with pytest.raises(ParameterError):
-            render_matrix(mh_uniform_spec(target), cap=32)
+            render_matrix(mh_uniform_spec(target))
 
 
 class TestGaussianGibbsSampling:
@@ -300,6 +301,20 @@ class TestProposals:
         prop = GaussianIndependenceProposal((0.0, 0.0), 2.0)
         y = (0.3, -0.7)
         assert prop.logpdf(y, (5.0, 5.0)) == prop.logpdf(y, (-2.0, 1.0))
+
+    def test_describe_names_each_proposal_id(self):
+        finite = finite_target([1.0, 2.0, 3.0])
+        gauss = gaussian_target([0.0], [[1.0]])
+        cases = [
+            (UniformIndependenceProposal(finite.support), finite, "uniform_independence"),
+            (TableIndependenceProposal(finite.support, [1.0, 1.0, 2.0]), finite, "table_independence"),
+            (GaussianRandomWalkProposal(0.5), gauss, "gaussian_random_walk"),
+            (GaussianIndependenceProposal([0.0], 1.5), gauss, "gaussian_independence"),
+            (GibbsSiteProposal(gauss), gauss, "gibbs_site"),
+        ]
+        for proposal, target, proposal_id in cases:
+            spec = KernelSpec("metropolis_hastings", target, proposal)
+            assert spec.describe() == f"metropolis_hastings[{proposal_id}]"
 
     def test_worker_streams_are_independent_and_reproducible(self):
         a = worker_streams(42, 3)

@@ -54,7 +54,7 @@ class TestPropagate:
         m = three_state_matrix()
         pi = stationary_distribution(m)
         rng = np.random.default_rng(2)
-        trace = propagate(m, pi, random_schedule(3, 4, 120, rng), pi=pi)
+        trace = propagate(m, pi, random_schedule(3, 4, 120, rng))
         assert max(trace.d) <= 1e-12
 
     def test_smoke_instance_converges_and_crosschecks(self):

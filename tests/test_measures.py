@@ -10,6 +10,7 @@ from asyncmc.errors import (
     StationarityError,
     ValidationError,
 )
+from asyncmc import measures
 from asyncmc.measures import (
     ContractionCheck,
     FiniteDistribution,
@@ -76,6 +77,17 @@ class TestConstruction:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             FiniteDistribution(space(3), [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            FiniteDistribution(space(3), [bad, 0.5, 0.5])
+        with pytest.raises(ValidationError, match="non-finite"):
+            StochasticMatrix(space(2), [[0.5, 0.5], [bad, 1.0]])
+
+    def test_nan_from_json_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            FiniteDistribution.from_json('{"labels": [0, 1, 2], "probs": [NaN, 0.5, 0.5]}')
 
 
 class TestApplyOperator:
@@ -163,6 +175,49 @@ class TestStationary:
         )
         pi = stationary_distribution(m)
         assert list(pi.probs) == [Fraction(2, 3), Fraction(1, 3)]
+
+
+def reference_is_primitive(pattern: np.ndarray) -> bool:
+    """Whether the support pattern raised to exactly Wielandt's bound (n-1)^2 + 1 is positive."""
+    n = len(pattern)
+    base = (pattern > 0).astype(int)
+    power = base
+    for _ in range((n - 1) ** 2):
+        power = ((power @ base) > 0).astype(int)
+    return bool(power.all())
+
+
+def wielandt_matrix(n: int) -> np.ndarray:
+    """The n-cycle plus one chord: primitive with exponent exactly (n-1)^2 + 1."""
+    pattern = np.zeros((n, n))
+    for i in range(n):
+        pattern[i, (i + 1) % n] = 1.0
+    pattern[n - 1, 1] = 1.0
+    return pattern
+
+
+class TestIsPrimitive:
+    def test_matches_exact_wielandt_power_on_random_patterns(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5000):
+            n = int(rng.integers(1, 9))
+            pattern = (rng.random((n, n)) < rng.uniform(0.05, 0.7)).astype(float)
+            assert measures._is_primitive(pattern) == reference_is_primitive(pattern)
+
+    def test_cyclic_permutations_are_not_primitive(self):
+        for n in range(2, 9):
+            pattern = np.roll(np.eye(n), 1, axis=1)
+            assert not reference_is_primitive(pattern)
+            assert not measures._is_primitive(pattern)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_wielandt_extremal_matrices(self, n):
+        pattern = wielandt_matrix(n)
+        assert reference_is_primitive(pattern)
+        assert measures._is_primitive(pattern)
+        # one power short of the bound still has a zero entry
+        power = np.linalg.matrix_power(pattern.astype(np.int64), (n - 1) ** 2 - 1) > 0
+        assert not ((power.astype(int) @ pattern) > 0).all()
 
 
 class TestContraction:

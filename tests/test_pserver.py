@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from asyncmc.diagnostics import discard_burn_in
 from asyncmc.errors import (
     LivenessError,
     NumericError,
@@ -30,6 +31,7 @@ from asyncmc.pserver import (
     DelayModel,
     ServerMessage,
     ServerState,
+    SlotProposal,
     TaggedState,
     coupled_embed,
     messages_csv_lines,
@@ -175,7 +177,7 @@ class TestZeroDelay:
         spec = mh_uniform()
         record = run_pserver(spec, m=1, horizon=100_000, delay=zero_delay(), mode="mh_corrected", seed=5)
         pi = target_distribution(spec.target).to_float().probs
-        late = record.late_states(0.2)
+        late = discard_burn_in(record.states, 0.2)
         emp = np.bincount(late, minlength=3) / len(late)
         assert 0.5 * np.abs(emp - pi).sum() <= 0.02
 
@@ -187,7 +189,7 @@ class TestZeroDelay:
         staleness = np.arange(200_000) - (record.read_versions - 1)
         assert staleness.max() > 1  # messages really did arrive stale
         pi = target_distribution(spec.target).to_float().probs
-        late = record.late_states(0.2)
+        late = discard_burn_in(record.states, 0.2)
         emp = np.bincount(late, minlength=3) / len(late)
         assert 0.5 * np.abs(emp - pi).sum() <= 0.02
 
@@ -378,3 +380,8 @@ class TestExports:
         lines = list(messages_csv_lines(record))
         assert lines[0] == "seq,worker,read_version,accepted,log_ratio"
         assert len(lines) == 21
+
+
+def test_slot_proposal_id_prefixes_the_base_id():
+    base = UniformIndependenceProposal(three_state().support)
+    assert SlotProposal(base, 1).proposal_id == "slot1:uniform_independence"

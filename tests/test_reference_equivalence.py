@@ -72,7 +72,6 @@ from asyncmc.pserver import (
     trace_jsonl_lines,
 )
 from asyncmc.schedules import (
-    EVENT_KINDS,
     Event,
     Schedule,
     ScheduleViolation,
@@ -409,10 +408,10 @@ def generator_pair(bit_generator, seed, lead):
     return pair
 
 
-def assert_same_draws(m, b, length, bit_generator, seed, lead=0, kind="write"):
+def assert_same_draws(m, b, length, bit_generator, seed, lead=0):
     fast_rng, ref_rng = generator_pair(bit_generator, seed, lead)
-    fast = random_schedule(m, b, length, fast_rng, kind)
-    assert fast == reference_random_schedule(m, b, length, ref_rng, kind)
+    fast = random_schedule(m, b, length, fast_rng)
+    assert fast == reference_random_schedule(m, b, length, ref_rng)
     assert plain_state(fast_rng) == plain_state(ref_rng)
     assert fast_rng.integers(2**63) == ref_rng.integers(2**63)
 
@@ -440,7 +439,6 @@ class TestRandomScheduleDraws:
             assert_same_draws(
                 m, b, length, BIT_GENERATORS[case % len(BIT_GENERATORS)],
                 seed=int(meta.integers(2**32)), lead=int(meta.integers(0, 3)),
-                kind=EVENT_KINDS[case % 2],
             )
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
@@ -462,10 +460,6 @@ class TestRandomScheduleDraws:
         for case, bit_generator in enumerate(BIT_GENERATORS * 4):
             m = 1 + case % 4
             assert_same_draws(m, m + case % 3, 30 + case, bit_generator, seed=case, lead=case % 2)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            random_schedule(2, 3, 10, np.random.default_rng(0), kind="bogus")
 
 
 class TestBoundedDraws:
@@ -797,9 +791,9 @@ def reference_server_trace_lines(record):
 def reference_samples_csv(record):
     """One ``json.dumps`` per sample."""
     lines = ["seq,worker,state"]
-    for seq, worker, state in record.samples:
+    for ev, state in zip(record.trace.events, record.states):
         text = json.dumps(list(state)) if isinstance(state, tuple) else json.dumps(state)
-        lines.append(f'{seq},{worker},"{text}"')
+        lines.append(f'{ev.seq},{ev.worker},"{text}"')
     return "\n".join(lines) + "\n"
 
 
@@ -807,12 +801,12 @@ def reference_replay_samples(kernel, schedule, seed):
     """The dict-of-versions loop, one ``Event`` attribute read at a time."""
     rngs = worker_streams(seed, schedule.workers)
     versions = {-1: default_init(kernel.target)}
-    samples = []
+    states = []
     for ev in schedule.events:
         step = kernel_step(kernel, versions[ev.read_from], rngs[ev.worker])
         versions[ev.seq] = step.state
-        samples.append((ev.seq, ev.worker, step.state))
-    return tuple(samples)
+        states.append(step.state)
+    return states
 
 
 def reference_validate(s):
@@ -884,7 +878,7 @@ class TestReplayPath:
             record = replay(kernel, schedule, seed)
             want = reference_replay_samples(kernel, schedule, seed)
             # repr tells 0.0 from -0.0 and keeps label types apart
-            assert repr(record.samples) == repr(want), name
+            assert repr(record.states) == repr(want), name
             assert samples_csv(record) == reference_samples_csv(record), name
             assert schedule_to_jsonl(schedule) == reference_schedule_to_jsonl(schedule), name
 
@@ -892,7 +886,7 @@ class TestReplayPath:
         negative = (-0.0, 1.0)
         states = [(0.0, 1.0), negative, (0.0, 1.0), negative, 1, 1.0, True, (float("nan"), 2.5)]
         schedule = synchronous_schedule(1, len(states))
-        record = RunRecord(schedule, tuple((k, 0, s) for k, s in enumerate(states)), {})
+        record = RunRecord(schedule, states, {})
         text = samples_csv(record)
         assert text == reference_samples_csv(record)
         assert text.count('"[-0.0, 1.0]"') == 2 and text.count('"[0.0, 1.0]"') == 2

@@ -55,13 +55,23 @@ class TestRunAsync:
         for _ in range(300):
             x = kernel_step(spec, x, rng).state
             expected.append(x)
-        assert record.states() == expected
+        assert record.states == expected
         assert all(e.read_from == e.seq - 1 for e in record.trace.events)
 
     def test_recorded_trace_validates_with_observed_bound(self):
         record = run_async(mh_spec(), m=3, horizon=5000, seed=2, watchdog_b=5000)
         assert validate(record.trace) is None
-        assert len(record.samples) == 5000
+        assert len(record.states) == 5000
+
+    def test_record_states_follow_trace_seq_order(self):
+        record = run_async(mh_spec(), m=3, horizon=2000, seed=4, watchdog_b=2000)
+        events = record.trace.events
+        assert [ev.seq for ev in events] == list(range(2000))
+        assert len(record.states) == len(events)
+        rows = samples_csv(record).splitlines()[1:]
+        assert [tuple(map(int, row.split(",")[:2])) for row in rows] == [
+            (ev.seq, ev.worker) for ev in events
+        ]
 
     def test_watchdog_fires_on_infeasible_bound(self):
         with pytest.raises(LivenessError):
@@ -71,7 +81,7 @@ class TestRunAsync:
         spec = mh_spec()
         record = run_async(spec, m=4, horizon=30_000, seed=3, watchdog_b=30_000)
         pi = stationary_distribution(render_matrix(spec))
-        late = record.states()[15_000:]
+        late = record.states[15_000:]
         counts = Counter(late)
         emp = np.array([counts[l] for l in spec.target.support.labels], dtype=float)
         emp /= emp.sum()
@@ -84,7 +94,7 @@ class TestReplay:
         schedule = random_schedule(3, 5, 200, np.random.default_rng(4))
         a = replay(spec, schedule, seed=7)
         b = replay(spec, schedule, seed=7)
-        assert a.samples == b.samples
+        assert a.states == b.states
         assert a.trace == schedule
 
     def test_synchronous_replay_equals_sequential(self):
@@ -97,7 +107,7 @@ class TestReplay:
         for _ in range(150):
             x = kernel_step(spec, x, rng).state
             expected.append(x)
-        assert record.states() == expected
+        assert record.states == expected
 
     def test_invalid_schedule_rejected(self):
         spec = mh_spec()
@@ -119,7 +129,7 @@ class TestReplay:
         n_seeds = 10_000
         for seed in range(n_seeds):
             record = replay(spec, schedule, seed=seed)
-            counts[record.samples[k][2]] += 1
+            counts[record.states[k]] += 1
         emp = np.array([counts[l] for l in spec.target.support.labels], dtype=float) / n_seeds
         tv = 0.5 * np.abs(emp - trace.mus[k + 1].probs).sum()
         assert tv <= 0.03
@@ -133,7 +143,7 @@ class TestReplay:
         for i in range(n_replays):
             schedule = random_schedule(3, 5, 30, rng)
             record = replay(spec, schedule, seed=i)
-            counts[record.samples[-1][2]] += 1
+            counts[record.states[-1]] += 1
         emp = np.array([counts[l] for l in spec.target.support.labels], dtype=float) / n_replays
         assert 0.5 * np.abs(emp - pi.probs).sum() <= 0.02
 
