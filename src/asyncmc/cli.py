@@ -26,6 +26,7 @@ import numpy as np
 from . import diagnostics, kernels, measure_sim, measures, pserver, schedules, shmem
 from .errors import (
     AsyncMCError,
+    DimensionError,
     LivenessError,
     ParameterError,
     UnsupportedTargetError,
@@ -127,19 +128,43 @@ def build_target(doc: dict) -> kernels.TargetDensity:
     raise ValidationError(f"target.type: unknown target type {kind!r}")
 
 
+def _check_proposal_target(kind: str, target: kernels.TargetDensity, finite: bool):
+    """Refuse a ``kind`` proposal, made for finite targets when ``finite`` and
+    for targets on R^dim otherwise, on a target of the other sort."""
+    if target.is_finite != finite:
+        need = "a finite target" if finite else "a Gaussian target"
+        raise ValidationError(f"kernel.proposal.type: {kind!r} needs {need}")
+
+
 def build_proposal(doc: dict, target: kernels.TargetDensity):
+    """The proposal of a config, checked against the target it moves on.
+
+    Finite-space proposals are refused on a Gaussian target and Gaussian
+    ones on a finite target, so no kernel on a finite target draws normals.
+    """
     where = "kernel.proposal"
     kind = doc.get("type")
     if kind == "uniform_independence":
+        _check_proposal_target(kind, target, finite=True)
         return kernels.UniformIndependenceProposal(target.support)
     if kind == "table_independence":
+        _check_proposal_target(kind, target, finite=True)
         return kernels.TableIndependenceProposal(target.support, *_required(doc, where, "weights"))
     if kind == "identity":
         return kernels.IdentityProposal()
     if kind == "gaussian_random_walk":
-        return kernels.GaussianRandomWalkProposal(*_required(doc, where, "scale"))
+        proposal = kernels.GaussianRandomWalkProposal(*_required(doc, where, "scale"))
+        _check_proposal_target(kind, target, finite=False)
+        return proposal
     if kind == "gaussian_independence":
-        return kernels.GaussianIndependenceProposal(*_required(doc, where, "center", "scale"))
+        proposal = kernels.GaussianIndependenceProposal(*_required(doc, where, "center", "scale"))
+        _check_proposal_target(kind, target, finite=False)
+        if len(proposal.center) != target.dim:
+            raise ValidationError(
+                f"{where}.center: has {len(proposal.center)} entries for a target "
+                f"of dimension {target.dim}"
+            )
+        return proposal
     if kind == "gibbs_site":
         return kernels.GibbsSiteProposal(target)
     raise ValidationError(f"kernel.proposal.type: unknown proposal type {kind!r}")
@@ -171,7 +196,7 @@ def build_mu0(doc: dict | None, space: measures.StateSpace) -> measures.FiniteDi
         (probs,) = _required(doc, "params.mu0", "probs")
         try:
             return measures.FiniteDistribution(space, np.asarray(probs, dtype=float))
-        except ValidationError as exc:
+        except (TypeError, ValueError, DimensionError, ValidationError) as exc:
             raise ValidationError(f"params.mu0.probs: {exc}") from exc
     raise ValidationError(f"params.mu0.type: unknown initial distribution {doc.get('type')!r}")
 

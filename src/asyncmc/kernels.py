@@ -3,7 +3,7 @@
 Two kernel families are implemented: random-proposal Metropolis-Hastings and
 single-site Gibbs (random-scan or systematic-scan).  Every step works in log
 space, returns the log unnormalized target density at its result, and draws
-from an explicitly seeded ``numpy.random.Generator`` in a fixed order:
+from an explicitly seeded stream in a fixed order:
 
 * ``mh_step``: the proposal's draws first, then exactly one uniform for the
   accept decision (drawn even when the ratio exceeds 1).
@@ -11,6 +11,13 @@ from an explicitly seeded ``numpy.random.Generator`` in a fixed order:
 * Gaussian Gibbs site draw: one standard normal.
 * ``gibbs_single_site`` kernel step: one integer draw for the site, then the
   site draw.
+
+The stream is a ``numpy.random.Generator``, or a :class:`_PCG64Draws` over
+one, which gives the same values in the same order from raw PCG64 outputs
+fetched in bulk.  Steps call only ``random()``, ``integers(low, high)`` and,
+on Gaussian targets, ``standard_normal()``; the helper has no normal draw, so
+``shmem.replay`` uses it for finite targets only, and ``shmem.run_async``
+always steps on the ``Generator``.
 
 For finite targets a kernel can also be rendered to an exact
 :class:`~asyncmc.measures.StochasticMatrix`, which is what ties the sampling
@@ -207,7 +214,7 @@ class UniformIndependenceProposal:
         self._log_q = -math.log(space.size)
 
     def sample(self, x, rng: np.random.Generator):
-        return self.space.labels[int(rng.integers(self._size))], {}
+        return self.space.labels[int(rng.integers(0, self._size))], {}
 
     def logpdf(self, y, x, params=None) -> float:
         return self._log_q if y in self.space._index else NEG_INF
@@ -224,6 +231,10 @@ class TableIndependenceProposal:
 
     def __init__(self, space: StateSpace, weights: Sequence[float]):
         w = _finite_array(weights, "kernel.proposal.weights")
+        if w.shape != (space.size,):
+            raise ValidationError(
+                f"kernel.proposal.weights: need one weight per state ({space.size}), got {weights!r}"
+            )
         if np.any(w < 0) or w.sum() <= 0:
             raise ValidationError("kernel.proposal.weights: must be non-negative with positive mass")
         self.space = space
@@ -285,7 +296,10 @@ class GaussianIndependenceProposal:
     proposal_id = "gaussian_independence"
 
     def __init__(self, center: Sequence[float], scale: float):
-        self.center = tuple(_finite_array(center, "kernel.proposal.center").tolist())
+        c = _finite_array(center, "kernel.proposal.center")
+        if c.ndim != 1:
+            raise ValidationError(f"kernel.proposal.center: must be a list of numbers, got {center!r}")
+        self.center = tuple(c.tolist())
         self.scale = _positive_scale(scale)
         self._log_scale = math.log(self.scale)
 
@@ -318,7 +332,7 @@ class GibbsSiteProposal:
         self.target = target
 
     def sample(self, x, rng: np.random.Generator):
-        site = int(rng.integers(self.target.dim))
+        site = int(rng.integers(0, self.target.dim))
         return gibbs_site_draw(self.target, x, site, rng), {"site": site}
 
     def logpdf(self, y, x, params) -> float:
@@ -456,7 +470,7 @@ def kernel_step(spec: KernelSpec, x, rng: np.random.Generator) -> StepResult:
     if spec.kind == "metropolis_hastings":
         return mh_step(spec, x, rng)
     if spec.kind == "gibbs_single_site":
-        site = int(rng.integers(spec.target.dim))
+        site = int(rng.integers(0, spec.target.dim))
         return gibbs_site_step(spec, x, site, rng)
     order = spec.site_order or tuple(range(spec.target.dim))
     state = x
@@ -540,3 +554,75 @@ def worker_streams(seed: int, n_workers: int, extra: int = 0) -> list[np.random.
     """
     children = np.random.SeedSequence(seed).spawn(n_workers + extra)
     return [np.random.default_rng(c) for c in children]
+
+
+_FIRST_FETCH_WORDS = 8  # a short replay or run reads only a few outputs
+_RAW_WORDS_PER_FETCH = 1024  # 64-bit PCG64 outputs fetched at a time, at most
+_LOW32 = 0xFFFFFFFF
+_LOW64 = 0xFFFFFFFFFFFFFFFF
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+
+
+def _raw_fetches(random_raw):
+    """Lists of raw outputs: ``_FIRST_FETCH_WORDS`` first, then each fetch
+    twice the last, up to ``_RAW_WORDS_PER_FETCH``."""
+    words = _FIRST_FETCH_WORDS
+    while True:
+        words = min(words, _RAW_WORDS_PER_FETCH)
+        yield random_raw(words).tolist()
+        words *= 2
+
+
+class _PCG64Draws:
+    """``rng.random()`` and ``int(rng.integers(low, high))`` of a PCG64
+    ``Generator``, bit for bit, from raw 64-bit outputs fetched in bulk.
+
+    numpy makes a double of one output ``w`` as ``(w >> 11) * 2**-53``.  A
+    bounded integer below ``k = high - low`` draws nothing at ``k == 1``; up
+    to ``k == 2**32`` (one half-word, never rejected) it runs Lemire's
+    multiply-and-reject on 32-bit half-words, where PCG64 hands out an
+    output's low half and keeps the high half for the next half-word
+    (doubles and 64-bit draws leave that buffer alone); above, Lemire's
+    method runs on whole outputs.  Fetch sizes decide only where refills
+    fall, never which values come out.  Outputs fetched and not used are
+    left behind, so the generator is not to be drawn from again.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(f"raw-word draws need PCG64, got {type(bit_generator).__name__}")
+        state = bit_generator.state
+        self.half = state["uinteger"] if state["has_uint32"] else None
+        fetches = _raw_fetches(bit_generator.random_raw)
+        self.next64 = itertools.chain.from_iterable(fetches).__next__
+
+    def next32(self) -> int:
+        half = self.half
+        if half is not None:
+            self.half = None
+            return half
+        word = self.next64()
+        self.half = word >> 32
+        return word & _LOW32
+
+    def random(self) -> float:
+        return (self.next64() >> 11) * _DOUBLE_UNIT
+
+    def integers(self, low: int, high: int) -> int:
+        k = high - low
+        if k == 1:
+            return low
+        if k <= 1 << 32:
+            x = self.next32() * k
+            if x & _LOW32 < k:
+                threshold = (1 << 32) % k
+                while x & _LOW32 < threshold:
+                    x = self.next32() * k
+            return low + (x >> 32)
+        x = self.next64() * k
+        if x & _LOW64 < k:
+            threshold = (1 << 64) % k
+            while x & _LOW64 < threshold:
+                x = self.next64() * k
+        return low + (x >> 64)

@@ -49,6 +49,7 @@ from .kernels import (
     TableIndependenceProposal,
     TargetDensity,
     UniformIndependenceProposal,
+    _PCG64Draws,
     default_init,
     worker_streams,
 )
@@ -175,67 +176,6 @@ class DelayModel:
     @property
     def jitter(self) -> float:
         return float(self.params.get("jitter", 0.25))
-
-
-_RAW_WORDS_PER_FETCH = 1024  # 64-bit PCG64 outputs fetched at a time
-_LOW32 = 0xFFFFFFFF
-_LOW64 = 0xFFFFFFFFFFFFFFFF
-_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
-
-
-class _PCG64Draws:
-    """``rng.random()`` and ``int(rng.integers(low, high))`` of a PCG64
-    ``Generator``, bit for bit, from raw 64-bit outputs fetched in bulk.
-
-    numpy makes a double of one output ``w`` as ``(w >> 11) * 2**-53``.  A
-    bounded integer below ``k = high - low`` draws nothing at ``k == 1``; up
-    to ``k == 2**32`` (one half-word, never rejected) it runs Lemire's
-    multiply-and-reject on 32-bit half-words, where PCG64 hands out an
-    output's low half and keeps the high half for the next half-word
-    (doubles and 64-bit draws leave that buffer alone); above, Lemire's
-    method runs on whole outputs.  Outputs fetched and not used are left
-    behind, so the generator is not to be drawn from again.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        bit_generator = rng.bit_generator
-        if not isinstance(bit_generator, np.random.PCG64):
-            raise TypeError(f"raw-word draws need PCG64, got {type(bit_generator).__name__}")
-        state = bit_generator.state
-        self.half = state["uinteger"] if state["has_uint32"] else None
-        raw = bit_generator.random_raw
-        fetches = iter(lambda: raw(_RAW_WORDS_PER_FETCH).tolist(), None)
-        self.next64 = itertools.chain.from_iterable(fetches).__next__
-
-    def next32(self) -> int:
-        half = self.half
-        if half is not None:
-            self.half = None
-            return half
-        word = self.next64()
-        self.half = word >> 32
-        return word & _LOW32
-
-    def random(self) -> float:
-        return (self.next64() >> 11) * _DOUBLE_UNIT
-
-    def integers(self, low: int, high: int) -> int:
-        k = high - low
-        if k == 1:
-            return low
-        if k <= 1 << 32:
-            x = self.next32() * k
-            if x & _LOW32 < k:
-                threshold = (1 << 32) % k
-                while x & _LOW32 < threshold:
-                    x = self.next32() * k
-            return low + (x >> 32)
-        x = self.next64() * k
-        if x & _LOW64 < k:
-            threshold = (1 << 64) % k
-            while x & _LOW64 < threshold:
-                x = self.next64() * k
-        return low + (x >> 64)
 
 
 def coupled_embed(target: TargetDensity, m: int) -> TargetDensity:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import LivenessError, ScheduleError
-from .kernels import KernelSpec, default_init, kernel_step, worker_streams
+from .kernels import KernelSpec, _PCG64Draws, default_init, kernel_step, worker_streams
 from .schedules import Event, Schedule, minimal_valid_bound, validate
 
 
@@ -174,11 +174,21 @@ def run_async(
 
 
 def replay(kernel: KernelSpec, schedule: Schedule, seed: int) -> RunRecord:
-    """Deterministically execute the read/step/write loop under a schedule."""
+    """Deterministically execute the read/step/write loop under a schedule.
+
+    Worker ``w`` draws from stream ``w`` of :func:`worker_streams`.  A kernel
+    on a finite target draws only doubles and bounded integers, so its
+    streams are read as raw PCG64 outputs fetched in bulk, which give the
+    values of the ``Generator`` calls in the same order; a Gaussian kernel
+    needs normal draws and keeps the ``Generator``.  This only makes replay
+    cheaper: a replay runs one thread and says nothing about concurrency.
+    """
     violation = validate(schedule)
     if violation is not None:
         raise ScheduleError(str(violation))
     rngs = worker_streams(seed, schedule.workers)
+    if kernel.target.is_finite:
+        rngs = [_PCG64Draws(rng) for rng in rngs]
     events = schedule.events
     # version v lives at index v; the initial state, version -1, at the end
     versions = [None] * len(events) + [default_init(kernel.target)]

@@ -189,6 +189,7 @@ def _replay_config(tmp_path, burn) -> dict:
 
 
 NAN, INF = float("nan"), float("inf")
+_GAUSS = {"type": "gaussian_correlated", "rho": 0.5}
 
 
 def _mh(proposal: dict) -> dict:
@@ -291,6 +292,23 @@ class TestConfigBoundary:
             ({"target": {"type": "gaussian", "mean": [0.0], "precision": [[INF]]}}, "target.precision"),
             ({"mode": "measure_sim", "params": {"mu0": {"type": "probs", "probs": [NAN, 0.5, 0.5]}}},
              "params.mu0.probs"),
+            ({"mode": "measure_sim", "params": {"mu0": {"type": "probs", "probs": [0.5, 0.5]}}},
+             "params.mu0.probs"),
+            ({"mode": "measure_sim", "params": {"mu0": {"type": "probs", "probs": ["x", 0.5, 0.5]}}},
+             "params.mu0.probs"),
+            ({"target": _GAUSS, "kernel": _mh({"type": "uniform_independence"})}, "kernel.proposal.type"),
+            ({"target": _GAUSS, "kernel": _mh({"type": "table_independence", "weights": [1.0, 1.0]})},
+             "kernel.proposal.type"),
+            ({"kernel": _mh({"type": "gaussian_random_walk", "scale": 0.5})}, "kernel.proposal.type"),
+            ({"kernel": _mh({"type": "gaussian_independence", "center": [0.0], "scale": 1.0})},
+             "kernel.proposal.type"),
+            ({"kernel": _mh({"type": "table_independence", "weights": [1.0, 2.0]})}, "kernel.proposal.weights"),
+            ({"kernel": _mh({"type": "table_independence", "weights": [1.0, 2.0, 3.0, 4.0]})},
+             "kernel.proposal.weights"),
+            ({"target": _GAUSS, "kernel": _mh({"type": "gaussian_independence", "center": [0.0], "scale": 1.0})},
+             "kernel.proposal.center"),
+            ({"target": _GAUSS, "kernel": _mh({"type": "gaussian_independence", "center": 0.0, "scale": 1.0})},
+             "kernel.proposal.center"),
         ],
     )
     def test_bad_field_exit_1(self, tmp_path, capsys, overrides, field):

@@ -22,12 +22,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asyncmc import pserver, schedules
+from asyncmc import kernels, schedules
 from asyncmc.errors import LivenessError, ParameterError, ValidationError
 from asyncmc.kernels import (
     GaussianIndependenceProposal,
     GaussianRandomWalkProposal,
     GaussianTarget,
+    GibbsSiteProposal,
+    IdentityProposal,
     KernelSpec,
     TableIndependenceProposal,
     UniformIndependenceProposal,
@@ -502,17 +504,21 @@ RAW_DRAW_BOUNDS = (1, 2, 3, 9, (1 << 31) + 1, 3 << 30, 1 << 32, (1 << 32) + 1, 1
 
 
 class TestPCG64Draws:
+    @pytest.mark.parametrize("first_fetch", [1, 2, None])
     @pytest.mark.parametrize("words_per_fetch", [1, 2, 3, None])
-    def test_matches_scalar_generator_calls(self, monkeypatch, words_per_fetch):
+    def test_matches_scalar_generator_calls(self, monkeypatch, words_per_fetch, first_fetch):
         # random interleavings of doubles and bounded draws, entered with and
         # without a buffered half-word; with 1-3 outputs per fetch, refills
-        # fall between a half-word and its partner
+        # fall between a half-word and its partner, and a first fetch of 1 or
+        # 2 outputs doubles through every size up to the cap
         if words_per_fetch is not None:
-            monkeypatch.setattr(pserver, "_RAW_WORDS_PER_FETCH", words_per_fetch)
+            monkeypatch.setattr(kernels, "_RAW_WORDS_PER_FETCH", words_per_fetch)
+        if first_fetch is not None:
+            monkeypatch.setattr(kernels, "_FIRST_FETCH_WORDS", first_fetch)
         meta = np.random.default_rng(31)
         for seed in range(40):
             fast_rng, ref_rng = generator_pair(np.random.PCG64, seed, lead=seed % 2)
-            draws = pserver._PCG64Draws(fast_rng)
+            draws = kernels._PCG64Draws(fast_rng)
             for _ in range(300):
                 if meta.random() < 0.3:
                     assert draws.random() == ref_rng.random()
@@ -522,7 +528,7 @@ class TestPCG64Draws:
 
     def test_bound_one_and_doubles_leave_the_half_word(self):
         fast_rng, ref_rng = generator_pair(np.random.PCG64, 4, lead=0)
-        draws = pserver._PCG64Draws(fast_rng)
+        draws = kernels._PCG64Draws(fast_rng)
         low = draws.integers(0, 1 << 32)  # buffers the high half
         assert low == int(ref_rng.integers(0, 1 << 32))
         assert [draws.integers(0, 1), draws.random(), draws.integers(0, 1 << 40)] == [
@@ -534,7 +540,7 @@ class TestPCG64Draws:
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS[1:])
     def test_other_bit_generators_refused(self, bit_generator):
         with pytest.raises(TypeError, match="PCG64"):
-            pserver._PCG64Draws(np.random.Generator(bit_generator(0)))
+            kernels._PCG64Draws(np.random.Generator(bit_generator(0)))
 
 
 def reference_latency(delay, rng):
@@ -855,7 +861,11 @@ def replay_kernels():
             "metropolis_hastings", finite,
             TableIndependenceProposal(finite.support, [1.0, 3.0, 2.0, 1.0]),
         ),
+        "finite_gibbs": KernelSpec("gibbs_single_site", finite),
+        "finite_identity": KernelSpec("metropolis_hastings", finite, IdentityProposal()),
         "product_gibbs": KernelSpec("gibbs_single_site", product),
+        "product_systematic": KernelSpec("systematic_gibbs", product),
+        "product_site_mh": KernelSpec("metropolis_hastings", product, GibbsSiteProposal(product)),
         "gaussian_walk": KernelSpec("metropolis_hastings", gauss, GaussianRandomWalkProposal(0.7)),
         "gaussian_gibbs": KernelSpec("gibbs_single_site", gauss),
         "gaussian_systematic": KernelSpec("systematic_gibbs", gauss),
@@ -881,6 +891,17 @@ class TestReplayPath:
             assert repr(record.states) == repr(want), name
             assert samples_csv(record) == reference_samples_csv(record), name
             assert schedule_to_jsonl(schedule) == reference_schedule_to_jsonl(schedule), name
+
+    @pytest.mark.parametrize(
+        "kernel_name", sorted(n for n, k in replay_kernels().items() if k.target.is_finite)
+    )
+    def test_long_finite_replay_matches_reference(self, kernel_name):
+        # one worker reads thousands of raw outputs: every fetch size up to
+        # the cap, then several full refills
+        kernel = replay_kernels()[kernel_name]
+        schedule = synchronous_schedule(1, 5000)
+        record = replay(kernel, schedule, 7)
+        assert repr(record.states) == repr(reference_replay_samples(kernel, schedule, 7))
 
     def test_samples_csv_tells_equal_states_apart(self):
         negative = (-0.0, 1.0)
