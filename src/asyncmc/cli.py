@@ -73,6 +73,7 @@ class ExperimentConfig:
             value = getattr(self, field_name)
             if not _is_int(value):
                 raise ValidationError(f"{field_name}: must be an integer, got {value!r}")
+        _object(self.params, "params")
         if self.m < 1:
             raise ValidationError("m: need at least one worker")
         if self.horizon < 1:
@@ -105,6 +106,13 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _object(doc, where: str) -> dict:
+    """``doc`` when it is a JSON object, else a ValidationError naming ``where``."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: must be an object, got {doc!r}")
+    return doc
+
+
 def _required(doc: dict, where: str, *names):
     """The named fields of a config object, or a ValidationError naming the first missing one."""
     for name in names:
@@ -114,9 +122,7 @@ def _required(doc: dict, where: str, *names):
 
 
 def build_target(doc: dict) -> kernels.TargetDensity:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"target: must be an object, got {doc!r}")
-    kind = doc.get("type")
+    kind = _object(doc, "target").get("type")
     if kind == "finite":
         (weights,) = _required(doc, "target", "weights")
         return kernels.finite_target(weights, doc.get("labels"))
@@ -128,37 +134,38 @@ def build_target(doc: dict) -> kernels.TargetDensity:
     raise ValidationError(f"target.type: unknown target type {kind!r}")
 
 
-def _check_proposal_target(kind: str, target: kernels.TargetDensity, finite: bool):
-    """Refuse a ``kind`` proposal, made for finite targets when ``finite`` and
-    for targets on R^dim otherwise, on a target of the other sort."""
-    if target.is_finite != finite:
-        need = "a finite target" if finite else "a Gaussian target"
-        raise ValidationError(f"kernel.proposal.type: {kind!r} needs {need}")
+def _check_proposal_target(cls, target: kernels.TargetDensity):
+    """Refuse a proposal class on a target of a sort it does not serve."""
+    if target.sort not in cls.targets:
+        raise ValidationError(
+            f"kernel.proposal.type: {cls.proposal_id!r} needs a {' or '.join(cls.targets)} target"
+        )
 
 
 def build_proposal(doc: dict, target: kernels.TargetDensity):
     """The proposal of a config, checked against the target it moves on.
 
     Finite-space proposals are refused on a Gaussian target and Gaussian
-    ones on a finite target, so no kernel on a finite target draws normals.
+    ones on a finite target, so no kernel on a finite target draws normals;
+    the check reads each class's ``targets``, as ``KernelSpec`` does.
     """
     where = "kernel.proposal"
-    kind = doc.get("type")
+    kind = _object(doc, where).get("type")
     if kind == "uniform_independence":
-        _check_proposal_target(kind, target, finite=True)
+        _check_proposal_target(kernels.UniformIndependenceProposal, target)
         return kernels.UniformIndependenceProposal(target.support)
     if kind == "table_independence":
-        _check_proposal_target(kind, target, finite=True)
+        _check_proposal_target(kernels.TableIndependenceProposal, target)
         return kernels.TableIndependenceProposal(target.support, *_required(doc, where, "weights"))
     if kind == "identity":
         return kernels.IdentityProposal()
     if kind == "gaussian_random_walk":
         proposal = kernels.GaussianRandomWalkProposal(*_required(doc, where, "scale"))
-        _check_proposal_target(kind, target, finite=False)
+        _check_proposal_target(type(proposal), target)
         return proposal
     if kind == "gaussian_independence":
         proposal = kernels.GaussianIndependenceProposal(*_required(doc, where, "center", "scale"))
-        _check_proposal_target(kind, target, finite=False)
+        _check_proposal_target(type(proposal), target)
         if len(proposal.center) != target.dim:
             raise ValidationError(
                 f"{where}.center: has {len(proposal.center)} entries for a target "
@@ -171,7 +178,7 @@ def build_proposal(doc: dict, target: kernels.TargetDensity):
 
 
 def build_kernel(doc: dict, target: kernels.TargetDensity) -> kernels.KernelSpec:
-    kind = doc.get("kind")
+    kind = _object(doc, "kernel").get("kind")
     proposal = None
     if doc.get("proposal") is not None:
         proposal = build_proposal(doc["proposal"], target)
@@ -180,6 +187,7 @@ def build_kernel(doc: dict, target: kernels.TargetDensity) -> kernels.KernelSpec
 
 
 def build_delay(doc: dict) -> pserver.DelayModel:
+    doc = _object(doc, "delay")
     # default delay law: geometric latency with mean 2 commits
     return pserver.DelayModel(
         doc.get("kind", "fifo_random"), doc.get("params", {}), doc.get("staleness_cap", 64)
@@ -187,7 +195,7 @@ def build_delay(doc: dict) -> pserver.DelayModel:
 
 
 def build_mu0(doc: dict | None, space: measures.StateSpace) -> measures.FiniteDistribution:
-    if doc is None or doc.get("type") == "point_mass":
+    if doc is None or _object(doc, "params.mu0").get("type") == "point_mass":
         label = doc.get("label", space.labels[0]) if doc else space.labels[0]
         return measures.FiniteDistribution.point_mass(space, label)
     if doc["type"] == "uniform":
@@ -202,7 +210,7 @@ def build_mu0(doc: dict | None, space: measures.StateSpace) -> measures.FiniteDi
 
 
 def build_schedule(cfg: ExperimentConfig, rng: np.random.Generator) -> schedules.Schedule:
-    doc = cfg.params.get("schedule", {"type": "random"})
+    doc = _object(cfg.params.get("schedule", {"type": "random"}), "params.schedule")
     kind = doc.get("type", "random")
     if kind == "random":
         return schedules.random_schedule(cfg.m, cfg.b, cfg.horizon, rng)

@@ -142,6 +142,10 @@ class TargetDensity:
     def is_finite(self) -> bool:
         return self.support is not None
 
+    @property
+    def sort(self) -> str:  # as proposal classes name it in their ``targets``
+        return "finite" if self.support is not None else "continuous"
+
 
 def finite_target(weights: Sequence[float], labels: Sequence | None = None) -> TargetDensity:
     """Target over an enumerated space with explicitly tabled weights."""
@@ -197,7 +201,8 @@ def target_distribution(target: TargetDensity) -> FiniteDistribution:
 
 # ---------------------------------------------------------------------------
 # Proposal families.  Each carries an id (used for server-side registration),
-# a symmetry flag, sample/logpdf, and, when the family is enumerable over a
+# a symmetry flag, the sorts of target it serves (``targets``, checked by
+# KernelSpec), sample/logpdf, and, when the family is enumerable over a
 # finite space, a support_logpdfs method used for matrix rendering.
 # ---------------------------------------------------------------------------
 
@@ -207,6 +212,7 @@ class UniformIndependenceProposal:
 
     symmetric = True
     proposal_id = "uniform_independence"
+    targets = ("finite",)
 
     def __init__(self, space: StateSpace):
         self.space = space
@@ -228,6 +234,7 @@ class TableIndependenceProposal:
 
     symmetric = False
     proposal_id = "table_independence"
+    targets = ("finite",)
 
     def __init__(self, space: StateSpace, weights: Sequence[float]):
         w = _finite_array(weights, "kernel.proposal.weights")
@@ -261,6 +268,7 @@ class IdentityProposal:
 
     symmetric = True
     proposal_id = "identity"
+    targets = ("finite", "continuous")
 
     def sample(self, x, rng: np.random.Generator):
         return x, {}
@@ -274,6 +282,7 @@ class GaussianRandomWalkProposal:
 
     symmetric = True
     proposal_id = "gaussian_random_walk"
+    targets = ("continuous",)
 
     def __init__(self, scale: float):
         self.scale = _positive_scale(scale)
@@ -294,6 +303,7 @@ class GaussianIndependenceProposal:
 
     symmetric = False
     proposal_id = "gaussian_independence"
+    targets = ("continuous",)
 
     def __init__(self, center: Sequence[float], scale: float):
         c = _finite_array(center, "kernel.proposal.center")
@@ -325,6 +335,7 @@ class GibbsSiteProposal:
 
     symmetric = False
     proposal_id = "gibbs_site"
+    targets = ("finite", "continuous")
 
     def __init__(self, target: TargetDensity):
         if target.site_domains is None and target.gaussian is None:
@@ -411,6 +422,12 @@ class KernelSpec:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "metropolis_hastings" and self.proposal is None:
             raise ValidationError("metropolis_hastings requires a proposal")
+        targets = getattr(self.proposal, "targets", ())
+        if self.proposal is not None and self.target.sort not in targets:
+            raise ValidationError(
+                f"kernel.proposal.type: {self.describe()} serves {' or '.join(targets) or 'no'} "
+                f"targets, not a {self.target.sort} one"
+            )
         if self.kind in ("gibbs_single_site", "systematic_gibbs"):
             t = self.target
             if t.site_domains is None and t.gaussian is None:

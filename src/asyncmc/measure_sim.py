@@ -29,6 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     DimensionError,
     InconclusiveCounterexampleError,
+    ParameterError,
     ScheduleError,
 )
 from .measures import (
@@ -304,8 +305,18 @@ def run_theorem4_campaign(
     weight drawn uniformly from ``CAMPAIGN_UNIFORM_MIX``; the blend bounds
     the per-application TV contraction coefficient away from 1 so that
     every trace reaches ``CONVERGENCE_THRESHOLD``, the threshold each is
-    checked against, at the worst legal operator depth.
+    checked against, at the worst legal operator depth.  The sizes are
+    checked first, so that every drawn schedule is feasible.
     """
+    for field, value, least, why in (
+        ("params.instances", n_instances, 1, ""),
+        ("params.n_states_max", n_states_max, 2, ""),
+        ("params.m_max", m_max, 1, ""),
+        ("params.b_max", b_max, m_max, " (params.m_max)"),
+        ("horizon", length, b_max, " (params.b_max)"),
+    ):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ParameterError(f"{field}: must be an integer >= {least}{why}, got {value!r}")
     rng = np.random.default_rng(seed)
     violations = 0
     worst_d = 0.0

@@ -26,6 +26,8 @@ import numpy as np
 from .errors import ParameterError, ValidationError
 
 EVENT_KINDS = ("write", "server_commit")
+_VALIDATED = "_validated"  # instance mark of a schedule random_schedule checked
+_WORD = 0xFFFFFFFF
 
 
 class _EventFields(NamedTuple):
@@ -78,7 +80,16 @@ class ScheduleViolation:
 
 
 def validate(s: Schedule) -> ScheduleViolation | None:
-    """Return ``None`` when valid, else a report naming the first bad seq."""
+    """Return ``None`` when valid, else a report naming the first bad seq.
+
+    A schedule that :func:`random_schedule` built and checked carries a
+    private mark and passes at once: a ``Schedule`` is frozen and its events
+    are immutable tuples of ints, so it cannot have changed since.  The mark
+    is no dataclass field, so equality, ``repr`` and ``dataclasses.replace``
+    ignore it, and every other schedule is walked in full.
+    """
+    if getattr(s, _VALIDATED, False):
+        return None
     b, m = s.staleness_bound, s.workers
     events = s.events
     last_write = [-1] * m
@@ -130,106 +141,89 @@ def _check_feasible(m: int, b: int, length: int) -> None:
         raise ParameterError(f"length {length} shorter than staleness bound {b}")
 
 
-def _edf_safe_workers(order: list[int], deadlines: list[int], seq: int) -> list[int]:
-    # Candidates whose choice leaves the remaining deadlines schedulable:
-    # after serving w at `seq`, the i-th earliest other deadline must be
-    # reachable at seq+1+i.  `order` lists the workers by (deadline, index);
-    # dropping the rank-r deadline keeps rank i < r at slot seq+1+i and moves
-    # rank k > r to slot seq+k.  So r is safe iff no rank i < r has slack
-    # (deadline - seq - i) below 1 and no rank k > r has negative slack: the
-    # safe ranks form one interval.  While every slack is non-negative, as
-    # random_schedule keeps it, a worker due at `seq` has rank 0 and slack 0
-    # and so is the only safe one.
-    lo, hi = 0, len(order) - 1
-    for i, w in enumerate(order):
-        slack = deadlines[w] - seq - i
-        if slack < 0:
-            lo = i
-        if slack < 1 and i < hi:
-            hi = i
-    return sorted(order[lo : hi + 1])
-
-
-_WORDS_PER_FETCH = 2048  # 32-bit words fetched from the generator at a time
-_WORD = 0xFFFFFFFF
-
-
-class _BoundedDraws:
-    """``int(rng.integers(k))`` for each bound ``k`` asked for, bit for bit.
-
-    numpy draws a scalar in ``[0, k)`` by Lemire's multiply-and-reject on
-    32-bit words from the bit generator's ``next_uint32``, the words its
-    uint32 fill returns too, and ``k == 1`` consumes none.  So the words are
-    fetched in bulk and the method is rerun on them.  ``close`` rewinds the
-    generator to before the last fetch and draws again only the words used,
-    so it ends exactly where the scalar calls would have left it.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.words = []
-        self.pos = 0
-        self.state = None  # the generator's state before the words in hand
-
-    def below(self, k: int) -> int:
-        if k == 1:
-            return 0
-        x = self._word() * k
-        if x & _WORD < k:
-            threshold = (_WORD + 1) % k
-            while x & _WORD < threshold:
-                x = self._word() * k
-        return x >> 32
-
-    def _word(self) -> int:
-        pos = self.pos
-        if pos == len(self.words):
-            self.state = self.rng.bit_generator.state
-            self.words = self.rng.integers(0, _WORD + 1, size=_WORDS_PER_FETCH, dtype=np.uint32).tolist()
-            pos = 0
-        self.pos = pos + 1
-        return self.words[pos]
-
-    def close(self) -> None:
-        if self.state is not None:
-            self.rng.bit_generator.state = self.state
-            self.rng.integers(0, _WORD + 1, size=self.pos, dtype=np.uint32)
-
-
 def random_schedule(m: int, b: int, length: int, rng: np.random.Generator) -> Schedule:
     """A uniformly scrambled valid schedule.
 
     Worker choice is random among options that keep the liveness deadlines
     satisfiable; staleness is uniform over the legal range, so both the
     fully fresh read (``read_from == seq - 1``) and the maximally stale one
-    (``seq - read_from == b``) occur with positive probability.  ``rng`` is
-    consumed and left exactly as by two scalar ``rng.integers`` calls per
-    event, one for the worker and one for the staleness.
+    (``seq - read_from == b``) occur with positive probability.
+
+    The draws are those of two scalar ``rng.integers`` calls per event, one
+    for the worker and one for the staleness, bit for bit.  numpy draws a
+    bounded scalar in ``[0, k)`` by Lemire's multiply-and-reject on 32-bit
+    words, the words its uint32 fill returns too, and ``k == 1`` consumes
+    none.  So one fetch takes the ``2 * length`` words that every accepted
+    draw needs, each rejected word appends one more, and the loop runs
+    Lemire on them inline.  At the end the generator is rewound to before
+    the fetch and draws again only the words used, leaving it exactly where
+    the scalar calls would have.  The schedule is checked once here and
+    marked, so :func:`validate` passes it without a second walk.
     """
     _check_feasible(m, b, length)
-    draws = _BoundedDraws(rng)
-    below = draws.below
-    deadlines = [b - 1] * m  # each worker must first write within the opening window
-    order = list(range(m))  # workers by (deadline, index)
+    state = rng.bit_generator.state
+    words = rng.integers(0, _WORD + 1, size=2 * length, dtype=np.uint32).tolist()
+    pos = 0
+    # The workers by (deadline, index) and their deadlines in the same
+    # order; each worker must first write within the opening window.
+    order = list(range(m))
+    due = [b - 1] * m
+    last = m - 1
     new_event = tuple.__new__
     events = []
     for seq in range(length):
-        pool = _edf_safe_workers(order, deadlines, seq)
-        if not pool:  # pragma: no cover - b >= m keeps this unreachable
-            raise ParameterError("scheduling dead end; parameters infeasible")
-        worker = pool[below(len(pool))]
+        # Earliest-deadline-first: after serving the rank-r worker at seq,
+        # rank i < r keeps slot seq+1+i and rank i > r moves to slot seq+i,
+        # so r is safe iff no rank below r has slack due[i] - seq - i of 0.
+        # The loop keeps every slack >= 0, so the safe workers are the ranks
+        # up to the first one with slack 0, and a worker due at seq has rank
+        # 0 and slack 0 and so is the only one.
+        hi = last
+        for i in range(last):
+            if due[i] - i == seq:
+                hi = i
+                break
+        if hi:
+            k = hi + 1
+            x = words[pos] * k
+            pos += 1
+            if x & _WORD < k:
+                threshold = (_WORD + 1) % k
+                while x & _WORD < threshold:
+                    words.append(int(rng.integers(0, _WORD + 1, dtype=np.uint32)))
+                    x = words[pos] * k
+                    pos += 1
+            # the pool is the safe workers by index; all of them when k == m
+            worker = x >> 32 if k == m else sorted(order[:k])[x >> 32]
+            rank = order.index(worker)
+        else:
+            worker, rank = order[0], 0
         # The new deadline seq + b is strictly the largest, so the worker
         # moves to the end and `order` stays sorted by (deadline, index).
-        order.remove(worker)
+        del order[rank], due[rank]
         order.append(worker)
-        deadlines[worker] = seq + b
-        read_from = seq - 1 - below(seq + 1 if seq < b else b)
+        due.append(seq + b)
+        k = seq + 1 if seq < b else b
+        if k == 1:
+            read_from = seq - 1
+        else:
+            x = words[pos] * k
+            pos += 1
+            if x & _WORD < k:
+                threshold = (_WORD + 1) % k
+                while x & _WORD < threshold:
+                    words.append(int(rng.integers(0, _WORD + 1, dtype=np.uint32)))
+                    x = words[pos] * k
+                    pos += 1
+            read_from = seq - 1 - (x >> 32)
         events.append(new_event(Event, (seq, worker, read_from, "write")))
-    draws.close()
+    rng.bit_generator.state = state
+    rng.integers(0, _WORD + 1, size=pos, dtype=np.uint32)
     sched = Schedule(tuple(events), m, b)
     violation = validate(sched)
     if violation is not None:  # pragma: no cover - generator soundness guard
         raise ParameterError(f"generator produced invalid schedule: {violation}")
+    object.__setattr__(sched, _VALIDATED, True)
     return sched
 
 

@@ -318,6 +318,57 @@ class TestConfigBoundary:
         assert f"{field}:" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"params": [1]}, "params"),
+            ({"kernel": ["x"]}, "kernel"),
+            ({"kernel": _mh("uniform_independence")}, "kernel.proposal"),
+            ({"params": {"schedule": "random"}}, "params.schedule"),
+            ({"mode": "measure_sim", "params": {"mu0": "uniform"}}, "params.mu0"),
+        ],
+    )
+    def test_not_an_object_exit_1(self, tmp_path, capsys, overrides, field):
+        doc = {**_replay_config(tmp_path, 0.5), **overrides}
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{field}: must be an object" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["run", "coupled"])
+    def test_delay_not_an_object_exit_1(self, tmp_path, capsys, experiment):
+        doc = _small_pserver_config(tmp_path)
+        doc.update(experiment=experiment, delay="fifo" if experiment == "run" else None)
+        if experiment == "coupled":
+            doc["target"] = {"type": "finite", "weights": [1.0, 2.0]}
+            doc["kernel"] = _mh({"type": "uniform_independence"})
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "delay: must be an object" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"instances": 0}, "params.instances"),
+            ({"instances": "x"}, "params.instances"),
+            ({"n_states_max": 1}, "params.n_states_max"),
+            ({"m_max": 0}, "params.m_max"),
+            ({"b_max": 0}, "params.b_max"),
+            ({"horizon": 5, "b_max": 10}, "horizon"),
+        ],
+    )
+    def test_campaign_sizes_exit_1(self, tmp_path, capsys, overrides, field):
+        params = {"instances": 2, "n_states_max": 3, "m_max": 2, "b_max": 4, **overrides}
+        doc = {
+            **_replay_config(tmp_path, 0.5), "mode": "measure_sim", "experiment": "theorem4_campaign",
+            "horizon": params.pop("horizon", 30), "params": params,
+        }
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{field}: must be an integer" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_server_rejects_random_walk_exit_1(self, tmp_path, capsys):
         doc = _small_pserver_config(tmp_path)
         doc["kernel"] = _mh({"type": "gaussian_random_walk", "scale": 0.5})

@@ -127,6 +127,7 @@ class TestMHStep:
         class BrokenProposal:
             symmetric = True
             proposal_id = "broken"
+            targets = ("finite",)
 
             def sample(self, x, rng):
                 return "not-a-state", {}
@@ -315,6 +316,33 @@ class TestProposals:
         for proposal, target, proposal_id in cases:
             spec = KernelSpec("metropolis_hastings", target, proposal)
             assert spec.describe() == f"metropolis_hastings[{proposal_id}]"
+
+    def test_kernel_spec_refuses_a_proposal_of_the_wrong_sort(self):
+        finite = finite_target([1.0, 2.0, 3.0])
+        gauss = gaussian_target([0.0], [[1.0]])
+        cases = [
+            (finite, GaussianIndependenceProposal([0.0], 1.0)),
+            (finite, GaussianRandomWalkProposal(1.0)),
+            (gauss, UniformIndependenceProposal(finite.support)),
+            (gauss, TableIndependenceProposal(finite.support, [1.0, 1.0, 2.0])),
+        ]
+        for target, proposal in cases:
+            with pytest.raises(ValidationError, match=f"{proposal.proposal_id}.*not a {target.sort}"):
+                KernelSpec("metropolis_hastings", target, proposal)
+
+    def test_kernel_spec_refuses_a_proposal_declaring_no_targets(self):
+        class Undeclared(IdentityProposal):
+            targets = ()
+
+        with pytest.raises(ValidationError, match="serves no targets"):
+            KernelSpec("metropolis_hastings", three_state(), Undeclared())
+
+    def test_proposals_serving_both_sorts(self):
+        finite = finite_target([1.0, 2.0, 3.0])
+        gauss = gaussian_target([0.0], [[1.0]])
+        for target in (finite, gauss):
+            KernelSpec("metropolis_hastings", target, IdentityProposal())
+            KernelSpec("metropolis_hastings", target, GibbsSiteProposal(target))
 
     def test_worker_streams_are_independent_and_reproducible(self):
         a = worker_streams(42, 3)

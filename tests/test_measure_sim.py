@@ -6,6 +6,7 @@ import pytest
 from asyncmc.errors import (
     DimensionError,
     InconclusiveCounterexampleError,
+    ParameterError,
     ScheduleError,
 )
 from asyncmc.kernels import KernelSpec, UniformIndependenceProposal, finite_target, render_matrix
@@ -125,6 +126,24 @@ class TestVerify:
         report = run_theorem4_campaign(100, seed=33)
         assert report.violations == 0
         assert report.worst_final_d <= 1e-8
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"n_instances": 0}, "params.instances"),
+            ({"n_instances": "x"}, "params.instances"),
+            ({"n_instances": True}, "params.instances"),
+            ({"n_states_max": 1}, "params.n_states_max"),
+            ({"m_max": 0}, "params.m_max"),
+            ({"m_max": 2.0}, "params.m_max"),
+            ({"m_max": 5, "b_max": 4}, "params.b_max"),
+            ({"b_max": 10, "length": 5}, "horizon"),
+        ],
+    )
+    def test_campaign_sizes_checked_first(self, kwargs, field):
+        kwargs = {"n_instances": 3, "length": 30, **kwargs}
+        with pytest.raises(ParameterError, match=f"^{field}: must be an integer"):
+            run_theorem4_campaign(kwargs.pop("n_instances"), 0, **kwargs)
 
     def test_failure_report_names_index(self):
         m = three_state_matrix()

@@ -418,19 +418,6 @@ def assert_same_draws(m, b, length, bit_generator, seed, lead=0):
     assert fast_rng.integers(2**63) == ref_rng.integers(2**63)
 
 
-class TestEdfSafeWorkers:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20000):
-            m = int(rng.integers(1, 8))
-            seq = int(rng.integers(0, 30))
-            deadlines = [int(x) for x in rng.integers(seq - 2, seq + m + 3, size=m)]
-            order = sorted(range(m), key=deadlines.__getitem__)
-            assert schedules._edf_safe_workers(order, deadlines, seq) == reference_edf_safe_workers(
-                deadlines, seq
-            )
-
-
 class TestRandomScheduleDraws:
     def test_random_shapes(self):
         meta = np.random.default_rng(23)
@@ -446,7 +433,7 @@ class TestRandomScheduleDraws:
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize("lead", [0, 1])
     def test_edge_shapes(self, bit_generator, lead):
-        # m=1, b=m and length=b, and one schedule spanning several fetches
+        # m=1, b=m and length=b, and one long schedule
         for m, b, length in [(1, 1, 1), (1, 1, 40), (1, 6, 6), (4, 4, 4), (4, 4, 90),
                              (3, 9, 9), (7, 7, 300), (4, 8, 5000)]:
             assert_same_draws(m, b, length, bit_generator, seed=1000 * m + b, lead=lead)
@@ -456,48 +443,118 @@ class TestRandomScheduleDraws:
         assert fast_rng.bit_generator.state["has_uint32"] == 1
         assert_same_draws(3, 5, 200, np.random.PCG64, 5, lead=1)
 
-    @pytest.mark.parametrize("words_per_fetch", [1, 2, 3, 7])
-    def test_refills(self, monkeypatch, words_per_fetch):
-        monkeypatch.setattr(schedules, "_WORDS_PER_FETCH", words_per_fetch)
-        for case, bit_generator in enumerate(BIT_GENERATORS * 4):
-            m = 1 + case % 4
-            assert_same_draws(m, m + case % 3, 30 + case, bit_generator, seed=case, lead=case % 2)
-
-
-class TestBoundedDraws:
-    def test_rejection_on_crafted_words(self):
-        # 2**32 % k == 2**30 for k = 3 * 2**30, so a word w is rejected iff
-        # (w * k) mod 2**32 == 0, i.e. iff w is a multiple of 4
-        k = 3 << 30
-        draws = schedules._BoundedDraws(np.random.default_rng(0))
-        draws.words = [0, 4, 7, 3, 1]
-        assert draws.below(k) == (7 * k) >> 32 == 5
-        assert draws.pos == 3
-        assert draws.below(k) == (3 * k) >> 32 == 2  # low word 2**30: checked, kept
-        assert draws.below(k) == 0
-        assert draws.pos == 5
-
-    def test_matches_scalar_integers_where_rejection_is_common(self):
-        bounds = [3 << 30, 5, 1, (1 << 31) + 1, 2, (1 << 32) - 1, 1 << 32] * 4
-        rejected = 0
-        for bit_generator in BIT_GENERATORS:
-            for seed in range(10):
-                fast_rng, ref_rng = generator_pair(bit_generator, seed, lead=seed % 2)
-                draws = schedules._BoundedDraws(fast_rng)
-                got = [draws.below(k) for k in bounds]
-                rejected += draws.pos - sum(k > 1 for k in bounds)
-                draws.close()
-                assert got == [int(ref_rng.integers(k)) for k in bounds]
-                assert plain_state(fast_rng) == plain_state(ref_rng)
-        assert rejected > 0
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_appended_word_continues_the_fetch(self, bit_generator, lead):
+        # a word appended after a rejection is one scalar uint32 draw, which
+        # must be the next word of the bulk fill's stream
+        bulk_rng, scalar_rng = generator_pair(bit_generator, 9, lead)
+        words = bulk_rng.integers(0, 2**32, size=5, dtype=np.uint32).tolist()
+        assert words == [int(scalar_rng.integers(0, 2**32, dtype=np.uint32)) for _ in range(5)]
+        assert plain_state(bulk_rng) == plain_state(scalar_rng)
 
     def test_bound_one_consumes_nothing(self):
+        # m = b = 1: one worker and staleness 1, so every draw has bound 1
         rng = np.random.default_rng(3)
         before = plain_state(rng)
-        draws = schedules._BoundedDraws(rng)
-        assert [draws.below(1) for _ in range(5)] == [0] * 5
-        draws.close()
+        s = random_schedule(1, 1, 50, rng)
+        assert [(e.worker, e.read_from) for e in s.events] == [(0, k - 1) for k in range(50)]
         assert plain_state(rng) == before
+
+
+class ScriptedGenerator:
+    """A stand-in for ``np.random.Generator`` serving scripted 32-bit words.
+
+    ``bit_generator.state`` is the read position.  ``integers(0, 2**32,
+    size=n, dtype=np.uint32)`` returns the next ``n`` words (one word, as a
+    scalar, without ``size``), and a scalar ``integers(k)`` runs numpy's
+    Lemire multiply-and-reject on them, consuming nothing at ``k == 1``.
+    """
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.pos = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.pos
+
+    @state.setter
+    def state(self, pos):
+        self.pos = pos
+
+    def _next(self):
+        self.pos += 1
+        return self.words[self.pos - 1]
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        if dtype is np.uint32:
+            assert (low, high) == (0, 2**32)
+            if size is None:
+                return np.uint32(self._next())
+            return np.array([self._next() for _ in range(size)], dtype=np.uint32)
+        assert high is None and size is None
+        k = low
+        if k == 1:
+            return 0
+        x = self._next() * k
+        if x % 2**32 < k:
+            while x % 2**32 < 2**32 % k:
+                x = self._next() * k
+        return x >> 32
+
+
+def scripted_words(seed, n, zeros=()):
+    """``n`` nonzero words with 0 at the positions ``zeros``; at a bound
+    ``k`` that is no power of two, such as 3, word 0 is rejected."""
+    words = np.random.default_rng(seed).integers(1, 2**32, size=n).tolist()
+    for p in zeros:
+        words[p] = 0
+    return words
+
+
+def assert_same_on_words(m, b, length, words):
+    """The generator and the scalar-call reference agree on scripted words
+    and stop at the same word; returns that position."""
+    fast, ref = ScriptedGenerator(words), ScriptedGenerator(words)
+    assert random_schedule(m, b, length, fast) == reference_random_schedule(m, b, length, ref)
+    assert fast.pos == ref.pos
+    return fast.pos
+
+
+class TestScriptedWords:
+    def test_crafted_rejections(self):
+        # m=1, b=3: seq 1 draws its staleness at k=2 (word 0 kept, value 0),
+        # later seqs at k=3, where word 0 is the only rejected word.  The
+        # fetch takes 8 words and each of the 3 rejections appends one.
+        gen = ScriptedGenerator([0, 0, 1 << 31, 0, 0, 3 << 30] + [9] * 5)
+        s = random_schedule(1, 3, 4, gen)
+        assert [e.read_from for e in s.events] == [-1, 0, 0, 0]
+        assert gen.pos == 6
+        assert_same_on_words(1, 3, 4, gen.words)
+
+    def test_rejections_past_the_fetched_words(self):
+        # m=3 and b = length: nearly every event draws its worker at k=3
+        # and its staleness at k = seq + 1, so the draws use nearly all of
+        # the 2 * length fetched words.  An early rejection and a run of
+        # rejections among the last events need the appended words.
+        m, length = 3, 40
+        zeros = [0, *range(2 * length - 8, 2 * length + 4)]
+        pos = assert_same_on_words(m, length, length, scripted_words(1, 3 * length, zeros))
+        assert pos > 2 * length
+
+    def test_random_rejections(self):
+        meta = np.random.default_rng(41)
+        past = 0
+        for case in range(300):
+            m = int(meta.integers(1, 6))
+            b = int(meta.integers(m, 3 * m + 6))
+            length = int(meta.integers(b, 3 * b + 10))
+            zeros = meta.choice(2 * length, size=int(meta.integers(0, 8)), replace=False)
+            words = scripted_words(case, 3 * length, zeros.tolist())
+            past += assert_same_on_words(m, b, length, words) > 2 * length
+        assert past > 0
 
 
 RAW_DRAW_BOUNDS = (1, 2, 3, 9, (1 << 31) + 1, 3 << 30, 1 << 32, (1 << 32) + 1, 1 << 40, 1 << 63)

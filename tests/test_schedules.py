@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from asyncmc.errors import ParameterError, ValidationError
+from asyncmc.errors import ParameterError, ScheduleError, ValidationError
+from asyncmc.kernels import KernelSpec, UniformIndependenceProposal, finite_target, render_matrix
+from asyncmc.measure_sim import propagate
+from asyncmc.measures import FiniteDistribution
 from asyncmc.schedules import (
     Event,
     Schedule,
@@ -13,6 +18,7 @@ from asyncmc.schedules import (
     synchronous_schedule,
     validate,
 )
+from asyncmc.shmem import replay
 
 
 class TestValidate:
@@ -163,3 +169,46 @@ class TestMinimalBound:
             assert validate(Schedule(s.events, 3, b)) is None
             if b > 1:
                 assert validate(Schedule(s.events, 3, b - 1)) is not None
+
+
+class TestValidateOnce:
+    """A generated schedule is walked once; every other schedule in full."""
+
+    @pytest.fixture
+    def setting(self):
+        target = finite_target([1.0, 2.0, 3.0])
+        kernel = KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support))
+        matrix = render_matrix(kernel)
+        return kernel, matrix, FiniteDistribution.uniform(matrix.space)
+
+    @staticmethod
+    def assert_refused(setting, schedule):
+        kernel, matrix, mu0 = setting
+        assert validate(schedule) is not None
+        with pytest.raises(ScheduleError):
+            propagate(matrix, mu0, schedule)
+        with pytest.raises(ScheduleError):
+            replay(kernel, schedule, seed=0)
+
+    def test_replaced_copy_is_checked(self, setting):
+        generated = random_schedule(3, 5, 60, np.random.default_rng(0))
+        assert validate(generated) is None
+        self.assert_refused(setting, dataclasses.replace(generated, staleness_bound=1))
+
+    def test_hand_built_schedule_is_checked(self, setting):
+        events = [Event(k, k % 2, k - 1) for k in range(20)]
+        events[12] = Event(12, 0, 5)  # staleness 7 over bound 4
+        self.assert_refused(setting, Schedule(tuple(events), 2, 4))
+
+    def test_mutated_jsonl_round_trip_is_checked(self, setting):
+        generated = random_schedule(3, 5, 60, np.random.default_rng(1))
+        lines = schedule_to_jsonl(generated).splitlines()
+        lines[31] = '{"seq": 30, "worker": 0, "read_from": 10, "kind": "write"}'
+        self.assert_refused(setting, schedule_from_jsonl(lines))
+
+    def test_mark_is_not_a_field(self):
+        generated = random_schedule(3, 5, 60, np.random.default_rng(2))
+        plain = Schedule(generated.events, 3, 5)
+        assert plain == generated and repr(plain) == repr(generated)
+        assert [f.name for f in dataclasses.fields(Schedule)] == ["events", "workers", "staleness_bound"]
+        assert validate(plain) is None
