@@ -38,11 +38,53 @@ EXIT_USAGE = 1
 EXIT_LIVENESS = 2
 EXIT_VIOLATION = 3
 
-MODES = ("measure_sim", "shmem_real", "shmem_replay", "pserver")
+# the experiments of each mode; ``determinism_repro`` runs under any mode
+EXPERIMENTS = {
+    "measure_sim": ("run", "theorem4_campaign", "contraction_campaign", "frozen_worker_counterexample"),
+    "shmem_real": ("run", "torn_state"),
+    "shmem_replay": ("run", "torn_state"),
+    "pserver": ("run", "naive_divergence_control", "coupled"),
+}
+
+# the JSON types a config field may be asked for, by the Python type holding them
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a finite number"}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is(value, kind) -> bool:
+    """Whether ``value`` has the JSON type ``kind``; a bool is never a number."""
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind is float:
+        return (_is(value, int) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _read(doc: dict, path: str, kind, default=..., least=None, below=None):
+    """The config field at ``path`` (its last part names it in ``doc``), unchanged.
+
+    ``kind`` is a key of ``_KINDS``, ``object`` (any value) or ``(list, item_kind)``;
+    a number must also be ``>= least`` and ``< below`` if given.  An absent field,
+    or a null one whose default is None, gives the default; without a default
+    (``...``) the field is required.  Else a ValidationError names ``path``.
+    """
+    name = path.rpartition(".")[2]
+    if name not in doc:
+        if default is ...:
+            raise ValidationError(f"{path}: required field is missing")
+        return default
+    value = doc[name]
+    if value is None and default is None:
+        return None
+    kind, item = kind if isinstance(kind, tuple) else (kind, None)
+    ok = _is(value, kind) and (item is None or all(_is(v, item) for v in value))
+    if not (ok and (least is None or value >= least) and (below is None or value < below)):
+        what = _KINDS[kind] + (f" of {_KINDS[item].split(' ', 1)[1]}s" if item else "")
+        if below is not None:
+            what += f" in [{least}, {below})"
+        elif least is not None:
+            what += f" >= {least}"
+        raise ValidationError(f"{path}: must be {what}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -62,37 +104,39 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        name = self.name
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        doc = vars(self)
+        name = _read(doc, "name", str)
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ValidationError(f"name: must be a plain directory name, got {name!r}")
-        if self.mode not in MODES:
+        if _read(doc, "mode", str) not in EXPERIMENTS:
             raise ValidationError(f"mode: unknown mode {self.mode!r}")
-        if not _is_int(self.seed):
-            raise ValidationError("seed: a fixed integer seed is mandatory")
-        for field_name in ("m", "b", "horizon"):
-            value = getattr(self, field_name)
-            if not _is_int(value):
-                raise ValidationError(f"{field_name}: must be an integer, got {value!r}")
-        _object(self.params, "params")
-        if self.m < 1:
-            raise ValidationError("m: need at least one worker")
-        if self.horizon < 1:
-            raise ValidationError("horizon: must be positive")
-        if self.mode in ("measure_sim", "shmem_replay") and self.experiment == "run" and self.b < self.m:
+        _read(doc, "seed", int, least=0)
+        experiment = _read(doc, "experiment", str, "run")
+        runs = experiment != "determinism_repro"
+        if runs and experiment not in EXPERIMENTS[self.mode]:
+            raise ValidationError(f"experiment: unknown {self.mode} experiment {experiment!r}")
+        for field_name, least in (("m", 1), ("b", None), ("horizon", 1)):
+            _read(doc, field_name, int, least=least)
+        _read(doc, "params", dict)
+        _read(doc, "out_dir", str, None)
+        _read(doc, "correction", str, None)
+        for field_name in ("target", "kernel", "delay"):
+            needed = runs and (field_name != "delay" or self.mode == "pserver")
+            _read(doc, field_name, dict, ... if needed else None)
+        if self.mode in ("measure_sim", "shmem_replay") and experiment == "run" and self.b < self.m:
             raise ValidationError(f"b: staleness bound {self.b} < m={self.m} is infeasible")
-        if self.mode == "pserver" and self.experiment in ("run", "naive_divergence_control"):
-            if self.delay is None:
-                raise ValidationError("delay: pserver mode requires a delay model")
-            if self.experiment == "run" and self.correction not in pserver.MODES:
-                raise ValidationError(f"correction: must be one of {pserver.MODES}")
+        serves = self.mode == "pserver" and experiment in ("run", "coupled")
+        if serves and self.correction not in pserver.MODES:
+            raise ValidationError(f"correction: must be one of {pserver.MODES}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - fields
+        if not isinstance(doc, dict):
+            raise ValidationError(f"config: must be an object, got {doc!r}")
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
         missing = {"name", "mode", "seed"} - set(doc)
@@ -106,119 +150,92 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _object(doc, where: str) -> dict:
-    """``doc`` when it is a JSON object, else a ValidationError naming ``where``."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where}: must be an object, got {doc!r}")
-    return doc
-
-
-def _required(doc: dict, where: str, *names):
-    """The named fields of a config object, or a ValidationError naming the first missing one."""
-    for name in names:
-        if name not in doc:
-            raise ValidationError(f"{where}.{name}: required field is missing")
-    return [doc[name] for name in names]
-
-
 def build_target(doc: dict) -> kernels.TargetDensity:
-    kind = _object(doc, "target").get("type")
+    kind = _read(doc, "target.type", str)
     if kind == "finite":
-        (weights,) = _required(doc, "target", "weights")
-        return kernels.finite_target(weights, doc.get("labels"))
+        return kernels.finite_target(
+            _read(doc, "target.weights", (list, float)), _read(doc, "target.labels", list, None)
+        )
     if kind == "gaussian":
-        return kernels.gaussian_target(*_required(doc, "target", "mean", "precision"))
+        return kernels.gaussian_target(
+            _read(doc, "target.mean", (list, float)), _read(doc, "target.precision", (list, list))
+        )
     if kind == "gaussian_correlated":
-        gt = kernels.GaussianTarget.bivariate_correlated(*_required(doc, "target", "rho"))
+        gt = kernels.GaussianTarget.bivariate_correlated(_read(doc, "target.rho", float))
         return kernels.gaussian_target(gt.mean, gt.precision)
     raise ValidationError(f"target.type: unknown target type {kind!r}")
 
 
-def _check_proposal_target(cls, target: kernels.TargetDensity):
-    """Refuse a proposal class on a target of a sort it does not serve."""
-    if target.sort not in cls.targets:
-        raise ValidationError(
-            f"kernel.proposal.type: {cls.proposal_id!r} needs a {' or '.join(cls.targets)} target"
-        )
-
-
 def build_proposal(doc: dict, target: kernels.TargetDensity):
-    """The proposal of a config, checked against the target it moves on.
-
-    Finite-space proposals are refused on a Gaussian target and Gaussian
-    ones on a finite target, so no kernel on a finite target draws normals;
-    the check reads each class's ``targets``, as ``KernelSpec`` does.
-    """
-    where = "kernel.proposal"
-    kind = _object(doc, where).get("type")
+    """The proposal of a config; ``KernelSpec`` checks it against its target."""
+    kind = _read(doc, "kernel.proposal.type", str)
+    # these two are built from the target's finite support
+    if kind in ("uniform_independence", "table_independence") and not target.is_finite:
+        raise ValidationError(f"kernel.proposal.type: {kind!r} needs a finite target")
     if kind == "uniform_independence":
-        _check_proposal_target(kernels.UniformIndependenceProposal, target)
         return kernels.UniformIndependenceProposal(target.support)
     if kind == "table_independence":
-        _check_proposal_target(kernels.TableIndependenceProposal, target)
-        return kernels.TableIndependenceProposal(target.support, *_required(doc, where, "weights"))
+        weights = _read(doc, "kernel.proposal.weights", (list, float))
+        return kernels.TableIndependenceProposal(target.support, weights)
     if kind == "identity":
         return kernels.IdentityProposal()
     if kind == "gaussian_random_walk":
-        proposal = kernels.GaussianRandomWalkProposal(*_required(doc, where, "scale"))
-        _check_proposal_target(type(proposal), target)
-        return proposal
+        return kernels.GaussianRandomWalkProposal(_read(doc, "kernel.proposal.scale", float))
     if kind == "gaussian_independence":
-        proposal = kernels.GaussianIndependenceProposal(*_required(doc, where, "center", "scale"))
-        _check_proposal_target(type(proposal), target)
-        if len(proposal.center) != target.dim:
-            raise ValidationError(
-                f"{where}.center: has {len(proposal.center)} entries for a target "
-                f"of dimension {target.dim}"
-            )
-        return proposal
+        center = _read(doc, "kernel.proposal.center", (list, float))
+        if len(center) != target.dim:
+            raise ValidationError(f"kernel.proposal.center: has {len(center)} entries, need {target.dim}")
+        return kernels.GaussianIndependenceProposal(center, _read(doc, "kernel.proposal.scale", float))
     if kind == "gibbs_site":
         return kernels.GibbsSiteProposal(target)
     raise ValidationError(f"kernel.proposal.type: unknown proposal type {kind!r}")
 
 
 def build_kernel(doc: dict, target: kernels.TargetDensity) -> kernels.KernelSpec:
-    kind = _object(doc, "kernel").get("kind")
-    proposal = None
-    if doc.get("proposal") is not None:
-        proposal = build_proposal(doc["proposal"], target)
-    site_order = tuple(doc["site_order"]) if doc.get("site_order") else None
-    return kernels.KernelSpec(kind, target, proposal, site_order)
+    kind = _read(doc, "kernel.kind", str)
+    proposal = _read(doc, "kernel.proposal", dict, None)
+    proposal = None if proposal is None else build_proposal(proposal, target)
+    site_order = _read(doc, "kernel.site_order", (list, int), None)
+    return kernels.KernelSpec(kind, target, proposal, tuple(site_order) if site_order else None)
 
 
 def build_delay(doc: dict) -> pserver.DelayModel:
-    doc = _object(doc, "delay")
     # default delay law: geometric latency with mean 2 commits
     return pserver.DelayModel(
-        doc.get("kind", "fifo_random"), doc.get("params", {}), doc.get("staleness_cap", 64)
+        _read(doc, "delay.kind", str, "fifo_random"),
+        _read(doc, "delay.params", dict, {}),
+        _read(doc, "delay.staleness_cap", int, 64),
     )
 
 
-def build_mu0(doc: dict | None, space: measures.StateSpace) -> measures.FiniteDistribution:
-    if doc is None or _object(doc, "params.mu0").get("type") == "point_mass":
-        label = doc.get("label", space.labels[0]) if doc else space.labels[0]
+def build_mu0(doc: dict, space: measures.StateSpace) -> measures.FiniteDistribution:
+    kind = _read(doc, "params.mu0.type", str, "point_mass")
+    if kind == "point_mass":
+        label = _read(doc, "params.mu0.label", object, space.labels[0])
+        if label not in space.labels:
+            raise ValidationError(f"params.mu0.label: {label!r} is not a label of the target")
         return measures.FiniteDistribution.point_mass(space, label)
-    if doc["type"] == "uniform":
+    if kind == "uniform":
         return measures.FiniteDistribution.uniform(space)
-    if doc["type"] == "probs":
-        (probs,) = _required(doc, "params.mu0", "probs")
+    if kind == "probs":
+        probs = _read(doc, "params.mu0.probs", (list, float))
         try:
             return measures.FiniteDistribution(space, np.asarray(probs, dtype=float))
-        except (TypeError, ValueError, DimensionError, ValidationError) as exc:
+        except (DimensionError, ValidationError) as exc:
             raise ValidationError(f"params.mu0.probs: {exc}") from exc
-    raise ValidationError(f"params.mu0.type: unknown initial distribution {doc.get('type')!r}")
+    raise ValidationError(f"params.mu0.type: unknown initial distribution {kind!r}")
 
 
 def build_schedule(cfg: ExperimentConfig, rng: np.random.Generator) -> schedules.Schedule:
-    doc = _object(cfg.params.get("schedule", {"type": "random"}), "params.schedule")
-    kind = doc.get("type", "random")
+    doc = _read(cfg.params, "params.schedule", dict, {})
+    kind = _read(doc, "params.schedule.type", str, "random")
     if kind == "random":
         return schedules.random_schedule(cfg.m, cfg.b, cfg.horizon, rng)
     if kind == "synchronous":
         return schedules.synchronous_schedule(cfg.m, cfg.horizon, cfg.b)
     if kind == "adversarial":
         named = schedules.adversarial_schedules(cfg.m, cfg.b, cfg.horizon)
-        name = doc.get("name")
+        name = _read(doc, "params.schedule.name", str)
         if name not in named:
             raise ValidationError(f"params.schedule.name: unknown pattern {name!r}")
         return named[name]
@@ -239,22 +256,16 @@ def _finite_late_tv(indices, target, burn_fraction) -> float:
     return float(0.5 * np.abs(emp - pi.to_float().probs).sum())
 
 
-def _burn_fraction(cfg: ExperimentConfig, default: float) -> float:
-    """``params.burn_fraction``, checked to leave at least one late sample."""
-    burn = cfg.params.get("burn_fraction", default)
-    if not isinstance(burn, (int, float)) or isinstance(burn, bool) or not 0 <= burn < 1:
-        raise ValidationError(f"params.burn_fraction: must lie in [0, 1), got {burn!r}")
-    return burn
-
-
 def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
     matrix = kernels.render_matrix(kernel)
-    mu0 = build_mu0(cfg.params.get("mu0"), matrix.space)
+    params = cfg.params
+    mu0 = build_mu0(_read(params, "params.mu0", dict, None) or {}, matrix.space)
 
     if cfg.experiment == "frozen_worker_counterexample":
-        trace = measure_sim.propagate_unbounded_counterexample(matrix, mu0, cfg.horizon)
+        horizon = _read(vars(cfg), "horizon", int, least=10)
+        trace = measure_sim.propagate_unbounded_counterexample(matrix, mu0, horizon)
         d1 = float(trace.d[1])
         odd = [float(trace.d[v]) for v in range(1, trace.n_versions, 2)]
         stuck = min(odd) >= d1 / 2
@@ -273,30 +284,28 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
 
     if cfg.experiment == "theorem4_campaign":
         report = measure_sim.run_theorem4_campaign(
-            cfg.params.get("instances", 1000),
+            _read(params, "params.instances", int, 1000),
             cfg.seed,
             length=cfg.horizon,
-            n_states_max=cfg.params.get("n_states_max", 6),
-            m_max=cfg.params.get("m_max", 5),
-            b_max=cfg.params.get("b_max", 10),
+            n_states_max=_read(params, "params.n_states_max", int, 6),
+            m_max=_read(params, "params.m_max", int, 5),
+            b_max=_read(params, "params.b_max", int, 10),
         )
         summary = {"experiment": cfg.experiment, **dataclasses.asdict(report)}
         return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
 
     if cfg.experiment == "contraction_campaign":
-        report = measures.run_contraction_campaign(cfg.params.get("instances", 1000), cfg.seed)
+        report = measures.run_contraction_campaign(
+            _read(params, "params.instances", int, 1000, least=1), cfg.seed
+        )
         summary = {"experiment": cfg.experiment, **dataclasses.asdict(report)}
         return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
 
-    if cfg.experiment != "run":
-        raise ValidationError(f"experiment: unknown measure_sim experiment {cfg.experiment!r}")
-
     rng = np.random.default_rng(cfg.seed)
     schedule = build_schedule(cfg, rng)
+    threshold = _read(params, "params.threshold", float, measure_sim.CONVERGENCE_THRESHOLD)
     trace = measure_sim.propagate(matrix, mu0, schedule)
-    report = measure_sim.verify_theorem4(
-        trace, threshold=cfg.params.get("threshold", measure_sim.CONVERGENCE_THRESHOLD)
-    )
+    report = measure_sim.verify_theorem4(trace, threshold=threshold)
     summary = {
         "experiment": "run",
         "passed": report.passed,
@@ -317,18 +326,14 @@ def _run_shmem(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     kernel = build_kernel(cfg.kernel, target)
 
     if cfg.experiment == "torn_state":
-        result = shmem.torn_state_stress(cfg.m, cfg.params.get("ops", 10**6), cfg.seed)
+        ops = _read(cfg.params, "params.ops", int, 10**6, least=1)
+        result = shmem.torn_state_stress(cfg.m, ops, cfg.seed)
         summary = {"experiment": cfg.experiment, **result}
         return (EXIT_OK if result["failures"] == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
 
-    if cfg.experiment != "run":
-        raise ValidationError(f"experiment: unknown shmem experiment {cfg.experiment!r}")
-
-    burn = _burn_fraction(cfg, 0.5)
+    burn = _read(cfg.params, "params.burn_fraction", float, 0.5, least=0, below=1)
     if cfg.mode == "shmem_real":
-        watchdog_b = cfg.params.get("watchdog_b", 50 * cfg.m * 10)
-        if not _is_int(watchdog_b) or watchdog_b < 1:
-            raise ValidationError(f"params.watchdog_b: must be an integer >= 1, got {watchdog_b!r}")
+        watchdog_b = _read(cfg.params, "params.watchdog_b", int, 50 * cfg.m * 10, least=1)
         record = shmem.run_async(kernel, cfg.m, cfg.horizon, cfg.seed, watchdog_b)
     else:
         rng = np.random.default_rng(cfg.seed)
@@ -361,20 +366,17 @@ def _gaussian_summary(record: pserver.PServerRecord, target, burn_fraction, n_ba
 def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
-    if kernel.kind not in pserver.SERVER_KERNELS:
-        raise ValidationError(
-            f"kernel.kind: {kernel.kind!r} has no parameter-server form; "
-            f"use one of {pserver.SERVER_KERNELS}"
-        )
-    if kernel.kind == "metropolis_hastings" and not isinstance(kernel.proposal, pserver.SERVER_PROPOSALS):
-        raise ValidationError(
-            f"kernel.proposal.type: {cfg.kernel['proposal']['type']!r} moves from the current "
-            "state, which the server's correction does not support; use an independence proposal"
-        )
     delay = build_delay(cfg.delay)
-    burn = _burn_fraction(cfg, 0.2)
-    init = tuple(cfg.params["init"]) if "init" in cfg.params else None
-    frozen = tuple(cfg.params.get("frozen_workers", ()))
+    params = cfg.params
+    burn = _read(params, "params.burn_fraction", float, 0.2, least=0, below=1)
+    init = _read(params, "params.init", list if target.is_finite else (list, float), None)
+    init = None if init is None else tuple(init)
+    frozen = tuple(_read(params, "params.frozen_workers", (list, int), []))
+    n_batches = _read(params, "params.n_batches", int, 50, least=diagnostics.MIN_BATCHES)
+
+    sort = {"naive_divergence_control": "continuous", "coupled": "finite"}.get(cfg.experiment, target.sort)
+    if target.sort != sort:
+        raise ValidationError(f"target.type: the {cfg.experiment} experiment needs a {sort} target")
 
     if cfg.experiment == "naive_divergence_control":
         results = {}
@@ -400,14 +402,9 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
             "corrected_relative_error": ((corrected_var - truth_var) / truth_var).tolist(),
         }
         return EXIT_OK, summary, _kv_csv({
-            "naive_var_0": naive_var[0], "naive_var_1": naive_var[1],
-            "corrected_var_0": corrected_var[0], "corrected_var_1": corrected_var[1],
+            **{f"naive_var_{i}": v for i, v in enumerate(naive_var)},
+            **{f"corrected_var_{i}": v for i, v in enumerate(corrected_var)},
         })
-
-    if cfg.experiment not in ("run", "coupled"):
-        raise ValidationError(f"experiment: unknown pserver experiment {cfg.experiment!r}")
-    if cfg.experiment == "coupled" and not target.is_finite:
-        raise ValidationError("target.type: the coupled experiment needs a finite target")
 
     record = pserver.run_pserver(
         kernel, cfg.m, cfg.horizon, delay, cfg.correction, cfg.seed,
@@ -441,14 +438,14 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
             )
             summary["detailed_balance_error"] = float(db)
     else:
-        summary.update(_gaussian_summary(record, target, burn, cfg.params.get("n_batches", 50)))
+        summary.update(_gaussian_summary(record, target, burn, n_batches))
     return EXIT_OK, summary, artifacts
 
 
 def _run_determinism(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
-    names = cfg.params.get("configs")
-    if not names:
-        raise ValidationError("params.configs: list of canned config names required")
+    names = _read(cfg.params, "params.configs", (list, str))
+    if not names or not set(names) <= set(CATALOG):
+        raise ValidationError(f"params.configs: must name canned configs, got {names!r}")
     mismatches = []
     for name in names:
         sub = canned_config(name)
@@ -684,10 +681,11 @@ def _cmd_run(args) -> int:
     source = args.config
     if Path(source).exists():
         try:
-            cfg = ExperimentConfig.from_dict(json.loads(Path(source).read_text()))
-        except json.JSONDecodeError as exc:
-            print(f"usage error: config is not valid JSON: {exc}", file=sys.stderr)
+            doc = json.loads(Path(source).read_text())
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            print(f"usage error: cannot read config {source}: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        cfg = ExperimentConfig.from_dict(doc)
     elif source in CATALOG:
         cfg = canned_config(source)
     else:
@@ -738,7 +736,7 @@ def main(argv=None) -> int:
     except LivenessError as exc:
         print(f"liveness error: {exc}", file=sys.stderr)
         return EXIT_LIVENESS
-    except (ValidationError, ParameterError) as exc:
+    except (ValidationError, ParameterError, UnsupportedTargetError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AsyncMCError as exc:

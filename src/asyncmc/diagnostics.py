@@ -1,9 +1,8 @@
 """Statistical verification for continuous targets.
 
 Exact TV distances are unavailable off finite spaces, so continuous runs are
-judged by moment estimates with batch-means standard errors and by a
-binned-histogram TV proxy.  All functions are pure and deterministic given
-their inputs.
+judged by moment estimates with batch-means standard errors.  All functions
+are pure and deterministic given their inputs.
 """
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, ParameterError, ValidationError
+from .errors import ParameterError
 
 MIN_BATCHES = 20
 
@@ -55,9 +54,11 @@ def moments(samples: np.ndarray, n_batches: int = 50) -> MomentReport:
         samples = samples[:, None]
     n, d = samples.shape
     if n_batches < MIN_BATCHES:
-        raise ParameterError(f"need at least {MIN_BATCHES} batches, got {n_batches}")
+        raise ParameterError(f"params.n_batches: need at least {MIN_BATCHES} batches, got {n_batches}")
     if n < 10 * n_batches:
-        raise ParameterError(f"need at least {10 * n_batches} samples for {n_batches} batches")
+        raise ParameterError(
+            f"params.n_batches: {n_batches} batches need at least {10 * n_batches} samples, got {n}"
+        )
 
     mean = samples.mean(axis=0)
     cov = np.cov(samples, rowvar=False, ddof=1).reshape(d, d)
@@ -71,73 +72,3 @@ def moments(samples: np.ndarray, n_batches: int = 50) -> MomentReport:
     batch_covs = np.einsum("bsi,bsj->bij", centered, centered) / (size - 1)
     cov_se = batch_covs.std(axis=0, ddof=1) / math.sqrt(n_batches)
     return MomentReport(mean, cov, mean_se, cov_se, n, n_batches)
-
-
-@dataclass(frozen=True)
-class GridTV:
-    bins: tuple
-    tv_estimate: float
-
-    def __post_init__(self):
-        for edges in self.bins:
-            if np.any(np.diff(edges) <= 0):
-                raise ValidationError("bin edges must be strictly increasing")
-        if not 0.0 <= self.tv_estimate <= 1.0:
-            raise ValidationError("tv estimate must lie in [0, 1]")
-
-
-def default_bins(center: float, sd: float, n_bins: int = 50, span: float = 5.0) -> np.ndarray:
-    return np.linspace(center - span * sd, center + span * sd, n_bins + 1)
-
-
-def gaussian_bin_masses(edges: np.ndarray, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
-    z = (np.asarray(edges, dtype=float) - mean) / (sd * math.sqrt(2.0))
-    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in z]))
-    return np.diff(cdf)
-
-
-def _binned_probs(samples: np.ndarray, bins: tuple) -> np.ndarray:
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    n = len(samples)
-    if n < 10**4:
-        raise ParameterError("grid TV needs at least 1e4 samples per side")
-    hist, _ = np.histogramdd(samples, bins=list(bins))
-    inside = hist.sum()
-    if (n - inside) / n > 0.01:
-        raise CoverageError(
-            f"{(n - inside) / n:.2%} of samples fall outside the bins (limit 1%)"
-        )
-    return hist / n
-
-
-def grid_tv(samples_a: np.ndarray, other, bins) -> GridTV:
-    """Half L1 distance between binned probabilities.
-
-    ``other`` is a second sample array, or exactly integrated bin masses
-    (an array matching the bin grid).  ``bins`` is one edge array per
-    dimension; beyond two dimensions the per-dimension marginal estimates
-    are computed and the largest is reported.
-    """
-    if isinstance(bins, np.ndarray) and bins.ndim == 1:
-        bins = (bins,)
-    bins = tuple(np.asarray(e, dtype=float) for e in bins)
-    dim = len(bins)
-
-    if dim > 2:
-        a = np.asarray(samples_a, dtype=float)
-        worst = 0.0
-        for j in range(dim):
-            other_j = other if not isinstance(other, np.ndarray) or other.ndim == 1 else other[:, j]
-            worst = max(worst, grid_tv(a[:, j], other_j, (bins[j],)).tv_estimate)
-        return GridTV(bins, worst)
-
-    pa = _binned_probs(samples_a, bins)
-    if isinstance(other, np.ndarray) and other.shape == pa.shape and other.ndim == len(bins):
-        pb = np.asarray(other, dtype=float)
-        if pb.sum() < 0.99:
-            raise CoverageError("exact bin masses cover less than 99% of the distribution")
-    else:
-        pb = _binned_probs(other, bins)
-    return GridTV(bins, float(0.5 * np.abs(pa - pb).sum()))

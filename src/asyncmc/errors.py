@@ -49,9 +49,5 @@ class NumericError(AsyncMCError):
     """Non-finite arithmetic outside the allowed -inf density convention."""
 
 
-class CoverageError(AsyncMCError):
-    """Histogram bins fail to cover the required sample mass."""
-
-
 class InconclusiveCounterexampleError(AsyncMCError):
     """Counterexample construction cannot demonstrate anything for this input."""

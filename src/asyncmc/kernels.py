@@ -73,15 +73,15 @@ class GaussianTarget:
         mean = _finite_array(self.mean, "target.mean")
         p = _finite_array(self.precision, "target.precision")
         if mean.ndim != 1 or p.shape != (len(mean), len(mean)):
-            raise ValidationError("precision shape does not match mean dimension")
+            raise ValidationError("target.precision: shape does not match the mean's dimension")
         object.__setattr__(self, "mean", tuple(mean.tolist()))
         object.__setattr__(self, "precision", tuple(map(tuple, p.tolist())))
         if np.abs(p - p.T).max() > 1e-10:
-            raise ValidationError("precision matrix is not symmetric")
+            raise ValidationError("target.precision: matrix is not symmetric")
         try:
             np.linalg.cholesky(p)
         except np.linalg.LinAlgError as exc:
-            raise ValidationError("precision matrix is not positive definite") from exc
+            raise ValidationError("target.precision: matrix is not positive definite") from exc
 
     @property
     def dim(self) -> int:
@@ -116,7 +116,7 @@ class GaussianTarget:
     def bivariate_correlated(cls, rho: float) -> "GaussianTarget":
         """Standard bivariate Gaussian with correlation ``rho``."""
         if not -1.0 < rho < 1.0:
-            raise ValidationError("correlation must lie strictly inside (-1, 1)")
+            raise ValidationError(f"target.rho: must lie strictly inside (-1, 1), got {rho!r}")
         s = 1.0 / (1.0 - rho * rho)
         return cls(mean=(0.0, 0.0), precision=((s, -rho * s), (-rho * s, s)))
 
@@ -154,9 +154,12 @@ def finite_target(weights: Sequence[float], labels: Sequence | None = None) -> T
         raise ValidationError("target.weights: must be non-negative with positive mass")
     if labels is None:
         labels = tuple(range(len(w)))
-    space = StateSpace(tuple(labels))
+    try:
+        space = StateSpace(tuple(labels))
+    except (TypeError, ValidationError) as exc:  # unhashable or repeated labels
+        raise ValidationError(f"target.labels: {exc}") from exc
     if space.size != len(w):
-        raise ValidationError("labels and weights differ in length")
+        raise ValidationError("target.labels: labels and weights differ in length")
     logw = {lab: (math.log(x) if x > 0 else NEG_INF) for lab, x in zip(space.labels, w)}
 
     def log_unnorm(x):
@@ -419,9 +422,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
-            raise ValidationError(f"unknown kernel kind {self.kind!r}")
+            raise ValidationError(f"kernel.kind: unknown kernel kind {self.kind!r}")
         if self.kind == "metropolis_hastings" and self.proposal is None:
-            raise ValidationError("metropolis_hastings requires a proposal")
+            raise ValidationError("kernel.proposal: metropolis_hastings requires a proposal")
         targets = getattr(self.proposal, "targets", ())
         if self.proposal is not None and self.target.sort not in targets:
             raise ValidationError(
@@ -431,11 +434,13 @@ class KernelSpec:
         if self.kind in ("gibbs_single_site", "systematic_gibbs"):
             t = self.target
             if t.site_domains is None and t.gaussian is None:
-                raise ValidationError("gibbs kinds need finite site domains or a Gaussian target")
+                raise ValidationError(
+                    "kernel.kind: gibbs kinds need finite site domains or a Gaussian target"
+                )
         if self.site_order is not None:
             order = tuple(int(s) for s in self.site_order)
             if sorted(order) != list(range(self.target.dim)):
-                raise ValidationError("site_order must be a permutation of the sites")
+                raise ValidationError("kernel.site_order: must be a permutation of the sites")
             object.__setattr__(self, "site_order", order)
 
     def describe(self) -> str:
@@ -527,11 +532,11 @@ def render_matrix(spec: KernelSpec) -> StochasticMatrix:
     """Render a finite-target kernel as an exact transition matrix."""
     target = spec.target
     if not target.is_finite:
-        raise UnsupportedTargetError("only finite-support kernels can be rendered")
+        raise UnsupportedTargetError("target.type: only finite-support kernels can be rendered")
     space = target.support
     n = space.size
     if n > RENDER_CAP:
-        raise ParameterError(f"state space size {n} exceeds render cap {RENDER_CAP}")
+        raise ParameterError(f"target.weights: state space size {n} exceeds render cap {RENDER_CAP}")
 
     if spec.kind == "gibbs_single_site":
         rows = sum(_site_matrix(target, s) for s in range(target.dim)) / target.dim
@@ -548,11 +553,11 @@ def render_matrix(spec: KernelSpec) -> StochasticMatrix:
         return StochasticMatrix(space, np.eye(n))
     if not hasattr(proposal, "support_logpdfs"):
         raise UnsupportedTargetError(
-            f"proposal {getattr(proposal, 'proposal_id', proposal)!r} is not enumerable"
+            f"kernel.proposal.type: {getattr(proposal, 'proposal_id', proposal)!r} is not enumerable"
         )
     lp = np.array([target.log_unnorm(lab) for lab in space.labels])
     if np.any(lp == NEG_INF):
-        raise UnsupportedTargetError("rendering requires strictly positive target weights")
+        raise UnsupportedTargetError("target.weights: rendering requires strictly positive weights")
     lq = np.vstack([proposal.support_logpdfs(lab) for lab in space.labels])  # lq[i, j] = log f(j|i)
     log_ratio = (lp[None, :] + lq.T) - (lp[:, None] + lq)
     accept = np.exp(np.minimum(0.0, log_ratio))

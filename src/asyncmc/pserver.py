@@ -126,7 +126,7 @@ class DelayModel:
 
     def __post_init__(self):
         if self.kind not in DELAY_KINDS:
-            raise ParameterError(f"unknown delay kind {self.kind!r}")
+            raise ParameterError(f"delay.kind: unknown delay kind {self.kind!r}")
         cap = self.staleness_cap
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
             raise ParameterError(f"delay.staleness_cap: must be an integer >= 0, got {cap!r}")
@@ -342,14 +342,16 @@ def _worker_proposal(kernel: KernelSpec):
     if kernel.kind == "metropolis_hastings":
         if not isinstance(kernel.proposal, SERVER_PROPOSALS):
             raise UnsupportedTargetError(
-                f"the server's correction needs a proposal that ignores the current state "
-                f"({', '.join(p.__name__ for p in SERVER_PROPOSALS)}), "
+                f"kernel.proposal.type: the server's correction needs a proposal that ignores "
+                f"the current state ({', '.join(p.__name__ for p in SERVER_PROPOSALS)}), "
                 f"got {type(kernel.proposal).__name__}"
             )
         return kernel.proposal
     if kernel.kind == "gibbs_single_site":
         return GibbsSiteProposal(kernel.target)
-    raise UnsupportedTargetError(f"kernel kind {kernel.kind!r} has no parameter-server form")
+    raise UnsupportedTargetError(
+        f"kernel.kind: {kernel.kind!r} has no parameter-server form; use one of {SERVER_KERNELS}"
+    )
 
 
 def run_pserver(
@@ -415,6 +417,10 @@ def run_pserver(
         if init is None:
             init = default_init(base_target)
 
+    # labels are compared, not hashed: a given init may hold any JSON value
+    is_state = init in target.support.labels if target.is_finite else len(init) == target.dim
+    if not is_state:
+        raise ValidationError(f"params.init: {init!r} is not a state of the target")
     log_unnorm = target.log_unnorm
     init_lp = log_unnorm(init)
     if init_lp == NEG_INF:

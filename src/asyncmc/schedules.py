@@ -134,11 +134,11 @@ def _silent_worker(last_write: list, k: int, writer: int, b: int) -> ScheduleVio
 
 def _check_feasible(m: int, b: int, length: int) -> None:
     if m < 1:
-        raise ParameterError("need at least one worker")
+        raise ParameterError("m: need at least one worker")
     if b < m:
-        raise ParameterError(f"b={b} < m={m}: some window of {b} events cannot hold all workers")
+        raise ParameterError(f"b: b={b} < m={m}: some window of {b} events cannot hold all workers")
     if length < b:
-        raise ParameterError(f"length {length} shorter than staleness bound {b}")
+        raise ParameterError(f"horizon: length {length} shorter than staleness bound {b}")
 
 
 def random_schedule(m: int, b: int, length: int, rng: np.random.Generator) -> Schedule:
@@ -331,10 +331,21 @@ def _int_field(doc: dict, field: str, line: int) -> int:
     return value
 
 
+def _lines(text: str):
+    """The lines of ``text``, split at newlines, one at a time: a long trace is
+    parsed without a list of all its lines beside the text."""
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        yield text[start:end]
+        start = end + 1
+
+
 def schedule_from_jsonl(text: str | Iterable[str]) -> Schedule:
     """Parse a JSONL trace; infers workers/bound when the meta line is absent."""
     if isinstance(text, str):
-        text = text.splitlines()
+        text = _lines(text)
     workers = bound = None
     events = []
     for line, ln in enumerate(text, start=1):

@@ -125,6 +125,26 @@ class _AsyncCoordinator(SharedCell):
             return True
 
 
+def _run_threads(work, m: int) -> None:
+    """Run ``work(w)`` for each worker ``w < m`` on its own thread and join them
+    all; then re-raise the first exception a worker raised, if any."""
+    errors = []
+
+    def guarded(worker: int):
+        try:
+            work(worker)
+        except Exception as exc:  # re-raised below, in the caller's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(w,), daemon=True) for w in range(m)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
 def run_async(
     kernel: KernelSpec,
     m: int,
@@ -151,11 +171,7 @@ def run_async(
             if not coord.commit(worker, version, step.state):
                 return
 
-    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(m)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    _run_threads(work, m)
     if coord.liveness_failure is not None:
         worker, detail = coord.liveness_failure
         raise LivenessError(f"liveness watchdog fired: {detail}")
@@ -234,11 +250,7 @@ def torn_state_stress(m: int, total_ops: int, seed: int) -> dict:
             payload = (worker, local, float(rng.random()))
             cell.swap(ChecksumState.make(payload), version + 1)
 
-    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(m)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    _run_threads(work, m)
     return {"ops": counter["ops"], "failures": sum(failures)}
 
 

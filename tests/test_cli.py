@@ -123,10 +123,15 @@ class TestRun:
     def test_unknown_source_is_usage_error(self, capsys):
         assert main(["run", "no_such_config"]) == EXIT_USAGE
 
-    def test_malformed_json_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", None])
+    def test_malformed_json_is_usage_error(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
         assert main(["run", str(path)]) == EXIT_USAGE
+        assert "cannot read config" in capsys.readouterr().err
 
     def test_invalid_field_is_usage_error(self, tmp_path):
         cfg = canned_config("theorem4_smoke").to_dict()
@@ -411,6 +416,69 @@ class TestConfigBoundary:
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "params.watchdog_b" in err and "Traceback" not in err
+
+
+_TORN = {"mode": "shmem_real", "experiment": "torn_state"}
+_CONTRACTION = {"mode": "measure_sim", "experiment": "contraction_campaign"}
+_MEASURE = {"mode": "measure_sim"}
+_MH_UNIFORM = _mh({"type": "uniform_independence"})
+
+
+class TestEveryFieldNamed:
+    """Configs that once ended in a traceback, a vacuous exit 0, exit 3, or
+    exit 1 without naming the field."""
+
+    @pytest.mark.parametrize(
+        "base,overrides,field",
+        [
+            ("replay", {**_TORN, "params": {"ops": "x"}}, "params.ops"),
+            ("replay", {**_CONTRACTION, "params": {"instances": "x"}}, "params.instances"),
+            ("replay", {"kernel": {**_MH_UNIFORM, "site_order": 5}}, "kernel.site_order"),
+            ("replay", {"params": {"schedule": {"type": "adversarial", "name": ["x"]}}},
+             "params.schedule.name"),
+            ("replay", {"target": {"type": "gaussian_correlated", "rho": "x"}}, "target.rho"),
+            ("replay", {"target": {"type": "finite", "weights": [1.0, 2.0], "labels": 5}}, "target.labels"),
+            ("replay", {**_MEASURE, "params": {"threshold": "x"}}, "params.threshold"),
+            ("pserver", {"params": {"n_batches": "x"}}, "params.n_batches"),
+            ("pserver", {"params": {"init": 5}}, "params.init"),
+            ("pserver", {"params": {"frozen_workers": 5}}, "params.frozen_workers"),
+            ("pserver", {"kernel": {"kind": "gibbs_single_site"}, "params": {"init": [1.0]}}, "params.init"),
+            ("replay", {**_CONTRACTION, "params": {"instances": 0}}, "params.instances"),
+            ("replay", {**_TORN, "params": {"ops": 0}}, "params.ops"),
+            ("replay", {**_MEASURE, "target": _GAUSS, "kernel": {"kind": "gibbs_single_site"}}, "target.type"),
+            ("replay", {**_MEASURE, "target": {"type": "finite", "weights": [1.0, 0.0, 2.0]}},
+             "target.weights"),
+            ("pserver", {"delay": {"kind": "nope"}}, "delay.kind"),
+            ("replay", {"kernel": {"kind": ["x"]}}, "kernel.kind"),
+            ("replay", {**_MEASURE, "params": {"mu0": {"label": 99}}}, "params.mu0.label"),
+            ("replay", {"experiment": "determinism_repro", "params": {"configs": "ab"}}, "params.configs"),
+            ("replay", {"seed": -1}, "seed"),
+            ("replay", {"out_dir": 5}, "out_dir"),
+            ("replay", {**_MEASURE, "experiment": "frozen_worker_counterexample", "horizon": 5}, "horizon"),
+            ("pserver", {"experiment": "naive_divergence_control", "target": {"type": "finite", "weights": [1, 2]},
+                         "kernel": {"kind": "gibbs_single_site"}}, "target.type"),
+            ("pserver", {"experiment": "coupled", "correction": None, "kernel": _MH_UNIFORM,
+                         "target": {"type": "finite", "weights": [1, 2]}}, "correction"),
+        ],
+    )
+    def test_bad_field_exit_1(self, tmp_path, capsys, base, overrides, field):
+        doc = _small_pserver_config(tmp_path) if base == "pserver" else _replay_config(tmp_path, 0.5)
+        doc.update(overrides)
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{field}:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_an_object_exit_1(self, tmp_path, capsys):
+        assert _run_file(tmp_path, 5) == EXIT_USAGE
+        assert "config: must be an object" in capsys.readouterr().err
+
+    def test_threaded_run_from_a_zero_weight_state_exit_1(self, tmp_path, capsys):
+        doc = {**_replay_config(tmp_path, 0.5), "mode": "shmem_real"}
+        doc["target"] = {"type": "finite", "weights": [0.0, 1.0, 2.0]}
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        assert "outside the target support" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestWriteText:

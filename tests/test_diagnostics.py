@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from asyncmc.diagnostics import (
-    GridTV,
-    default_bins,
-    discard_burn_in,
-    gaussian_bin_masses,
-    grid_tv,
-    moments,
-)
-from asyncmc.errors import CoverageError, ParameterError, ValidationError
+from asyncmc.diagnostics import discard_burn_in, moments
+from asyncmc.errors import ParameterError
 
 
 class TestMoments:
@@ -77,63 +70,3 @@ class TestMoments:
         ]
         assert max(estimates) - min(estimates) <= 0.02
 
-
-class TestGridTV:
-    def test_identical_samples_zero(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(50_000)
-        bins = default_bins(0.0, 1.0)
-        assert grid_tv(x, x.copy(), bins).tv_estimate == 0.0
-
-    def test_disjoint_supports_near_one(self):
-        rng = np.random.default_rng(5)
-        a = rng.uniform(-4, -2, size=50_000)
-        b = rng.uniform(2, 4, size=50_000)
-        bins = np.linspace(-5, 5, 51)
-        assert grid_tv(a, b, bins).tv_estimate >= 0.99
-
-    def test_normal_samples_against_exact_masses(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(1_000_000)
-        bins = default_bins(0.0, 1.0, n_bins=50)
-        masses = gaussian_bin_masses(bins)
-        assert grid_tv(x, masses, (bins,)).tv_estimate <= 0.02
-
-    def test_symmetry_in_sample_arguments(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal(30_000)
-        b = rng.standard_normal(30_000) * 1.3
-        bins = np.linspace(-8, 8, 41)
-        assert grid_tv(a, b, bins).tv_estimate == grid_tv(b, a, bins).tv_estimate
-
-    def test_refining_bins_never_decreases_estimate(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal(200_000) * 1.15  # misspecified scale
-        fine = np.linspace(-6, 6, 49)
-        coarse = fine[::2]
-        tv_fine = grid_tv(x, gaussian_bin_masses(fine), (fine,)).tv_estimate
-        tv_coarse = grid_tv(x, gaussian_bin_masses(coarse), (coarse,)).tv_estimate
-        assert tv_fine >= tv_coarse
-
-    def test_joint_two_dimensional_grid(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((100_000, 2))
-        b = rng.standard_normal((100_000, 2))
-        bins = (np.linspace(-6, 6, 31), np.linspace(-6, 6, 31))
-        assert grid_tv(a, b, bins).tv_estimate <= 0.05
-
-    def test_coverage_error(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal(20_000) * 3.0
-        with pytest.raises(CoverageError):
-            grid_tv(x, x.copy(), np.linspace(-1, 1, 11))
-
-    def test_sample_size_precondition(self):
-        with pytest.raises(ParameterError):
-            grid_tv(np.zeros(100), np.zeros(100), np.linspace(-1, 1, 5))
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValidationError):
-            GridTV((np.array([0.0, 0.0, 1.0]),), 0.5)
-        with pytest.raises(ValidationError):
-            GridTV((np.array([0.0, 1.0]),), 1.5)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from asyncmc.errors import LivenessError, ScheduleError
+from asyncmc.errors import LivenessError, ScheduleError, ValidationError
 from asyncmc.kernels import (
     KernelSpec,
     UniformIndependenceProposal,
@@ -76,6 +76,13 @@ class TestRunAsync:
     def test_watchdog_fires_on_infeasible_bound(self):
         with pytest.raises(LivenessError):
             run_async(mh_spec(), m=2, horizon=100, seed=1, watchdog_b=1)
+
+    def test_worker_exception_is_raised_after_join(self):
+        # the default start label 0 has zero weight, so every worker's first step raises
+        target = finite_target([0.0, 1.0, 2.0])
+        spec = KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support))
+        with pytest.raises(ValidationError, match="outside the target support"):
+            run_async(spec, m=2, horizon=50, seed=1, watchdog_b=50)
 
     def test_statistical_agreement_with_stationary(self):
         spec = mh_spec()
@@ -153,6 +160,10 @@ class TestTornState:
         result = torn_state_stress(4, 100_000, seed=5)
         assert result["failures"] == 0
         assert result["ops"] >= 100_000
+
+    def test_worker_exception_is_raised_after_join(self):
+        with pytest.raises(TypeError):
+            torn_state_stress(2, "x", seed=5)
 
 
 class TestExport:
