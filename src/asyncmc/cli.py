@@ -304,6 +304,8 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     rng = np.random.default_rng(cfg.seed)
     schedule = build_schedule(cfg, rng)
     threshold = _read(params, "params.threshold", float, measure_sim.CONVERGENCE_THRESHOLD)
+    if threshold <= 0:  # no distance is below it: a malformed field, not a violation
+        raise ValidationError(f"params.threshold: must be > 0, got {threshold!r}")
     trace = measure_sim.propagate(matrix, mu0, schedule)
     report = measure_sim.verify_theorem4(trace, threshold=threshold)
     summary = {

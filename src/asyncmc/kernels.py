@@ -289,6 +289,7 @@ class GaussianRandomWalkProposal:
 
     def __init__(self, scale: float):
         self.scale = _positive_scale(scale)
+        self._log_scale = math.log(self.scale)
 
     def sample(self, x, rng: np.random.Generator):
         return tuple(xi + self.scale * rng.standard_normal() for xi in x), {}
@@ -297,7 +298,7 @@ class GaussianRandomWalkProposal:
         lp = 0.0
         for yi, xi in zip(y, x):
             z = (yi - xi) / self.scale
-            lp += -0.5 * z * z - math.log(self.scale) - _LOG_SQRT_2PI
+            lp += -0.5 * z * z - self._log_scale - _LOG_SQRT_2PI
         return lp
 
 
@@ -317,7 +318,8 @@ class GaussianIndependenceProposal:
         self._log_scale = math.log(self.scale)
 
     def sample(self, x, rng: np.random.Generator):
-        return tuple(c + self.scale * rng.standard_normal() for c in self.center), {}
+        normal, scale = rng.standard_normal, self.scale
+        return tuple(c + scale * normal() for c in self.center), {}
 
     def logpdf(self, y, x, params=None) -> float:
         lp = 0.0

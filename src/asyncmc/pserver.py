@@ -49,6 +49,7 @@ from .kernels import (
     TableIndependenceProposal,
     TargetDensity,
     UniformIndependenceProposal,
+    _DOUBLE_UNIT,
     _PCG64Draws,
     default_init,
     worker_streams,
@@ -69,6 +70,9 @@ SERVER_KERNELS = ("metropolis_hastings", "gibbs_single_site")
 # Latencies are drawn from [0, span] as int64, so the top of the range is
 # numpy's int64 limit.
 MAX_SPAN = 2**63 - 1
+# Processed messages whose densities and accept decisions the block path
+# resolves at once (see run_pserver).
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -354,6 +358,175 @@ def _worker_proposal(kernel: KernelSpec):
     )
 
 
+def _event_loop(horizon, periods, delay, infra, frozen, max_resends, value, send, receive) -> dict:
+    """Deliver messages in virtual-time order until ``horizon`` are processed.
+
+    This is the timing, backpressure and liveness of every run.  A heap entry
+    is ``(time, tiebreak, worker, message)`` with ``message`` None for a
+    send.  ``send(w, x, read_version)`` composes worker ``w``'s message from
+    its read of state ``x`` at ``read_version``, which must be the message's
+    first element; ``receive(w, message)`` processes a delivery within the
+    staleness cap and returns the state that later fresh reads see
+    (``value`` before the first).  ``infra`` gives one start offset per
+    non-frozen worker, then a latency per send and a jitter per processed
+    message, in the order they happen.
+    """
+    m = len(periods)
+    latency = delay.latency_sampler(infra)
+    jitter, infra_random, cap = delay.jitter, infra.random, delay.staleness_cap
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heap: list = []
+    for w in range(m):
+        start = 0.0 if w in frozen else (jitter + 1e-9) * infra_random()
+        heappush(heap, (start, w, w, None))
+    tiebreak = m
+    frozen_reads: dict = {}
+    stalled = [0] * m  # consecutive stale resends of each worker's current message
+    resends = sends = 0
+    processed = 0  # also the server version
+    while processed < horizon:
+        t, _, w, msg = heappop(heap)
+        if msg is not None:
+            if processed - msg[0] <= cap:
+                value = receive(w, msg)
+                processed += 1
+                stalled[w] = 0
+                heappush(heap, (t + periods[w] + jitter * infra_random(), tiebreak, w, None))
+                tiebreak += 1
+                continue
+            # backpressure: re-read now and resend rather than apply a read
+            # staler than the model allows
+            resends += 1
+            stalled[w] += 1
+            if stalled[w] > max_resends:
+                raise LivenessError(
+                    f"worker {w} exceeded {max_resends} stale resends (cap {cap})"
+                )
+            frozen_reads.pop(w, None)  # a resend reads afresh, frozen or not
+        if w in frozen_reads:
+            x, read_version = frozen_reads[w]
+        else:
+            x, read_version = value, processed
+            if w in frozen:
+                frozen_reads[w] = (x, read_version)
+        sends += 1
+        msg = send(w, x, read_version)
+        heappush(heap, (t + latency(), tiebreak, w, msg))
+        tiebreak += 1
+    pending = sum(1 for item in heap if item[3] is not None)
+    return {"messages_sent": sends, "resends": resends, "pending_at_exit": pending}
+
+
+def _message_path(kernel, target, props, rngs, init, init_lp, naive, coupled, out):
+    """``send`` and ``receive`` deciding each delivery against the server at once.
+
+    A message is ``(read_version, x, x_star, log_pi_x_star, log_f_forward,
+    params)``, and ``receive`` does what :func:`server_receive` does.
+    """
+    workers_arr, reads_arr, accepted_arr, ratios_arr, states = out
+    log_unnorm, exp = target.log_unnorm, math.exp
+    samplers = [p.sample for p in props]
+    logpdfs = [p.logpdf for p in props]
+    raws = [r.bit_generator.random_raw for r in rngs]
+    cached_reverse = kernel.kind == "metropolis_hastings"
+    slot_of = list(range(len(props))) if coupled else [0] * len(props)
+    if cached_reverse:
+        reverse = [logpdfs[w](init, init, {}) for w in range(len(props) if coupled else 1)]
+    index = {lab: i for i, lab in enumerate(target.support.labels)} if target.is_finite else None
+    value, log_pi, processed = init, init_lp, 0
+
+    def send(w, x, read_version):
+        x_star, params = samplers[w](x, rngs[w])
+        return read_version, x, x_star, log_unnorm(x_star), logpdfs[w](x_star, x, params), params
+
+    def receive(w, msg):
+        nonlocal value, log_pi, processed
+        read_version, x, x_star, lp_star, log_f_forward, params = msg
+        # a full-state message has no params, and is its own candidate
+        cand, cand_lp = _candidate(value, x_star, lp_star, params) if params else (x_star, lp_star)
+        if cand_lp is None:
+            cand_lp = log_unnorm(cand)
+        if cached_reverse:
+            log_f_reverse = reverse[slot_of[w]]
+        else:
+            log_f_reverse = logpdfs[w](value, x, params)
+        log_ratio = _log_accept_ratio(cand_lp + log_f_reverse, log_pi + log_f_forward)
+        u = (raws[w]() >> 11) * _DOUBLE_UNIT
+        accepted = naive or log_ratio >= 0.0 or u < exp(log_ratio)
+        if accepted:
+            value, log_pi = cand, cand_lp
+            if cached_reverse:
+                reverse[slot_of[w]] = log_f_forward
+        workers_arr[processed] = w
+        reads_arr[processed] = read_version
+        accepted_arr[processed] = accepted
+        ratios_arr[processed] = log_ratio
+        states[processed] = value if index is None else index[value]
+        processed += 1
+        return value
+
+    return send, receive
+
+
+def _block_path(target, proposal, rngs, init, init_lp, naive, out):
+    """``send``, ``receive`` and ``flush`` resolving up to ``_BLOCK`` deliveries at once.
+
+    A message is ``(read_version, x_star)``.  ``receive`` draws the accept
+    uniform and keeps ``(worker, read_version, x_star, u)``; ``flush`` takes
+    the densities of the kept proposals in one ``log_unnorm`` and one
+    ``logpdf`` call on their coordinate columns, whose elementwise float
+    operations give the bits of the scalar calls, then decides them in order
+    in plain floats and writes the record's slices.
+    """
+    workers_arr, reads_arr, accepted_arr, ratios_arr, states = out
+    sample, logpdf, log_unnorm, exp = proposal.sample, proposal.logpdf, target.log_unnorm, math.exp
+    raws = [r.bit_generator.random_raw for r in rngs]
+    block: list = []
+    rows = np.empty((_BLOCK + 1, target.dim))  # row 0: the server state before the block
+    rows[0] = init
+    log_pi, reverse, done = init_lp, logpdf(init, init, {}), 0
+
+    def send(w, x, read_version):
+        return read_version, sample(x, rngs[w])[0]
+
+    def receive(w, msg):
+        block.append((w, *msg, (raws[w]() >> 11) * _DOUBLE_UNIT))
+        if len(block) == _BLOCK:
+            flush()
+
+    def flush():
+        nonlocal log_pi, reverse, done
+        n = len(block)
+        if n == 0:
+            return
+        workers, read_versions, stars, uniforms = zip(*block)
+        block.clear()
+        rows[1 : n + 1] = stars
+        columns = tuple(rows[1 : n + 1].T)
+        lps = log_unnorm(columns).tolist()
+        lfs = logpdf(columns, None, {}).tolist()
+        accepted, ratios, source = [], [], []
+        current = 0  # the row holding the server state
+        for i, lp_star, log_f_forward, u in zip(range(1, n + 1), lps, lfs, uniforms):
+            log_ratio = _log_accept_ratio(lp_star + reverse, log_pi + log_f_forward)
+            ok = naive or log_ratio >= 0.0 or u < exp(log_ratio)
+            if ok:
+                log_pi, reverse, current = lp_star, log_f_forward, i
+            accepted.append(ok)
+            ratios.append(log_ratio)
+            source.append(current)
+        end = done + n
+        workers_arr[done:end] = workers
+        reads_arr[done:end] = read_versions
+        accepted_arr[done:end] = accepted
+        ratios_arr[done:end] = ratios
+        states[done:end] = rows[source]
+        rows[0] = rows[current]
+        done = end
+
+    return send, receive, flush
+
+
 def run_pserver(
     kernel: KernelSpec,
     m: int,
@@ -378,30 +551,43 @@ def run_pserver(
     one worker's message is dropped more than ``max_resends`` times in a row
     (the count restarts each time one of its messages lands).
 
-    The loop does per message what :func:`server_receive` does, on plain
-    tuples: a heap entry is ``(time, tiebreak, worker, message)`` with
-    ``message`` None for a send, and a message in flight is ``(read_version,
-    x, x_star, log_pi_x_star, log_f_forward, params)``.  For
+    One event loop (:func:`_event_loop`) owns the heap, backpressure and
+    liveness of every run; two paths plug into it.  For
     ``metropolis_hastings`` the reverse density ``f(x_s | x)`` is ``q(x_s)``,
     since every proposal in ``SERVER_PROPOSALS`` ignores ``x``: it is taken
     once from ``logpdf`` of the initial state and replaced by the accepted
-    message's ``log_f_forward``, one value per slot when coupled.  A
-    ``gibbs_single_site`` message's reverse density depends on its read and
-    is evaluated per message.
+    message's ``log_f_forward``, one value per slot when coupled.
 
-    Each worker's stream gives its proposal draws when it sends (dropped
-    stale messages included) and one uniform per processed message; the
-    infra stream gives one start offset per non-frozen worker, then a
-    latency per send and a jitter per processed message, in the order they
-    happen.  Except under ``fifo_random``, whose geometric latency needs
-    numpy, the infra stream is read as PCG64 raw outputs fetched in bulk,
-    giving the same numbers in the same order as the scalar calls.
+    * Block path: an uncoupled ``metropolis_hastings`` run on a Gaussian
+      target.  There no worker draw, message time, drop, resend or liveness
+      decision depends on the server's state, only the accept decisions do,
+      so the loop runs without the state and the densities and decisions of
+      up to ``_BLOCK`` processed messages are resolved at once
+      (:func:`_block_path`); dropped messages get no density at all.
+    * Per-message path: everything else (``gibbs_single_site``, whose
+      reverse density depends on the read and is evaluated per message;
+      coupled runs; finite targets, whose densities are table lookups).
+
+    Both paths give the same arrays bit for bit.  Each worker's stream gives
+    its proposal draws when it sends (dropped stale messages included) and
+    one uniform per processed message, taken as numpy's ``random()`` does,
+    ``(random_raw() >> 11) * 2**-53``, from the raw output.  The infra stream
+    gives one start offset per non-frozen worker, then a latency per send and
+    a jitter per processed message, in the order they happen.  Except under
+    ``fifo_random``, whose geometric latency needs numpy, the infra stream is
+    read as PCG64 raw outputs fetched in bulk, giving the same numbers in the
+    same order as the scalar calls.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
     if m < 1 or horizon < 1:
         raise ParameterError("m and horizon must be positive")
     periods = delay.periods(m)
+    frozen = set(frozen_workers)
+    if not frozen <= set(range(m)):
+        raise ParameterError(
+            f"params.frozen_workers: worker ids must lie in [0, {m}), got {list(frozen_workers)!r}"
+        )
 
     base_target = kernel.target
     if coupled:
@@ -412,8 +598,7 @@ def run_pserver(
             init = tuple(default_init(base_target) for _ in range(m))
     else:
         target = base_target
-        prop = _worker_proposal(kernel)
-        worker_props = [prop] * m
+        worker_props = [_worker_proposal(kernel)] * m
         if init is None:
             init = default_init(base_target)
 
@@ -421,99 +606,33 @@ def run_pserver(
     is_state = init in target.support.labels if target.is_finite else len(init) == target.dim
     if not is_state:
         raise ValidationError(f"params.init: {init!r} is not a state of the target")
-    log_unnorm = target.log_unnorm
-    init_lp = log_unnorm(init)
+    init_lp = target.log_unnorm(init)
     if init_lp == NEG_INF:
         raise ValidationError("initial state lies outside the target support")
 
     rngs = worker_streams(seed, m, extra=1)
     # numpy's geometric draw cannot be rerun on raw words
     infra = rngs[m] if delay.kind == "fifo_random" else _PCG64Draws(rngs[m])
-    latency = delay.latency_sampler(infra)
-    jitter, infra_random = delay.jitter, infra.random
-    samplers = [p.sample for p in worker_props]
-    logpdfs = [p.logpdf for p in worker_props]
-    cached_reverse = kernel.kind == "metropolis_hastings"
-    slot_of = list(range(m)) if coupled else [0] * m
-    if cached_reverse:
-        reverse = [logpdfs[w](init, init, {}) for w in range(m if coupled else 1)]
-    uniforms = [r.random for r in rngs[:m]]
-    frozen = set(frozen_workers)
-
-    heap: list = []
-    for w in range(m):
-        start = 0.0 if w in frozen else (jitter + 1e-9) * infra_random()
-        heapq.heappush(heap, (start, w, w, None))
-    tiebreak = m
-
-    is_finite = target.is_finite
-    if is_finite:
-        index = {lab: i for i, lab in enumerate(target.support.labels)}
+    if target.is_finite:
         states = np.empty(horizon, dtype=np.int64)
     else:
         states = np.empty((horizon, m, base_target.dim) if coupled else (horizon, target.dim))
-    workers_arr = np.empty(horizon, dtype=np.int32)
-    reads_arr = np.empty(horizon, dtype=np.int64)
-    accepted_arr = np.empty(horizon, dtype=bool)
-    ratios_arr = np.empty(horizon, dtype=float)
-
+    out = (
+        np.empty(horizon, dtype=np.int32),  # workers
+        np.empty(horizon, dtype=np.int64),  # read versions
+        np.empty(horizon, dtype=bool),  # accepted
+        np.empty(horizon, dtype=float),  # log ratios
+        states,
+    )
     naive = mode == "naive_accept"
-    cap = delay.staleness_cap
-    heappush, heappop, exp = heapq.heappush, heapq.heappop, math.exp
-    value, log_pi = init, init_lp
-    frozen_reads: dict = {}
-    stalled = [0] * m  # consecutive stale resends of each worker's current message
-    resends = sends = 0
-    processed = 0  # also the server version
-    while processed < horizon:
-        t, _, w, msg = heappop(heap)
-        if msg is not None:
-            read_version, x, x_star, lp_star, log_f_forward, params = msg
-            if processed - read_version <= cap:
-                cand, cand_lp = _candidate(value, x_star, lp_star, params)
-                if cand_lp is None:
-                    cand_lp = log_unnorm(cand)
-                if cached_reverse:
-                    log_f_reverse = reverse[slot_of[w]]
-                else:
-                    log_f_reverse = logpdfs[w](value, x, params)
-                log_ratio = _log_accept_ratio(cand_lp + log_f_reverse, log_pi + log_f_forward)
-                u = uniforms[w]()
-                accepted = naive or log_ratio >= 0.0 or u < exp(log_ratio)
-                if accepted:
-                    value, log_pi = cand, cand_lp
-                    if cached_reverse:
-                        reverse[slot_of[w]] = log_f_forward
-                workers_arr[processed] = w
-                reads_arr[processed] = read_version
-                accepted_arr[processed] = accepted
-                ratios_arr[processed] = log_ratio
-                states[processed] = index[value] if is_finite else value
-                processed += 1
-                stalled[w] = 0
-                heappush(heap, (t + periods[w] + jitter * infra_random(), tiebreak, w, None))
-                tiebreak += 1
-                continue
-            # backpressure: re-read now and resend rather than apply a read
-            # staler than the model allows
-            resends += 1
-            stalled[w] += 1
-            if stalled[w] > max_resends:
-                raise LivenessError(
-                    f"worker {w} exceeded {max_resends} stale resends (cap {cap})"
-                )
-            frozen_reads.pop(w, None)  # a resend reads afresh, frozen or not
-        if w in frozen_reads:
-            x, read_version = frozen_reads[w]
-        else:
-            x, read_version = value, processed
-            if w in frozen:
-                frozen_reads[w] = (x, read_version)
-        sends += 1
-        x_star, params = samplers[w](x, rngs[w])
-        msg = (read_version, x, x_star, log_unnorm(x_star), logpdfs[w](x_star, x, params), params)
-        heappush(heap, (t + latency(), tiebreak, w, msg))
-        tiebreak += 1
+    loop = (horizon, periods, delay, infra, frozen, max_resends)
+    if kernel.kind == "metropolis_hastings" and not coupled and target.gaussian is not None:
+        send, receive, flush = _block_path(target, worker_props[0], rngs[:m], init, init_lp, naive, out)
+        counts = _event_loop(*loop, None, send, receive)
+        flush()
+    else:
+        send, receive = _message_path(kernel, target, worker_props, rngs[:m], init, init_lp, naive, coupled, out)
+        counts = _event_loop(*loop, init, send, receive)
 
     config = {
         "mode": f"pserver:{mode}",
@@ -521,14 +640,14 @@ def run_pserver(
         "m": m,
         "horizon": horizon,
         "seed": seed,
-        "delay": {"kind": delay.kind, "params": delay.params, "staleness_cap": cap},
+        "delay": {"kind": delay.kind, "params": delay.params, "staleness_cap": delay.staleness_cap},
         "coupled": coupled,
         "frozen_workers": sorted(frozen),
-        "messages_sent": sends,
-        "resends": resends,
-        "pending_at_exit": sum(1 for item in heap if item[3] is not None),
+        "messages_sent": counts["messages_sent"],
+        "resends": counts["resends"],
+        "pending_at_exit": counts["pending_at_exit"],
     }
-    return PServerRecord(workers_arr, reads_arr, accepted_arr, ratios_arr, states, config, target)
+    return PServerRecord(*out, config, target)
 
 
 def replica_marginal_indices(record: PServerRecord, slot: int, base: TargetDensity) -> np.ndarray:

@@ -374,6 +374,24 @@ class TestConfigBoundary:
         assert f"{field}: must be an integer" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("frozen", [[7, -1], [2], [0, -1]])
+    @pytest.mark.parametrize("experiment", ["run", "naive_divergence_control"])
+    def test_frozen_worker_out_of_range_exit_1(self, tmp_path, capsys, frozen, experiment):
+        doc = _small_pserver_config(tmp_path, params={"frozen_workers": frozen})
+        doc.update(m=2, experiment=experiment)
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "params.frozen_workers: worker ids must lie in [0, 2)" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threshold", [0, 0.0, -0.5, -1])
+    def test_threshold_not_positive_exit_1(self, tmp_path, capsys, threshold):
+        doc = {**_replay_config(tmp_path, 0.5), "mode": "measure_sim", "params": {"threshold": threshold}}
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "params.threshold: must be > 0" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_server_rejects_random_walk_exit_1(self, tmp_path, capsys):
         doc = _small_pserver_config(tmp_path)
         doc["kernel"] = _mh({"type": "gaussian_random_walk", "scale": 0.5})

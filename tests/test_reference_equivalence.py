@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asyncmc import kernels, schedules
+from asyncmc import kernels, pserver, schedules
 from asyncmc.errors import LivenessError, ParameterError, ValidationError
 from asyncmc.kernels import (
     GaussianIndependenceProposal,
@@ -594,6 +594,28 @@ class TestPCG64Draws:
         assert draws.integers(0, 1 << 32) == int(ref_rng.integers(0, 1 << 32))
         assert ref_rng.bit_generator.state["has_uint32"] == 0
 
+    def test_raw_output_uniform_is_random(self):
+        # the server's accept uniform, (random_raw() >> 11) * 2**-53, between
+        # the normal and bounded draws of worker proposals; bounds below
+        # 2**32 leave a buffered half-word that the raw output must not touch
+        meta = np.random.default_rng(17)
+        buffered = 0
+        for seed in range(20):
+            fast_rng, ref_rng = generator_pair(np.random.PCG64, seed, lead=seed % 2)
+            raw = fast_rng.bit_generator.random_raw
+            for _ in range(300):
+                draw = meta.random()
+                if draw < 0.4:
+                    buffered += fast_rng.bit_generator.state["has_uint32"]
+                    assert (raw() >> 11) * 2**-53 == ref_rng.random()
+                elif draw < 0.7:
+                    assert fast_rng.standard_normal() == ref_rng.standard_normal()
+                else:
+                    k = int(meta.integers(1, 9))
+                    assert fast_rng.integers(0, k) == ref_rng.integers(0, k)
+            assert plain_state(fast_rng) == plain_state(ref_rng)
+        assert buffered > 0
+
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS[1:])
     def test_other_bit_generators_refused(self, bit_generator):
         with pytest.raises(TypeError, match="PCG64"):
@@ -709,6 +731,11 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
     }
 
 
+def bench_kernel():
+    target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.5).precision)
+    return KernelSpec("metropolis_hastings", target, GaussianIndependenceProposal([0.0, 0.0], 1.5))
+
+
 def assert_pserver_identical(kernel, m, horizon, delay, mode, seed, **kwargs):
     got = run_pserver(kernel, m, horizon, delay, mode, seed, **kwargs)
     want = reference_run_pserver(kernel, m, horizon, delay, mode, seed, **kwargs)
@@ -811,6 +838,67 @@ class TestServerLoop:
         kernel = KernelSpec("metropolis_hastings", target, prop)
         delay = DelayModel("reorder_random", {"span": 12}, staleness_cap=5)
         record = assert_pserver_identical(kernel, 3, 3000, delay, "naive_accept", 8)
+        assert record.config["resends"] > 0
+
+    # Uncoupled metropolis_hastings runs on a Gaussian target take the block
+    # path: densities and accept decisions per pserver._BLOCK messages.
+
+    def test_block_path_below_one_block(self):
+        delay = DelayModel("reorder_random", {"span": 8, "jitter": 0.3}, staleness_cap=64)
+        assert_pserver_identical(bench_kernel(), 4, pserver._BLOCK - 1, delay, "mh_corrected", 31)
+
+    def test_block_path_across_block_edges(self):
+        delay = DelayModel("fifo_fixed", {"latency": 1.0, "periods": [1.0, 0.5, 2.0], "jitter": 0.4},
+                           staleness_cap=64)
+        assert_pserver_identical(bench_kernel(), 3, 2 * pserver._BLOCK + 37, delay, "mh_corrected", 32)
+
+    def test_block_path_single_worker(self):
+        delay = DelayModel("fifo_fixed", {"latency": 0.0, "jitter": 0.0}, staleness_cap=0)
+        record = assert_pserver_identical(bench_kernel(), 1, 2 * pserver._BLOCK + 37, delay,
+                                          "mh_corrected", 33)
+        assert 0 < record.accept_rate < 1
+
+    def test_block_path_naive(self):
+        delay = DelayModel("reorder_random", {"span": 8, "jitter": 0.3}, staleness_cap=64)
+        record = assert_pserver_identical(bench_kernel(), 4, 2 * pserver._BLOCK + 37, delay,
+                                          "naive_accept", 34)
+        assert record.accepted.all()
+
+    @pytest.mark.parametrize("mode", ["mh_corrected", "naive_accept"])
+    def test_block_path_resends_with_a_frozen_worker(self, mode):
+        # drops, resends and the frozen worker's reads fall on both sides of
+        # every block edge
+        delay = DelayModel("reorder_random", {"span": 12, "jitter": 0.3}, staleness_cap=5)
+        record = assert_pserver_identical(bench_kernel(), 3, 2 * pserver._BLOCK + 37, delay, mode, 35,
+                                          init=(2.0, -2.0), frozen_workers=(0,))
+        assert record.config["resends"] > 100
+        assert (record.workers == 0).any()
+
+    def test_block_path_liveness_error_message(self):
+        delay = DelayModel("fifo_fixed", {"latency": 1.0, "jitter": 0.0, "periods": 0.0}, staleness_cap=0)
+        messages = []
+        for run in (run_pserver, reference_run_pserver):
+            with pytest.raises(LivenessError) as info:
+                run(bench_kernel(), 3, 1000, delay, "mh_corrected", 2, max_resends=50)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_block_path_takes_densities_per_block(self):
+        shapes = []
+
+        class CountedProposal(GaussianIndependenceProposal):
+            def logpdf(self, y, x, params=None):
+                shapes.append(np.shape(y[0]))
+                return super().logpdf(y, x, params)
+
+        target = bench_kernel().target
+        kernel = KernelSpec("metropolis_hastings", target, CountedProposal([0.0, 0.0], 1.5))
+        delay = DelayModel("reorder_random", {"span": 12, "jitter": 0.3}, staleness_cap=5)
+        horizon = 2 * pserver._BLOCK + 37
+        record = run_pserver(kernel, 3, horizon, delay, "mh_corrected", 36)
+        # the initial reverse density, then one call per block; dropped
+        # messages get none
+        assert shapes == [(), (pserver._BLOCK,), (pserver._BLOCK,), (37,)]
         assert record.config["resends"] > 0
 
     def test_liveness_error_message(self):
