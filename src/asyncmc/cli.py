@@ -46,6 +46,73 @@ EXPERIMENTS = {
     "pserver": ("run", "naive_divergence_control", "coupled"),
 }
 
+# The keys that each nested config object may hold: a tuple of keys, or the
+# path of the field that picks them and the keys for each of its values.
+# ``params`` is picked by the experiment, and in a ``run`` by the mode.
+_PARAMS_KEYS = ("burn_fraction", "init", "frozen_workers", "n_batches")
+_NESTED_KEYS = {
+    "target": ("target.type", {
+        "finite": ("weights", "labels"), "gaussian": ("mean", "precision"),
+        "gaussian_correlated": ("rho",),
+    }),
+    "kernel": ("kind", "proposal", "site_order"),
+    "kernel.proposal": ("kernel.proposal.type", {
+        "uniform_independence": (), "table_independence": ("weights",), "identity": (),
+        "gaussian_random_walk": ("scale",), "gaussian_independence": ("center", "scale"),
+        "gibbs_site": (),
+    }),
+    "delay": ("kind", "params", "staleness_cap"),
+    "delay.params": ("delay.kind", {
+        "fifo_fixed": ("latency", "periods", "jitter"), "fifo_random": ("mean", "periods", "jitter"),
+        "reorder_random": ("span", "periods", "jitter"),
+    }),
+    "params": ("experiment", {
+        "measure_sim": ("mu0", "schedule", "threshold"),
+        "theorem4_campaign": ("mu0", "instances", "n_states_max", "m_max", "b_max"),
+        "contraction_campaign": ("mu0", "instances"),
+        "frozen_worker_counterexample": ("mu0",),
+        "shmem_real": ("burn_fraction", "watchdog_b"),
+        "shmem_replay": ("burn_fraction", "schedule"),
+        "torn_state": ("ops",),
+        "pserver": _PARAMS_KEYS, "naive_divergence_control": _PARAMS_KEYS, "coupled": _PARAMS_KEYS,
+        "determinism_repro": ("configs",),
+    }),
+    "params.schedule": ("params.schedule.type", {"random": (), "synchronous": (), "adversarial": ("name",)}),
+    "params.mu0": ("params.mu0.type", {"point_mass": ("label",), "uniform": (), "probs": ("probs",)}),
+}
+
+
+def _field(doc: dict, path: str):
+    """The value at the dotted ``path`` of ``doc``, or None where it is absent."""
+    for key in path.split("."):
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
+
+
+def _check_keys(doc: dict) -> None:
+    """Raise a ValidationError naming, by its path, the first key of a nested
+    object of the config ``doc`` that no builder reads.  Where the picking
+    field is missing or unknown, the keys of every choice are allowed, and
+    the builder refuses the choice."""
+    for path, keys in _NESTED_KEYS.items():
+        obj = _field(doc, path)
+        if not isinstance(obj, dict):
+            continue
+        if isinstance(keys[1], dict):
+            choice_path, choices = keys
+            choice = _field(doc, choice_path)
+            choice = doc["mode"] if choice == "run" else choice
+            if isinstance(choice, str) and choice in choices:
+                keys = choices[choice]
+            else:
+                keys = [key for keys in choices.values() for key in keys]
+            if choice_path.startswith(path + "."):
+                keys = (*keys, choice_path.rpartition(".")[2])
+        unknown = sorted(set(obj) - set(keys))
+        if unknown:
+            raise ValidationError(f"{path}.{unknown[0]}: unknown field, expected one of {sorted(keys)}")
+
+
 # the JSON types a config field may be asked for, by the Python type holding them
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a finite number"}
 
@@ -128,6 +195,7 @@ class ExperimentConfig:
         serves = self.mode == "pserver" and experiment in ("run", "coupled")
         if serves and self.correction not in pserver.MODES:
             raise ValidationError(f"correction: must be one of {pserver.MODES}")
+        _check_keys(doc)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

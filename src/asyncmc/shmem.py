@@ -15,13 +15,25 @@ measure-level views of the same schedule can be compared.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import zlib
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import LivenessError, ScheduleError
-from .kernels import KernelSpec, _PCG64Draws, default_init, kernel_step, worker_streams
+from .kernels import (
+    NEG_INF,
+    KernelSpec,
+    _PCG64Draws,
+    default_init,
+    index_draws,
+    kernel_step,
+    steps_on_indices,
+    worker_streams,
+)
 from .schedules import Event, Schedule, minimal_valid_bound, validate
 
 
@@ -192,25 +204,36 @@ def run_async(
 def replay(kernel: KernelSpec, schedule: Schedule, seed: int) -> RunRecord:
     """Deterministically execute the read/step/write loop under a schedule.
 
-    Worker ``w`` draws from stream ``w`` of :func:`worker_streams`.  A kernel
-    on a finite target draws only doubles and bounded integers, so its
-    streams are read as raw PCG64 outputs fetched in bulk, which give the
-    values of the ``Generator`` calls in the same order; a Gaussian kernel
-    needs normal draws and keeps the ``Generator``.  This only makes replay
-    cheaper: a replay runs one thread and says nothing about concurrency.
+    Worker ``w`` draws from stream ``w`` of :func:`worker_streams`, in the
+    order ``kernel_step`` draws.  Metropolis-Hastings with a uniform or table
+    independence proposal (:func:`kernels.steps_on_indices`) steps on state
+    indices: the proposal never looks at the state, so each worker's
+    (proposal index, accept uniform) pairs come from
+    :func:`kernels.index_draws`, drawn in bulk, and each step compares
+    per-state log densities in ``mh_step``'s operand order; the labels are
+    looked up once at the end.  Every other kernel on a finite target calls
+    ``kernel_step`` on :class:`kernels._PCG64Draws`, and a Gaussian kernel on
+    the ``Generator``.  Either way each value and each state equals the
+    ``Generator`` path's.  This only makes replay cheaper: a replay runs one
+    thread and says nothing about concurrency.
     """
     violation = validate(schedule)
     if violation is not None:
         raise ScheduleError(str(violation))
     rngs = worker_streams(seed, schedule.workers)
-    if kernel.target.is_finite:
-        rngs = [_PCG64Draws(rng) for rng in rngs]
     events = schedule.events
-    # version v lives at index v; the initial state, version -1, at the end
-    versions = [None] * len(events) + [default_init(kernel.target)]
-    for seq, worker, read_from, _ in events:
-        versions[seq] = kernel_step(kernel, versions[read_from], rngs[worker]).state
-    versions.pop()
+    target = kernel.target
+    init = default_init(target)
+    if steps_on_indices(kernel) and target.log_unnorm(init) != NEG_INF:
+        versions = _replay_indices(kernel, events, rngs)
+    else:
+        if target.is_finite:
+            rngs = [_PCG64Draws(rng) for rng in rngs]
+        # version v lives at index v; the initial state, version -1, at the end
+        versions = [None] * len(events) + [init]
+        for seq, worker, read_from, _ in events:
+            versions[seq] = kernel_step(kernel, versions[read_from], rngs[worker]).state
+        versions.pop()
     config = {
         "mode": "shmem_replay",
         "kernel": kernel.describe(),
@@ -220,6 +243,37 @@ def replay(kernel: KernelSpec, schedule: Schedule, seed: int) -> RunRecord:
         "watchdog_b": schedule.staleness_bound,
     }
     return RunRecord(schedule, versions, config)
+
+
+def _replay_indices(kernel: KernelSpec, events, rngs) -> list:
+    """The states that ``events`` write, stepped on indices into the
+    target's labels; the initial state is label 0 and has positive weight,
+    so a state of zero weight is never entered."""
+    labels = kernel.target.support.labels
+    proposal = kernel.proposal
+    lp = [kernel.target.log_unnorm(label) for label in labels]
+    steps = Counter(map(itemgetter(1), events))
+    draws = [index_draws(proposal, rng, steps[w]).__next__ for w, rng in enumerate(rngs)]
+    exp = math.exp
+    # version v lives at index v; the initial state, version -1, at the end
+    versions = [0] * (len(events) + 1)
+    if proposal.symmetric:
+        for seq, worker, read_from, _ in events:
+            x = versions[read_from]
+            y, u = draws[worker]()
+            log_ratio = lp[y] - lp[x]
+            versions[seq] = y if log_ratio >= 0.0 or u < exp(log_ratio) else x
+    else:
+        lq = proposal.support_logpdfs(None).tolist()
+        for seq, worker, read_from, _ in events:
+            x = versions[read_from]
+            y, u = draws[worker]()
+            log_ratio = (lp[y] + lq[x]) - (lp[x] + lq[y])
+            versions[seq] = y if log_ratio >= 0.0 or u < exp(log_ratio) else x
+    versions.pop()
+    for seq, i in enumerate(versions):  # in place: a second list of this size raises peak memory
+        versions[seq] = labels[i]
+    return versions
 
 
 def torn_state_stress(m: int, total_ops: int, seed: int) -> dict:

@@ -438,7 +438,7 @@ class TestConfigBoundary:
 
 _TORN = {"mode": "shmem_real", "experiment": "torn_state"}
 _CONTRACTION = {"mode": "measure_sim", "experiment": "contraction_campaign"}
-_MEASURE = {"mode": "measure_sim"}
+_MEASURE = {"mode": "measure_sim", "params": {}}  # a replay's burn_fraction is no measure_sim key
 _MH_UNIFORM = _mh({"type": "uniform_independence"})
 
 

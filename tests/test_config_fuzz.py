@@ -141,3 +141,37 @@ def test_no_fuzzed_config_ends_in_a_traceback(field, value):
     assert "Traceback" not in err
     if code == 1:  # the field, or one inside it
         assert re.search(rf"{re.escape(path)}[:.\[]", err), err
+
+
+def _objects(doc: dict, prefix: str = ""):
+    """The paths of the nested objects of ``doc``, and their keys."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield prefix + key, list(value)
+            yield from _objects(value, f"{prefix}{key}.")
+
+
+def _misspelt(key: str) -> str:
+    return key[0] + key[2] + key[1] + key[3:] if len(key) > 2 else key + key[-1]
+
+
+# every key of every nested object of a base config, misspelt, and one
+# unknown key added to each nested object
+MISSPELT = [
+    (base, path, key, new)
+    for base in sorted(BASES)
+    for path, keys in _objects(BASES[base])
+    for key, new in [*((k, _misspelt(k)) for k in keys), (None, "bogus_key")]
+]
+
+
+@pytest.mark.parametrize("base,path,key,new", MISSPELT)
+def test_misspelt_nested_key_exits_1_naming_it(base, path, key, new):
+    doc = json.loads(json.dumps({"name": "fuzz", "seed": 1, **BASES[base]}))
+    owner = doc
+    for part in path.split("."):
+        owner = owner[part]
+    owner[new] = owner.pop(key) if key is not None else 1
+    code, err = _run(doc)
+    assert code == 1
+    assert f"usage error: {path}.{new}: unknown field" in err, err

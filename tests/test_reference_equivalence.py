@@ -22,8 +22,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asyncmc import kernels, pserver, schedules
-from asyncmc.errors import LivenessError, ParameterError, ValidationError
+from asyncmc import kernels, pserver, schedules, shmem
+from asyncmc.errors import (
+    LivenessError,
+    ParameterError,
+    ProposalInconsistencyError,
+    ValidationError,
+)
 from asyncmc.kernels import (
     GaussianIndependenceProposal,
     GaussianRandomWalkProposal,
@@ -1064,6 +1069,157 @@ class TestReplayPath:
         record = run_pserver(kernel, 3, 2000, delay, "mh_corrected", 4)
         assert list(trace_jsonl_lines(record)) == list(reference_server_trace_lines(record))
         assert schedule_to_jsonl(record.trace) == reference_schedule_to_jsonl(record.trace)
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_with_output(seed, position, word):
+    """A PCG64 ``Generator`` whose raw output number ``position`` is
+    ``word``, set by rewinding the LCG from a state whose XSL-RR output is
+    that word."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    high = 0x9E3779B97F4A7C15  # any high half: its top 6 bits set the rotation
+    rot = high >> 58
+    low = high ^ (((word << rot) | (word >> (64 - rot))) & (2**64 - 1))
+    s = (high << 64) | low
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(position + 1):
+        s = (s - inc) * inverse % 2**128
+    state["state"]["state"] = s
+    rng.bit_generator.state = state
+    return rng
+
+
+def index_kernels(weights=(1.0, 2.0, 3.0, 0.5), table=(1.0, 3.0, 2.0, 1.0)):
+    target = finite_target(list(weights))
+    return {
+        "uniform": KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support)),
+        "table": KernelSpec(
+            "metropolis_hastings", target, TableIndependenceProposal(target.support, list(table))
+        ),
+    }
+
+
+def replay_on(monkeypatch, kernel, schedule, make_rngs):
+    """The replay and the scalar reference, each on its own ``make_rngs()``."""
+    monkeypatch.setattr(shmem, "worker_streams", lambda seed, m: make_rngs())
+    record = replay(kernel, schedule, 0)
+    rngs, versions = make_rngs(), {-1: default_init(kernel.target)}
+    for ev in schedule.events:
+        versions[ev.seq] = kernel_step(kernel, versions[ev.read_from], rngs[ev.worker]).state
+    return record.states, [versions[seq] for seq in range(len(schedule.events))]
+
+
+class TestIndexReplay:
+    """Metropolis-Hastings replays on state indices against ``kernel_step``."""
+
+    def assert_matches(self, kernel, schedule, seed):
+        record = replay(kernel, schedule, seed)
+        assert repr(record.states) == repr(reference_replay_samples(kernel, schedule, seed))
+        return record.states
+
+    def test_on_indices_only_for_state_free_proposals(self):
+        on = {n for n, k in replay_kernels().items() if kernels.steps_on_indices(k)}
+        assert on == {"finite_uniform", "finite_table"}
+        target = finite_target([1.0, 2.0])
+        elsewhere = UniformIndependenceProposal(StateSpace(list(target.support.labels)))
+        assert not kernels.steps_on_indices(KernelSpec("metropolis_hastings", target, elsewhere))
+
+    @pytest.mark.parametrize("name", ["uniform", "table"])
+    def test_zero_weight_initial_label_is_refused(self, name):
+        kernel = index_kernels(weights=(0.0, 2.0, 3.0, 0.5))[name]
+        schedule = synchronous_schedule(2, 100)
+        with pytest.raises(ValidationError, match="outside the target support") as got:
+            replay(kernel, schedule, 0)
+        with pytest.raises(ValidationError) as want:
+            reference_replay_samples(kernel, schedule, 0)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", ["uniform", "table"])
+    def test_zero_weight_state_is_never_entered(self, name):
+        kernel = index_kernels(weights=(1.0, 0.0, 3.0, 0.0))[name]
+        for label, schedule in replay_schedules(3, 5, 900, 4).items():
+            states = self.assert_matches(kernel, schedule, 4)
+            assert {1, 3}.isdisjoint(states), label
+
+    @pytest.mark.parametrize("table,visited", [
+        ((1.0, 0.0, 2.0, 0.0), {0, 2}),
+        ((0.0, 3.0, 2.0, 0.0), {0}),  # no way back to the initial state: no move is accepted
+    ])
+    def test_table_with_zero_and_trailing_zero_weights(self, table, visited):
+        kernel = index_kernels(table=table)["table"]
+        for schedule in replay_schedules(2, 4, 700, 5).values():
+            assert set(self.assert_matches(kernel, schedule, 5)) == visited
+
+    def test_draw_past_trailing_zero_weight_is_refused(self):
+        # the table's cumulative sum stops short of 1, so a uniform past it
+        # is clipped onto the last state, whose weight is 0
+        kernel = index_kernels(table=(1.0, 3.0, 2.0, 0.0))["table"]
+        kernel.proposal._cum = kernel.proposal._cum / 2
+        schedule = synchronous_schedule(1, 5)
+        with pytest.raises(ProposalInconsistencyError):
+            reference_replay_samples(kernel, schedule, 6)
+        with pytest.raises(ProposalInconsistencyError):
+            replay(kernel, schedule, 6)
+
+    @pytest.mark.parametrize("name", ["uniform", "table"])
+    @pytest.mark.parametrize("length", [7, 2501])
+    def test_one_state_target(self, name, length):
+        kernel = index_kernels(weights=(2.0,), table=(1.0,))[name]
+        states = self.assert_matches(kernel, random_schedule(3, 4, length, np.random.default_rng(1)), 2)
+        assert set(states) == {0}
+
+    @pytest.mark.parametrize("name", ["uniform", "table"])
+    def test_stream_lengths_around_the_switches(self, name):
+        # one worker's stream drawn one step at a time, in one chunk and over
+        # several chunks, at odd and even lengths either side of each switch
+        kernel = index_kernels()[name]
+        least, chunk = kernels._MIN_BULK_STEPS, kernels._BULK_STEPS
+        for length in (1, least - 1, least, least + 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            self.assert_matches(kernel, synchronous_schedule(1, length), length)
+        # three workers whose stream lengths fall on both sides of the switch
+        for length in (3 * least - 2, 3 * chunk + 5):
+            self.assert_matches(kernel, synchronous_schedule(3, length), length)
+        self.assert_matches(kernel, adversarial_schedules(3, 40, 4000)["single_worker_dominant"], 8)
+
+    @pytest.mark.parametrize("step", [1, 2, 3, kernels._BULK_STEPS + 6, kernels._BULK_STEPS + 9])
+    def test_rejected_half_word_falls_back(self, monkeypatch, step):
+        # at 3 states Lemire rejects only the half-word 0; put it where the
+        # uniform proposal of ``step`` (0-based) reads its half-word: the
+        # low half of output 3 * (step // 2) at an even step, its high half
+        # at an odd one.  The replay must redraw from the chunk's start.
+        kernel = index_kernels(weights=(1.0, 2.0, 3.0), table=(1.0, 1.0, 1.0))["uniform"]
+        position, word = 3 * (step // 2), 0x1234_5678 << 32 if step % 2 == 0 else 0x1234_5678
+        assert pcg64_with_output(3, position, word).bit_generator.random_raw(position + 1)[-1] == word
+        crafted = lambda: [pcg64_with_output(3, position, word), *worker_streams(3, 2)[1:]]  # noqa: E731
+        rejected, bulk_uniform = [], kernels._bulk_uniform
+
+        def spy(*args):
+            pairs = bulk_uniform(*args)
+            rejected.append(pairs is None)
+            return pairs
+
+        monkeypatch.setattr(kernels, "_bulk_uniform", spy)
+        schedule = random_schedule(2, 3, 2 * kernels._BULK_STEPS + 501, np.random.default_rng(3))
+        got, want = replay_on(monkeypatch, kernel, schedule, crafted)
+        assert repr(got) == repr(want)
+        assert rejected.count(True) == 1
+
+    @pytest.mark.parametrize("name", ["uniform", "table"])
+    def test_stream_entered_with_buffered_half_word(self, monkeypatch, name):
+        def buffered():
+            rngs = worker_streams(9, 2)
+            state = rngs[0].bit_generator.state
+            state.update(has_uint32=1, uinteger=0x89AB_CDEF)
+            rngs[0].bit_generator.state = state
+            return rngs
+
+        schedule = random_schedule(2, 3, 600, np.random.default_rng(9))
+        got, want = replay_on(monkeypatch, index_kernels()[name], schedule, buffered)
+        assert repr(got) == repr(want)
 
 
 def _rewrite(events, k, **fields):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -6,16 +7,19 @@ import pytest
 from asyncmc.errors import LivenessError, ScheduleError, ValidationError
 from asyncmc.kernels import (
     KernelSpec,
+    TableIndependenceProposal,
     UniformIndependenceProposal,
     default_init,
     finite_target,
     kernel_step,
+    product_finite_target,
     render_matrix,
+    steps_on_indices,
     worker_streams,
 )
 from asyncmc.measure_sim import propagate
 from asyncmc.measures import FiniteDistribution, stationary_distribution
-from asyncmc.schedules import random_schedule, synchronous_schedule, validate
+from asyncmc.schedules import adversarial_schedules, random_schedule, synchronous_schedule, validate
 from asyncmc.shmem import (
     ChecksumState,
     SharedCell,
@@ -153,6 +157,98 @@ class TestReplay:
             counts[record.states[-1]] += 1
         emp = np.array([counts[l] for l in spec.target.support.labels], dtype=float) / n_replays
         assert 0.5 * np.abs(emp - pi.probs).sum() <= 0.02
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(X >= x) for X chi-square with ``df`` degrees of freedom: the
+    regularized upper gamma Q(df/2, x/2), stepped up from Q(1/2) or Q(1)
+    by Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1)."""
+    y = x / 2
+    if y <= 0:
+        return 1.0
+    a, q = (0.5, math.erfc(math.sqrt(y))) if df % 2 else (1.0, math.exp(-y))
+    while a < df / 2:
+        q += math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+        a += 1
+    return q
+
+
+def goodness_of_fit(counts: np.ndarray, probs: np.ndarray) -> float:
+    """The chi-square p-value of multinomial ``counts`` under ``probs``; 0.0
+    if a count falls on a state of probability 0.  The cells expected below
+    5 are pooled into one, joined by the next smallest cell while the pool
+    expects less than 5; 1.0 if fewer than two cells remain."""
+    if counts[probs == 0].any():
+        return 0.0
+    order = np.argsort(probs)[np.count_nonzero(probs == 0):]
+    expected, observed = counts.sum() * probs[order], counts[order]
+    small = int(np.searchsorted(expected, 5.0))
+    if 0 < expected[:small].sum() < 5:
+        small += 1
+    if small:
+        expected = np.append(expected[:small].sum(), expected[small:])
+        observed = np.append(observed[:small].sum(), observed[small:])
+    if len(expected) < 2:
+        return 1.0
+    return chi2_sf(float(((observed - expected) ** 2 / expected).sum()), len(expected) - 1)
+
+
+def sticky_kernels():
+    """A 9-state target whose three diagonal states weigh 30 times the rest,
+    as table-independence MH (stepped on indices) and as random-scan Gibbs
+    (stepped by ``kernel_step``); both leave a state slowly."""
+    target = product_finite_target([(0, 1, 2)] * 2, lambda x: math.log(30.0 if x[0] == x[1] else 1.0))
+    table = [1.0 if a == b else 8.0 for a, b in target.support.labels]
+    return {
+        "table_mh": KernelSpec("metropolis_hastings", target, TableIndependenceProposal(target.support, table)),
+        "gibbs": KernelSpec("gibbs_single_site", target),
+    }
+
+
+class TestSampleMeasureIdentity:
+    """The state replay writes at version v has the law mu_v = mu0 P^{p_v}
+    that ``propagate`` computes, at every version.
+
+    Each (kernel, schedule) case replays one 40-event schedule over seeds
+    0..N-1 and tests the counts at each of the 40 versions by a chi-square
+    goodness-of-fit test at level ALPHA / 40 (Bonferroni), so a correct
+    replay fails a case with probability at most ALPHA = 1e-3 over the
+    choice of seeds, and the six cases at most 6e-3.  The seeds are fixed,
+    so the test is deterministic.  Both chains keep a state for many steps
+    (Dobrushin coefficient above 0.9), so mu_v tells the depths p_v apart:
+    a replay that read the newest version, or whose workers reused one
+    stream, fails.
+    """
+
+    ALPHA = 1e-3
+    SEEDS = 2000
+    EVENTS = 40
+
+    @pytest.mark.parametrize("kind", ["random", "always_max_stale", "synchronous"])
+    @pytest.mark.parametrize("name", ["table_mh", "gibbs"])
+    def test_counts_match_mu_v_at_every_version(self, name, kind):
+        kernel = sticky_kernels()[name]
+        assert steps_on_indices(kernel) == (name == "table_mh")
+        matrix = render_matrix(kernel)
+        rows = np.asarray(matrix.rows, dtype=float)
+        dobrushin = max(0.5 * np.abs(rows[i] - rows[j]).sum() for i in range(9) for j in range(9))
+        assert dobrushin > 0.9
+        m, b = 3, 6
+        schedule = {
+            "random": random_schedule(m, b, self.EVENTS, np.random.default_rng(40)),
+            "always_max_stale": adversarial_schedules(m, b, self.EVENTS)["always_max_stale"],
+            "synchronous": synchronous_schedule(m, self.EVENTS, b),
+        }[kind]
+        mu0 = FiniteDistribution.point_mass(matrix.space, default_init(kernel.target))
+        trace = propagate(matrix, mu0, schedule)
+        index = matrix.space.index
+        counts = np.zeros((self.EVENTS, matrix.space.size), dtype=np.int64)
+        for seed in range(self.SEEDS):
+            for v, state in enumerate(replay(kernel, schedule, seed).states):
+                counts[v, index(state)] += 1
+        level = self.ALPHA / self.EVENTS
+        p_values = [goodness_of_fit(counts[v], trace.mus[v + 1].probs) for v in range(self.EVENTS)]
+        assert min(p_values) >= level, (np.argmin(p_values), min(p_values))
 
 
 class TestTornState:
