@@ -46,73 +46,6 @@ EXPERIMENTS = {
     "pserver": ("run", "naive_divergence_control", "coupled"),
 }
 
-# The keys that each nested config object may hold: a tuple of keys, or the
-# path of the field that picks them and the keys for each of its values.
-# ``params`` is picked by the experiment, and in a ``run`` by the mode.
-_PARAMS_KEYS = ("burn_fraction", "init", "frozen_workers", "n_batches")
-_NESTED_KEYS = {
-    "target": ("target.type", {
-        "finite": ("weights", "labels"), "gaussian": ("mean", "precision"),
-        "gaussian_correlated": ("rho",),
-    }),
-    "kernel": ("kind", "proposal", "site_order"),
-    "kernel.proposal": ("kernel.proposal.type", {
-        "uniform_independence": (), "table_independence": ("weights",), "identity": (),
-        "gaussian_random_walk": ("scale",), "gaussian_independence": ("center", "scale"),
-        "gibbs_site": (),
-    }),
-    "delay": ("kind", "params", "staleness_cap"),
-    "delay.params": ("delay.kind", {
-        "fifo_fixed": ("latency", "periods", "jitter"), "fifo_random": ("mean", "periods", "jitter"),
-        "reorder_random": ("span", "periods", "jitter"),
-    }),
-    "params": ("experiment", {
-        "measure_sim": ("mu0", "schedule", "threshold"),
-        "theorem4_campaign": ("mu0", "instances", "n_states_max", "m_max", "b_max"),
-        "contraction_campaign": ("mu0", "instances"),
-        "frozen_worker_counterexample": ("mu0",),
-        "shmem_real": ("burn_fraction", "watchdog_b"),
-        "shmem_replay": ("burn_fraction", "schedule"),
-        "torn_state": ("ops",),
-        "pserver": _PARAMS_KEYS, "naive_divergence_control": _PARAMS_KEYS, "coupled": _PARAMS_KEYS,
-        "determinism_repro": ("configs",),
-    }),
-    "params.schedule": ("params.schedule.type", {"random": (), "synchronous": (), "adversarial": ("name",)}),
-    "params.mu0": ("params.mu0.type", {"point_mass": ("label",), "uniform": (), "probs": ("probs",)}),
-}
-
-
-def _field(doc: dict, path: str):
-    """The value at the dotted ``path`` of ``doc``, or None where it is absent."""
-    for key in path.split("."):
-        doc = doc.get(key) if isinstance(doc, dict) else None
-    return doc
-
-
-def _check_keys(doc: dict) -> None:
-    """Raise a ValidationError naming, by its path, the first key of a nested
-    object of the config ``doc`` that no builder reads.  Where the picking
-    field is missing or unknown, the keys of every choice are allowed, and
-    the builder refuses the choice."""
-    for path, keys in _NESTED_KEYS.items():
-        obj = _field(doc, path)
-        if not isinstance(obj, dict):
-            continue
-        if isinstance(keys[1], dict):
-            choice_path, choices = keys
-            choice = _field(doc, choice_path)
-            choice = doc["mode"] if choice == "run" else choice
-            if isinstance(choice, str) and choice in choices:
-                keys = choices[choice]
-            else:
-                keys = [key for keys in choices.values() for key in keys]
-            if choice_path.startswith(path + "."):
-                keys = (*keys, choice_path.rpartition(".")[2])
-        unknown = sorted(set(obj) - set(keys))
-        if unknown:
-            raise ValidationError(f"{path}.{unknown[0]}: unknown field, expected one of {sorted(keys)}")
-
-
 # the JSON types a config field may be asked for, by the Python type holding them
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a finite number"}
 
@@ -152,6 +85,27 @@ def _read(doc: dict, path: str, kind, default=..., least=None, below=None):
             what += f" >= {least}"
         raise ValidationError(f"{path}: must be {what}, got {value!r}")
     return value
+
+
+def _only(doc: dict, path: str, keys) -> None:
+    """Raise a ValidationError naming the first key of the object ``doc`` at
+    ``path`` that is not one of ``keys``: a key that no builder reads."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValidationError(f"{path}.{unknown[0]}: unknown field, expected one of {sorted(keys)}")
+
+
+def _kind(doc: dict, path: str, keys_of: dict, default=...) -> str:
+    """The ``type`` field of the object ``doc`` at ``path``, once no key of
+    ``doc`` is found that no type reads, and then none that its type (the
+    default where the field is absent) does not read, as ``keys_of`` lists
+    them.  A type that is missing without a default, or unknown, is left to
+    the caller to refuse."""
+    kind = doc.get("type", default)
+    _only(doc, path, {"type", *(key for keys in keys_of.values() for key in keys)})
+    if isinstance(kind, str) and kind in keys_of:
+        _only(doc, path, ("type", *keys_of[kind]))
+    return _read(doc, f"{path}.type", str, default)
 
 
 @dataclass(frozen=True)
@@ -195,7 +149,6 @@ class ExperimentConfig:
         serves = self.mode == "pserver" and experiment in ("run", "coupled")
         if serves and self.correction not in pserver.MODES:
             raise ValidationError(f"correction: must be one of {pserver.MODES}")
-        _check_keys(doc)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -218,8 +171,13 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+_TARGET_KEYS = {
+    "finite": ("weights", "labels"), "gaussian": ("mean", "precision"), "gaussian_correlated": ("rho",),
+}
+
+
 def build_target(doc: dict) -> kernels.TargetDensity:
-    kind = _read(doc, "target.type", str)
+    kind = _kind(doc, "target", _TARGET_KEYS)
     if kind == "finite":
         return kernels.finite_target(
             _read(doc, "target.weights", (list, float)), _read(doc, "target.labels", list, None)
@@ -234,9 +192,15 @@ def build_target(doc: dict) -> kernels.TargetDensity:
     raise ValidationError(f"target.type: unknown target type {kind!r}")
 
 
+_PROPOSAL_KEYS = {
+    "uniform_independence": (), "table_independence": ("weights",), "identity": (),
+    "gaussian_random_walk": ("scale",), "gaussian_independence": ("center", "scale"), "gibbs_site": (),
+}
+
+
 def build_proposal(doc: dict, target: kernels.TargetDensity):
     """The proposal of a config; ``KernelSpec`` checks it against its target."""
-    kind = _read(doc, "kernel.proposal.type", str)
+    kind = _kind(doc, "kernel.proposal", _PROPOSAL_KEYS)
     # these two are built from the target's finite support
     if kind in ("uniform_independence", "table_independence") and not target.is_finite:
         raise ValidationError(f"kernel.proposal.type: {kind!r} needs a finite target")
@@ -260,6 +224,7 @@ def build_proposal(doc: dict, target: kernels.TargetDensity):
 
 
 def build_kernel(doc: dict, target: kernels.TargetDensity) -> kernels.KernelSpec:
+    _only(doc, "kernel", ("kind", "proposal", "site_order"))
     kind = _read(doc, "kernel.kind", str)
     proposal = _read(doc, "kernel.proposal", dict, None)
     proposal = None if proposal is None else build_proposal(proposal, target)
@@ -268,6 +233,8 @@ def build_kernel(doc: dict, target: kernels.TargetDensity) -> kernels.KernelSpec
 
 
 def build_delay(doc: dict) -> pserver.DelayModel:
+    """The delay model of a config; ``DelayModel`` checks ``delay.params``."""
+    _only(doc, "delay", ("kind", "params", "staleness_cap"))
     # default delay law: geometric latency with mean 2 commits
     return pserver.DelayModel(
         _read(doc, "delay.kind", str, "fifo_random"),
@@ -276,8 +243,11 @@ def build_delay(doc: dict) -> pserver.DelayModel:
     )
 
 
+_MU0_KEYS = {"point_mass": ("label",), "uniform": (), "probs": ("probs",)}
+
+
 def build_mu0(doc: dict, space: measures.StateSpace) -> measures.FiniteDistribution:
-    kind = _read(doc, "params.mu0.type", str, "point_mass")
+    kind = _kind(doc, "params.mu0", _MU0_KEYS, "point_mass")
     if kind == "point_mass":
         label = _read(doc, "params.mu0.label", object, space.labels[0])
         if label not in space.labels:
@@ -294,9 +264,12 @@ def build_mu0(doc: dict, space: measures.StateSpace) -> measures.FiniteDistribut
     raise ValidationError(f"params.mu0.type: unknown initial distribution {kind!r}")
 
 
+_SCHEDULE_KEYS = {"random": (), "synchronous": (), "adversarial": ("name",)}
+
+
 def build_schedule(cfg: ExperimentConfig, rng: np.random.Generator) -> schedules.Schedule:
     doc = _read(cfg.params, "params.schedule", dict, {})
-    kind = _read(doc, "params.schedule.type", str, "random")
+    kind = _kind(doc, "params.schedule", _SCHEDULE_KEYS, "random")
     if kind == "random":
         return schedules.random_schedule(cfg.m, cfg.b, cfg.horizon, rng)
     if kind == "synchronous":
@@ -324,7 +297,17 @@ def _finite_late_tv(indices, target, burn_fraction) -> float:
     return float(0.5 * np.abs(emp - pi.to_float().probs).sum())
 
 
+# the keys of ``params`` that each measure_sim experiment reads
+_MEASURE_PARAMS = {
+    "run": ("mu0", "schedule", "threshold"),
+    "theorem4_campaign": ("mu0", "instances", "n_states_max", "m_max", "b_max"),
+    "contraction_campaign": ("mu0", "instances"),
+    "frozen_worker_counterexample": ("mu0",),
+}
+
+
 def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
+    _only(cfg.params, "params", _MEASURE_PARAMS[cfg.experiment])
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
     matrix = kernels.render_matrix(kernel)
@@ -392,6 +375,11 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
 
 
 def _run_shmem(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
+    if cfg.experiment == "torn_state":
+        keys = ("ops",)
+    else:
+        keys = ("burn_fraction", "watchdog_b" if cfg.mode == "shmem_real" else "schedule")
+    _only(cfg.params, "params", keys)
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
 
@@ -434,6 +422,7 @@ def _gaussian_summary(record: pserver.PServerRecord, target, burn_fraction, n_ba
 
 
 def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
+    _only(cfg.params, "params", ("burn_fraction", "init", "frozen_workers", "n_batches"))
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
     delay = build_delay(cfg.delay)
@@ -513,6 +502,7 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
 
 
 def _run_determinism(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
+    _only(cfg.params, "params", ("configs",))
     names = _read(cfg.params, "params.configs", (list, str))
     if not names or not set(names) <= set(CATALOG):
         raise ValidationError(f"params.configs: must name canned configs, got {names!r}")

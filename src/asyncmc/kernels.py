@@ -19,8 +19,8 @@ on Gaussian targets, ``standard_normal()``; the helper has no normal draw, so
 ``shmem.replay`` uses it for finite targets only, and ``shmem.run_async``
 always steps on the ``Generator``.
 
-A uniform or table independence proposal never looks at the state, so the
-draws of its Metropolis-Hastings steps can be made ahead: :func:`index_draws`
+A uniform independence proposal never looks at the state, so the draws of
+its Metropolis-Hastings steps can be made ahead: :func:`index_draws`
 gives a worker's (proposal index, accept uniform) pairs, the values of the
 same ``Generator`` calls in the same order, computed in numpy chunks from raw
 PCG64 outputs, with a fallback to :class:`_PCG64Draws` where numpy's bounded
@@ -465,9 +465,6 @@ class StepResult(NamedTuple):
     accepted: bool
 
 
-_ZERO_DENSITY_PROPOSAL = "proposal produced a state with zero density under its own logpdf"
-
-
 def mh_step(spec: KernelSpec, x, rng: np.random.Generator) -> StepResult:
     """One Metropolis-Hastings transition from ``x``.
 
@@ -481,7 +478,9 @@ def mh_step(spec: KernelSpec, x, rng: np.random.Generator) -> StepResult:
     y, params = proposal.sample(x, rng)
     log_fwd = proposal.logpdf(y, x, params)
     if log_fwd == NEG_INF:
-        raise ProposalInconsistencyError(_ZERO_DENSITY_PROPOSAL)
+        raise ProposalInconsistencyError(
+            "proposal produced a state with zero density under its own logpdf"
+        )
     lp_y = target.log_unnorm(y)
     if proposal.symmetric:
         log_ratio = lp_y - lp_x
@@ -671,57 +670,35 @@ _BULK_STEPS = 256  # steps per numpy chunk: even, so no half-word is left buffer
 
 
 def steps_on_indices(spec: KernelSpec) -> bool:
-    """Whether ``spec`` is Metropolis-Hastings with a state-free proposal
-    over its target's own labels, so that a step needs only state indices
-    and the pairs of :func:`index_draws`."""
+    """Whether ``spec`` is Metropolis-Hastings with a uniform independence
+    proposal over its target's own labels, so that a step needs only state
+    indices and the pairs of :func:`index_draws`."""
     proposal = spec.proposal
     return (
         spec.kind == "metropolis_hastings"
-        and isinstance(proposal, (UniformIndependenceProposal, TableIndependenceProposal))
+        and isinstance(proposal, UniformIndependenceProposal)
         and proposal.space.labels is spec.target.support.labels
     )
 
 
-def index_draws(proposal, rng: np.random.Generator, steps: int):
+def index_draws(k: int, rng: np.random.Generator, steps: int):
     """An iterator over the (proposal index, accept uniform) pairs that
-    ``steps`` calls of ``mh_step`` with ``proposal`` draw from ``rng``.
+    ``steps`` calls of ``mh_step`` with a uniform independence proposal over
+    ``k`` states draw from ``rng``.
 
-    The draws of a state-free proposal do not depend on the state, so they
-    are made ahead, in numpy, in chunks of ``_BULK_STEPS`` steps, from raw
-    PCG64 outputs ``w``, each accept uniform being ``(w >> 11) * 2**-53``:
-
-    * a table proposal takes 2 outputs per step, the first for its own
-      uniform, looked up in the cumulative table (``searchsorted``, clipped
-      to the last state);
-    * a uniform proposal over ``k > 1`` states takes 3 outputs per 2 steps:
-      Lemire's 32-bit method runs on the low half of the first output, then
-      on its buffered high half, and the other two are the accept uniforms.
-      Where Lemire rejects a half-word, every later draw shifts, so that
-      chunk and the rest of the stream are drawn by :class:`_PCG64Draws`
-      from the chunk's first output; so is a stream that starts with a
-      buffered half-word, or is shorter than ``_MIN_BULK_STEPS``.
-
-    Either way every value is the one the ``Generator`` calls give, in their
-    order.  Raises ProposalInconsistencyError, as ``mh_step`` does, where a
-    table draw lands on a state of zero proposal density.
+    The proposal does not look at the state, so the draws are made ahead, in
+    numpy, in chunks of ``_BULK_STEPS`` steps, from raw PCG64 outputs: for
+    ``k > 1``, 3 outputs per 2 steps.  Lemire's 32-bit method runs on the low
+    half of the first output, then on its buffered high half, and the other
+    two outputs ``w`` are the accept uniforms ``(w >> 11) * 2**-53``; at
+    ``k == 1`` the index draws nothing.  Where Lemire rejects a half-word,
+    every later draw shifts, so that chunk and the rest of the stream are
+    drawn by :class:`_PCG64Draws` from the chunk's first output; so is a
+    stream that starts with a buffered half-word, or is shorter than
+    ``_MIN_BULK_STEPS``.  Either way every value is the one the
+    ``Generator`` calls give, in their order.
     """
-    if isinstance(proposal, TableIndependenceProposal):
-        chunks = _table_draws(proposal, rng.bit_generator.random_raw, steps)
-    else:
-        chunks = _uniform_draws(proposal.space.size, rng, steps)
-    return itertools.chain.from_iterable(chunks)
-
-
-def _table_draws(proposal: TableIndependenceProposal, random_raw, steps: int):
-    last = proposal.space.size - 1
-    while steps > 0:
-        size = min(steps, _BULK_STEPS)
-        words = random_raw(2 * size).reshape(size, 2) >> 11
-        ys = np.minimum(np.searchsorted(proposal._cum, words[:, 0] * _DOUBLE_UNIT, side="right"), last)
-        if (proposal._logs[ys] == NEG_INF).any():
-            raise ProposalInconsistencyError(_ZERO_DENSITY_PROPOSAL)
-        yield zip(ys.tolist(), (words[:, 1] * _DOUBLE_UNIT).tolist())
-        steps -= size
+    return itertools.chain.from_iterable(_uniform_draws(k, rng, steps))
 
 
 def _uniform_draws(k: int, rng: np.random.Generator, steps: int):

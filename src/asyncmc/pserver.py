@@ -60,7 +60,8 @@ from .schedules import Event, Schedule, minimal_valid_bound, trace_lines
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 MODES = ("mh_corrected", "naive_accept")
-DELAY_KINDS = ("fifo_fixed", "fifo_random", "reorder_random")
+# each delay kind and the ``params`` key of its latency law
+DELAY_KINDS = {"fifo_fixed": "latency", "fifo_random": "mean", "reorder_random": "span"}
 # The full-state proposals whose law ignores the state they move from.  Only
 # for those is the reverse density f(x_s | x) of a stale read x the valid
 # MH ratio; a random walk's law moves with x, and its corrected server chain
@@ -120,8 +121,8 @@ class DelayModel:
     ``params`` per kind: ``latency`` (fifo_fixed), ``mean`` (fifo_random,
     geometric), ``span`` (reorder_random, uniform integer).  Optional keys
     for any kind: ``periods`` (scalar or per-worker list of send cadences)
-    and ``jitter``.  Every number must be finite and non-negative, and
-    ``span`` an integer.
+    and ``jitter``.  No other key is allowed.  Every number must be finite
+    and non-negative, and ``span`` an integer.
     """
 
     kind: str
@@ -129,7 +130,7 @@ class DelayModel:
     staleness_cap: int = 64
 
     def __post_init__(self):
-        if self.kind not in DELAY_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in DELAY_KINDS:
             raise ParameterError(f"delay.kind: unknown delay kind {self.kind!r}")
         cap = self.staleness_cap
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
@@ -137,6 +138,10 @@ class DelayModel:
         params = self.params
         if not isinstance(params, dict):
             raise ParameterError(f"delay.params: must be an object, got {params!r}")
+        keys = (DELAY_KINDS[self.kind], "periods", "jitter")
+        unknown = sorted(set(params) - set(keys))
+        if unknown:
+            raise ParameterError(f"delay.params.{unknown[0]}: unknown field, expected one of {sorted(keys)}")
         for key in ("latency", "mean", "jitter"):
             if key in params:
                 _check_number(f"delay.params.{key}", params[key])

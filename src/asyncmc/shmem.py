@@ -205,7 +205,7 @@ def replay(kernel: KernelSpec, schedule: Schedule, seed: int) -> RunRecord:
     """Deterministically execute the read/step/write loop under a schedule.
 
     Worker ``w`` draws from stream ``w`` of :func:`worker_streams`, in the
-    order ``kernel_step`` draws.  Metropolis-Hastings with a uniform or table
+    order ``kernel_step`` draws.  Metropolis-Hastings with a uniform
     independence proposal (:func:`kernels.steps_on_indices`) steps on state
     indices: the proposal never looks at the state, so each worker's
     (proposal index, accept uniform) pairs come from
@@ -250,26 +250,17 @@ def _replay_indices(kernel: KernelSpec, events, rngs) -> list:
     target's labels; the initial state is label 0 and has positive weight,
     so a state of zero weight is never entered."""
     labels = kernel.target.support.labels
-    proposal = kernel.proposal
     lp = [kernel.target.log_unnorm(label) for label in labels]
     steps = Counter(map(itemgetter(1), events))
-    draws = [index_draws(proposal, rng, steps[w]).__next__ for w, rng in enumerate(rngs)]
+    draws = [index_draws(len(labels), rng, steps[w]).__next__ for w, rng in enumerate(rngs)]
     exp = math.exp
     # version v lives at index v; the initial state, version -1, at the end
     versions = [0] * (len(events) + 1)
-    if proposal.symmetric:
-        for seq, worker, read_from, _ in events:
-            x = versions[read_from]
-            y, u = draws[worker]()
-            log_ratio = lp[y] - lp[x]
-            versions[seq] = y if log_ratio >= 0.0 or u < exp(log_ratio) else x
-    else:
-        lq = proposal.support_logpdfs(None).tolist()
-        for seq, worker, read_from, _ in events:
-            x = versions[read_from]
-            y, u = draws[worker]()
-            log_ratio = (lp[y] + lq[x]) - (lp[x] + lq[y])
-            versions[seq] = y if log_ratio >= 0.0 or u < exp(log_ratio) else x
+    for seq, worker, read_from, _ in events:
+        x = versions[read_from]
+        y, u = draws[worker]()
+        log_ratio = lp[y] - lp[x]  # the proposal is symmetric, as in mh_step
+        versions[seq] = y if log_ratio >= 0.0 or u < exp(log_ratio) else x
     versions.pop()
     for seq, i in enumerate(versions):  # in place: a second list of this size raises peak memory
         versions[seq] = labels[i]

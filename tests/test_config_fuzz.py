@@ -175,3 +175,21 @@ def test_misspelt_nested_key_exits_1_naming_it(base, path, key, new):
     code, err = _run(doc)
     assert code == 1
     assert f"usage error: {path}.{new}: unknown field" in err, err
+
+
+@pytest.mark.parametrize("base,path,obj,key", [
+    # the field that picks the keys is absent: its default picks them
+    ("shmem_replay", "params.schedule", {"name": "always_max_stale"}, "name"),  # a random schedule
+    ("measure_run", "params.mu0", {"probs": [0.2, 0.3, 0.5]}, "probs"),  # a point mass
+    ("coupled", "delay", {"params": {"latency": 3.0}}, "params.latency"),  # fifo_random
+])
+def test_key_of_a_type_left_to_its_default_exits_1(base, path, obj, key):
+    doc = json.loads(json.dumps({"name": "fuzz", "seed": 1, **BASES[base]}))
+    *parents, name = path.split(".")
+    owner = doc
+    for part in parents:
+        owner = owner[part]
+    owner[name] = obj
+    code, err = _run(doc)
+    assert code == 1
+    assert f"usage error: {path}.{key}: unknown field" in err, err

@@ -1093,14 +1093,14 @@ def pcg64_with_output(seed, position, word):
     return rng
 
 
-def index_kernels(weights=(1.0, 2.0, 3.0, 0.5), table=(1.0, 3.0, 2.0, 1.0)):
+def uniform_kernel(weights=(1.0, 2.0, 3.0, 0.5)):
     target = finite_target(list(weights))
-    return {
-        "uniform": KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support)),
-        "table": KernelSpec(
-            "metropolis_hastings", target, TableIndependenceProposal(target.support, list(table))
-        ),
-    }
+    return KernelSpec("metropolis_hastings", target, UniformIndependenceProposal(target.support))
+
+
+def table_kernel(table, weights=(1.0, 2.0, 3.0, 0.5)):
+    target = finite_target(list(weights))
+    return KernelSpec("metropolis_hastings", target, TableIndependenceProposal(target.support, list(table)))
 
 
 def replay_on(monkeypatch, kernel, schedule, make_rngs):
@@ -1114,23 +1114,23 @@ def replay_on(monkeypatch, kernel, schedule, make_rngs):
 
 
 class TestIndexReplay:
-    """Metropolis-Hastings replays on state indices against ``kernel_step``."""
+    """Metropolis-Hastings replays on state indices against ``kernel_step``,
+    and the table-proposal edge cases, which replay through ``kernel_step``."""
 
     def assert_matches(self, kernel, schedule, seed):
         record = replay(kernel, schedule, seed)
         assert repr(record.states) == repr(reference_replay_samples(kernel, schedule, seed))
         return record.states
 
-    def test_on_indices_only_for_state_free_proposals(self):
+    def test_on_indices_only_for_the_uniform_proposal(self):
         on = {n for n, k in replay_kernels().items() if kernels.steps_on_indices(k)}
-        assert on == {"finite_uniform", "finite_table"}
+        assert on == {"finite_uniform"}
         target = finite_target([1.0, 2.0])
         elsewhere = UniformIndependenceProposal(StateSpace(list(target.support.labels)))
         assert not kernels.steps_on_indices(KernelSpec("metropolis_hastings", target, elsewhere))
 
-    @pytest.mark.parametrize("name", ["uniform", "table"])
-    def test_zero_weight_initial_label_is_refused(self, name):
-        kernel = index_kernels(weights=(0.0, 2.0, 3.0, 0.5))[name]
+    def test_zero_weight_initial_label_is_refused(self):
+        kernel = uniform_kernel(weights=(0.0, 2.0, 3.0, 0.5))
         schedule = synchronous_schedule(2, 100)
         with pytest.raises(ValidationError, match="outside the target support") as got:
             replay(kernel, schedule, 0)
@@ -1138,9 +1138,8 @@ class TestIndexReplay:
             reference_replay_samples(kernel, schedule, 0)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("name", ["uniform", "table"])
-    def test_zero_weight_state_is_never_entered(self, name):
-        kernel = index_kernels(weights=(1.0, 0.0, 3.0, 0.0))[name]
+    def test_zero_weight_state_is_never_entered(self):
+        kernel = uniform_kernel(weights=(1.0, 0.0, 3.0, 0.0))
         for label, schedule in replay_schedules(3, 5, 900, 4).items():
             states = self.assert_matches(kernel, schedule, 4)
             assert {1, 3}.isdisjoint(states), label
@@ -1150,14 +1149,14 @@ class TestIndexReplay:
         ((0.0, 3.0, 2.0, 0.0), {0}),  # no way back to the initial state: no move is accepted
     ])
     def test_table_with_zero_and_trailing_zero_weights(self, table, visited):
-        kernel = index_kernels(table=table)["table"]
+        kernel = table_kernel(table)
         for schedule in replay_schedules(2, 4, 700, 5).values():
             assert set(self.assert_matches(kernel, schedule, 5)) == visited
 
     def test_draw_past_trailing_zero_weight_is_refused(self):
         # the table's cumulative sum stops short of 1, so a uniform past it
         # is clipped onto the last state, whose weight is 0
-        kernel = index_kernels(table=(1.0, 3.0, 2.0, 0.0))["table"]
+        kernel = table_kernel((1.0, 3.0, 2.0, 0.0))
         kernel.proposal._cum = kernel.proposal._cum / 2
         schedule = synchronous_schedule(1, 5)
         with pytest.raises(ProposalInconsistencyError):
@@ -1165,18 +1164,16 @@ class TestIndexReplay:
         with pytest.raises(ProposalInconsistencyError):
             replay(kernel, schedule, 6)
 
-    @pytest.mark.parametrize("name", ["uniform", "table"])
     @pytest.mark.parametrize("length", [7, 2501])
-    def test_one_state_target(self, name, length):
-        kernel = index_kernels(weights=(2.0,), table=(1.0,))[name]
+    def test_one_state_target(self, length):
+        kernel = uniform_kernel(weights=(2.0,))
         states = self.assert_matches(kernel, random_schedule(3, 4, length, np.random.default_rng(1)), 2)
         assert set(states) == {0}
 
-    @pytest.mark.parametrize("name", ["uniform", "table"])
-    def test_stream_lengths_around_the_switches(self, name):
+    def test_stream_lengths_around_the_switches(self):
         # one worker's stream drawn one step at a time, in one chunk and over
         # several chunks, at odd and even lengths either side of each switch
-        kernel = index_kernels()[name]
+        kernel = uniform_kernel()
         least, chunk = kernels._MIN_BULK_STEPS, kernels._BULK_STEPS
         for length in (1, least - 1, least, least + 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
             self.assert_matches(kernel, synchronous_schedule(1, length), length)
@@ -1191,7 +1188,7 @@ class TestIndexReplay:
         # uniform proposal of ``step`` (0-based) reads its half-word: the
         # low half of output 3 * (step // 2) at an even step, its high half
         # at an odd one.  The replay must redraw from the chunk's start.
-        kernel = index_kernels(weights=(1.0, 2.0, 3.0), table=(1.0, 1.0, 1.0))["uniform"]
+        kernel = uniform_kernel(weights=(1.0, 2.0, 3.0))
         position, word = 3 * (step // 2), 0x1234_5678 << 32 if step % 2 == 0 else 0x1234_5678
         assert pcg64_with_output(3, position, word).bit_generator.random_raw(position + 1)[-1] == word
         crafted = lambda: [pcg64_with_output(3, position, word), *worker_streams(3, 2)[1:]]  # noqa: E731
@@ -1208,8 +1205,7 @@ class TestIndexReplay:
         assert repr(got) == repr(want)
         assert rejected.count(True) == 1
 
-    @pytest.mark.parametrize("name", ["uniform", "table"])
-    def test_stream_entered_with_buffered_half_word(self, monkeypatch, name):
+    def test_stream_entered_with_buffered_half_word(self, monkeypatch):
         def buffered():
             rngs = worker_streams(9, 2)
             state = rngs[0].bit_generator.state
@@ -1218,7 +1214,7 @@ class TestIndexReplay:
             return rngs
 
         schedule = random_schedule(2, 3, 600, np.random.default_rng(9))
-        got, want = replay_on(monkeypatch, index_kernels()[name], schedule, buffered)
+        got, want = replay_on(monkeypatch, uniform_kernel(), schedule, buffered)
         assert repr(got) == repr(want)
 
 
