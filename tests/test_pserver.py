@@ -274,6 +274,7 @@ class TestRunPServer:
             ("reorder_random", {"span": -1}, "span"),
             ("reorder_random", {"span": 2**63}, "span"),
             ("fifo_fixed", {"periods": [1.0, -1.0]}, r"periods\[1\]"),
+            ("fifo_fixed", {"mean": 2.0}, "mean"),  # the key of another kind's latency law
         ],
     )
     def test_delay_params_validated_at_construction(self, kind, params, field):
