@@ -403,8 +403,7 @@ def _run_shmem(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     }
     summary = {"experiment": "run", "writes": len(record.states), "config": record.config}
     if target.is_finite:
-        index = target.support.index
-        summary["late_tv"] = _finite_late_tv([index(s) for s in record.states], target, burn)
+        summary["late_tv"] = _finite_late_tv(target.support.indices(record.states), target, burn)
     return EXIT_OK, summary, artifacts
 
 
@@ -506,6 +505,15 @@ def _run_determinism(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     names = _read(cfg.params, "params.configs", (list, str))
     if not names or not set(names) <= set(CATALOG):
         raise ValidationError(f"params.configs: must name canned configs, got {names!r}")
+    # each canned config brings its own; ``m``, ``b`` and ``horizon`` have
+    # defaults, so a value given there cannot be told from an absent one
+    for field_name in ("target", "kernel", "delay", "correction"):
+        value = getattr(cfg, field_name)
+        if value is not None:
+            raise ValidationError(
+                f"{field_name}: a determinism_repro config runs the canned configs it names "
+                f"and reads no {field_name}, got {value!r}"
+            )
     mismatches = []
     for name in names:
         sub = canned_config(name)

@@ -330,6 +330,12 @@ class GaussianIndependenceProposal:
         normal, scale = rng.standard_normal, self.scale
         return tuple(c + scale * normal() for c in self.center), {}
 
+    def from_normals(self, z: np.ndarray) -> np.ndarray:
+        """The proposals ``sample`` makes of standard normals ``z``, one row
+        each: ``center + scale * z``, the same two float operations per
+        coordinate, so the same bits."""
+        return np.asarray(self.center) + self.scale * z
+
     def logpdf(self, y, x, params=None) -> float:
         lp = 0.0
         for yi, c in zip(y, self.center):

@@ -80,6 +80,13 @@ class StateSpace:
         except KeyError:
             raise ValidationError(f"label {label!r} not in state space") from None
 
+    def indices(self, labels) -> list:
+        """``[self.index(label) for label in labels]``, in one C-level ``map``."""
+        try:
+            return list(map(self._index.__getitem__, labels))
+        except KeyError as exc:
+            raise ValidationError(f"label {exc.args[0]!r} not in state space") from None
+
 
 def _require_same_space(a: StateSpace, b: StateSpace, what: str) -> None:
     if a != b:

@@ -476,26 +476,32 @@ def _message_path(kernel, target, props, rngs, init, init_lp, naive, coupled, ou
 def _block_path(target, proposal, rngs, init, init_lp, naive, out):
     """``send``, ``receive`` and ``flush`` resolving up to ``_BLOCK`` deliveries at once.
 
-    A message is ``(read_version, x_star)``.  ``receive`` draws the accept
-    uniform and keeps ``(worker, read_version, x_star, u)``; ``flush`` takes
-    the densities of the kept proposals in one ``log_unnorm`` and one
-    ``logpdf`` call on their coordinate columns, whose elementwise float
-    operations give the bits of the scalar calls, then decides them in order
-    in plain floats and writes the record's slices.
+    A message is ``(read_version, z)``, ``z`` the worker's ``dim`` standard
+    normals from one sized ``standard_normal`` call, which reads the stream
+    as ``dim`` scalar calls do and gives their values.  ``receive`` keeps
+    ``(worker, read_version, z, word)``, ``word`` the raw output the accept
+    uniform is made of.  ``flush`` maps the kept normals to proposals with
+    ``proposal.from_normals`` and the words to uniforms as numpy's
+    ``random()`` does, ``(word >> 11) * 2**-53``; it takes the densities of
+    the proposals in one ``log_unnorm`` and one ``logpdf`` call on their
+    coordinate columns, whose elementwise float operations give the bits of
+    the scalar calls, then decides them in order in plain floats and writes
+    the record's slices.  Every step matches ``server_receive`` bit for bit.
     """
     workers_arr, reads_arr, accepted_arr, ratios_arr, states = out
-    sample, logpdf, log_unnorm, exp = proposal.sample, proposal.logpdf, target.log_unnorm, math.exp
+    dim, logpdf, log_unnorm, exp = target.dim, proposal.logpdf, target.log_unnorm, math.exp
+    normals = [r.standard_normal for r in rngs]
     raws = [r.bit_generator.random_raw for r in rngs]
     block: list = []
-    rows = np.empty((_BLOCK + 1, target.dim))  # row 0: the server state before the block
+    rows = np.empty((_BLOCK + 1, dim))  # row 0: the server state before the block
     rows[0] = init
     log_pi, reverse, done = init_lp, logpdf(init, init, {}), 0
 
     def send(w, x, read_version):
-        return read_version, sample(x, rngs[w])[0]
+        return read_version, normals[w](dim)
 
     def receive(w, msg):
-        block.append((w, *msg, (raws[w]() >> 11) * _DOUBLE_UNIT))
+        block.append((w, *msg, raws[w]()))
         if len(block) == _BLOCK:
             flush()
 
@@ -504,16 +510,20 @@ def _block_path(target, proposal, rngs, init, init_lp, naive, out):
         n = len(block)
         if n == 0:
             return
-        workers, read_versions, stars, uniforms = zip(*block)
+        workers, read_versions, zs, words = zip(*block)
         block.clear()
-        rows[1 : n + 1] = stars
+        rows[1 : n + 1] = proposal.from_normals(np.concatenate(zs).reshape(n, dim))
+        uniforms = ((np.array(words, dtype=np.uint64) >> 11) * _DOUBLE_UNIT).tolist()
         columns = tuple(rows[1 : n + 1].T)
         lps = log_unnorm(columns).tolist()
         lfs = logpdf(columns, None, {}).tolist()
         accepted, ratios, source = [], [], []
         current = 0  # the row holding the server state
         for i, lp_star, log_f_forward, u in zip(range(1, n + 1), lps, lfs, uniforms):
-            log_ratio = _log_accept_ratio(lp_star + reverse, log_pi + log_f_forward)
+            num, den = lp_star + reverse, log_pi + log_f_forward
+            log_ratio = num - den
+            if not NEG_INF < log_ratio < POS_INF:  # the same value, or the same error
+                log_ratio = _log_accept_ratio(num, den)
             ok = naive or log_ratio >= 0.0 or u < exp(log_ratio)
             if ok:
                 log_pi, reverse, current = lp_star, log_f_forward, i
@@ -574,14 +584,16 @@ def run_pserver(
       coupled runs; finite targets, whose densities are table lookups).
 
     Both paths give the same arrays bit for bit.  Each worker's stream gives
-    its proposal draws when it sends (dropped stale messages included) and
-    one uniform per processed message, taken as numpy's ``random()`` does,
-    ``(random_raw() >> 11) * 2**-53``, from the raw output.  The infra stream
-    gives one start offset per non-frozen worker, then a latency per send and
-    a jitter per processed message, in the order they happen.  Except under
-    ``fifo_random``, whose geometric latency needs numpy, the infra stream is
-    read as PCG64 raw outputs fetched in bulk, giving the same numbers in the
-    same order as the scalar calls.
+    its proposal draws when it sends (dropped stale messages included; on the
+    block path one ``standard_normal(dim)`` call, which reads the stream as
+    ``dim`` scalar calls do) and one raw output per processed message, made
+    into the accept uniform as numpy's ``random()`` does,
+    ``(random_raw() >> 11) * 2**-53`` (on the block path at flush).  The
+    infra stream gives one start offset per non-frozen worker, then a latency
+    per send and a jitter per processed message, in the order they happen.
+    Except under ``fifo_random``, whose geometric latency needs numpy, the
+    infra stream is read as PCG64 raw outputs fetched in bulk, giving the
+    same numbers in the same order as the scalar calls.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")

@@ -470,6 +470,15 @@ class TestEveryFieldNamed:
             ("replay", {"kernel": {"kind": ["x"]}}, "kernel.kind"),
             ("replay", {**_MEASURE, "params": {"mu0": {"label": 99}}}, "params.mu0.label"),
             ("replay", {"experiment": "determinism_repro", "params": {"configs": "ab"}}, "params.configs"),
+            # a determinism_repro config runs canned configs and reads none of these
+            ("replay", {"experiment": "determinism_repro", "params": {"configs": ["theorem4_smoke"]}},
+             "target"),
+            *(
+                ("replay", {"experiment": "determinism_repro", "target": None, "kernel": None,
+                            "params": {"configs": ["theorem4_smoke"]}, name: value}, name)
+                for name, value in (("target", {"tpye": "finite"}), ("kernel", {"knid": 1}),
+                                    ("delay", {"kind": "fifo_fixed"}), ("correction", "mh_corrected"))
+            ),
             ("replay", {"seed": -1}, "seed"),
             ("replay", {"out_dir": 5}, "out_dir"),
             ("replay", {**_MEASURE, "experiment": "frozen_worker_counterexample", "horizon": 5}, "horizon"),

@@ -303,6 +303,15 @@ class TestProposals:
         y = (0.3, -0.7)
         assert prop.logpdf(y, (5.0, 5.0)) == prop.logpdf(y, (-2.0, 1.0))
 
+    def test_independence_from_normals_matches_sample(self):
+        # the block server path maps a sized standard_normal call's values
+        # with from_normals; sample draws them one scalar call at a time
+        prop = GaussianIndependenceProposal((0.3, -1.7, 2.0), 0.7)
+        fast, ref = np.random.default_rng(41), np.random.default_rng(41)
+        z = np.stack([fast.standard_normal(3) for _ in range(500)])
+        want = [prop.sample(None, ref)[0] for _ in range(500)]
+        assert prop.from_normals(z).tolist() == [list(y) for y in want]
+
     def test_describe_names_each_proposal_id(self):
         finite = finite_target([1.0, 2.0, 3.0])
         gauss = gaussian_target([0.0], [[1.0]])

@@ -48,6 +48,17 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             StateSpace(())
 
+    def test_space_indices_match_index(self):
+        sp = StateSpace(("a", (0, 1), 2.5))
+        labels = [(0, 1), 2.5, "a", "a"]
+        assert sp.indices(labels) == [sp.index(lab) for lab in labels] == [1, 2, 0, 0]
+        for bad in ("b", (1, 0)):
+            with pytest.raises(ValidationError) as got:
+                sp.indices(["a", bad])
+            with pytest.raises(ValidationError) as want:
+                sp.index(bad)
+            assert str(got.value) == str(want.value)
+
     def test_negative_prob_rejected(self):
         with pytest.raises(ValidationError):
             dist(1.2, -0.2)

@@ -621,6 +621,34 @@ class TestPCG64Draws:
             assert plain_state(fast_rng) == plain_state(ref_rng)
         assert buffered > 0
 
+    @pytest.mark.parametrize("word", [0x1234_5678 << 32, 0x1234_5678, 0])
+    def test_rejected_half_word(self, word):
+        # at k = 3 Lemire rejects only the half-word 0: a crafted output 3
+        # with a zero low half, high half, or both; a reorder_random latency
+        # of span 2 is this draw
+        fast_rng, ref_rng = (pcg64_with_output(5, 3, word) for _ in range(2))
+        assert pcg64_with_output(5, 3, word).bit_generator.random_raw(4)[-1] == word
+        draws = kernels._PCG64Draws(fast_rng)
+        got = [draws.random() for _ in range(3)] + [draws.integers(0, 3) for _ in range(6)]
+        want = [ref_rng.random() for _ in range(3)] + [int(ref_rng.integers(0, 3)) for _ in range(6)]
+        assert got == want
+
+    def test_sized_standard_normal_is_scalar_calls(self):
+        # the block server path's send draws standard_normal(dim) once; the
+        # reference draws dim scalar normals; accept words interleave
+        meta = np.random.default_rng(43)
+        for seed in range(20):
+            fast_rng, ref_rng = generator_pair(np.random.PCG64, seed, lead=seed % 2)
+            raw = fast_rng.bit_generator.random_raw
+            for _ in range(500):
+                if meta.random() < 0.4:
+                    assert (raw() >> 11) * 2**-53 == ref_rng.random()
+                else:
+                    dim = int(meta.integers(1, 5))
+                    got = fast_rng.standard_normal(dim).tolist()
+                    assert got == [ref_rng.standard_normal() for _ in range(dim)]
+            assert plain_state(fast_rng) == plain_state(ref_rng)
+
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS[1:])
     def test_other_bit_generators_refused(self, bit_generator):
         with pytest.raises(TypeError, match="PCG64"):
@@ -739,6 +767,12 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
 def bench_kernel():
     target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.5).precision)
     return KernelSpec("metropolis_hastings", target, GaussianIndependenceProposal([0.0, 0.0], 1.5))
+
+
+def off_centre_kernel():
+    precision = [[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 1.5]]
+    target = gaussian_target((0.5, -1.0, 1.5), precision)
+    return KernelSpec("metropolis_hastings", target, GaussianIndependenceProposal([0.3, -1.7, 2.0], 0.7))
 
 
 def assert_pserver_identical(kernel, m, horizon, delay, mode, seed, **kwargs):
@@ -878,6 +912,21 @@ class TestServerLoop:
                                           init=(2.0, -2.0), frozen_workers=(0,))
         assert record.config["resends"] > 100
         assert (record.workers == 0).any()
+
+    def test_block_path_off_centre_proposal_3d(self):
+        # proposals center + scale * z, built per block from the kept normals
+        delay = DelayModel("fifo_fixed", {"latency": 1.0, "periods": [1.0, 0.5, 2.0], "jitter": 0.4},
+                           staleness_cap=64)
+        record = assert_pserver_identical(off_centre_kernel(), 3, 2 * pserver._BLOCK + 37, delay,
+                                          "mh_corrected", 37)
+        assert 0 < record.accept_rate < 1
+
+    def test_block_path_off_centre_naive_resends_with_a_frozen_worker(self):
+        delay = DelayModel("reorder_random", {"span": 12, "jitter": 0.3}, staleness_cap=5)
+        record = assert_pserver_identical(off_centre_kernel(), 3, 2 * pserver._BLOCK + 37, delay,
+                                          "naive_accept", 38, init=(1.0, -1.0, 0.5), frozen_workers=(1,))
+        assert record.config["resends"] > 100
+        assert (record.workers == 1).any()
 
     def test_block_path_liveness_error_message(self):
         delay = DelayModel("fifo_fixed", {"latency": 1.0, "jitter": 0.0, "periods": 0.0}, staleness_cap=0)
