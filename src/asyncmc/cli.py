@@ -150,9 +150,6 @@ class ExperimentConfig:
         if serves and self.correction not in pserver.MODES:
             raise ValidationError(f"correction: must be one of {pserver.MODES}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
@@ -318,12 +315,12 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
         horizon = _read(vars(cfg), "horizon", int, least=10)
         trace = measure_sim.propagate_unbounded_counterexample(matrix, mu0, horizon)
         d1 = float(trace.d[1])
-        odd = [float(trace.d[v]) for v in range(1, trace.n_versions, 2)]
-        stuck = min(odd) >= d1 / 2
+        min_odd = float(trace.d[1::2].min())
+        stuck = min_odd >= d1 / 2
         summary = {
             "experiment": cfg.experiment,
             "d_1": d1,
-            "min_odd_d": min(odd),
+            "min_odd_d": min_odd,
             "non_convergence_demonstrated": stuck,
             "schedule_valid": schedules.validate(trace.schedule) is None,
         }
@@ -776,7 +773,12 @@ def _cmd_validate(args) -> int:
     if not path.exists():
         print(f"usage error: no such trace file {path}", file=sys.stderr)
         return EXIT_USAGE
-    schedule = schedules.schedule_from_jsonl(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, ValueError) as exc:  # a directory, unreadable, or not UTF-8
+        print(f"usage error: cannot read trace {path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    schedule = schedules.schedule_from_jsonl(text)
     violation = schedules.validate(schedule)
     if violation is None:
         print(f"ok: {len(schedule.events)} events, m={schedule.workers}, b={schedule.staleness_bound}")

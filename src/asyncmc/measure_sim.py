@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,8 +34,8 @@ from .errors import (
 from .measures import (
     FiniteDistribution,
     StochasticMatrix,
+    _check_probs,
     apply_operator,
-    distribution_rows,
     half_l1,
     matrix_power,
     random_distribution,
@@ -52,25 +51,30 @@ FROZEN_STALENESS_BOUND = 2  # declared bound of the frozen-worker schedule, brok
 CAMPAIGN_UNIFORM_MIX = (0.55, 0.9)  # range of the campaign kernels' uniform-blend weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureTrace:
-    """Everything the convergence argument needs, per state version."""
+    """Everything the convergence argument needs, per state version.
+
+    Version ``v`` has the law ``ladder[p[v]]``: row ``k`` of the read-only
+    ``ladder`` is ``mu0 P^k``, float64, or ``Fraction``s in an object array
+    when kernel and ``mu0`` are both exact.  ``d`` and ``d_star`` have the
+    ladder's arithmetic, ``p`` and ``p_star`` are integer arrays.
+    """
 
     schedule: Schedule
-    pi: FiniteDistribution
-    mus: tuple
-    d: tuple
-    d_star: tuple
-    p: tuple
-    p_star: tuple
+    ladder: np.ndarray
+    d: np.ndarray
+    d_star: np.ndarray
+    p: np.ndarray
+    p_star: np.ndarray
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.d[0], Fraction)
+        return self.d.dtype == object
 
     @property
     def n_versions(self) -> int:
-        return len(self.mus)
+        return len(self.p)
 
 
 def _window_stats(values: np.ndarray, b: int, reduce) -> np.ndarray:
@@ -83,19 +87,22 @@ def _window_stats(values: np.ndarray, b: int, reduce) -> np.ndarray:
 
 def _ladder(
     m: StochasticMatrix, mu0: FiniteDistribution, pi: FiniteDistribution, depth: int
-) -> tuple[list, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``mu0 P^k`` and its TV distance to ``pi`` for k = 0..depth.
 
     Each row is the product :func:`apply_operator` takes, exact when both
     operands are and float64 otherwise; the first takes ``mu0.probs`` itself,
-    so mixed operands also give the per-event path's values.
+    so mixed operands also give the per-event path's values.  Every row is
+    checked as a distribution, and the rows are returned read-only.
     """
     rows = np.empty((depth + 1, m.space.size), dtype=object if m.exact and mu0.exact else float)
     rows[0] = vec = mu0.probs
     for k in range(1, depth + 1):
         rows[k] = vec @ m.rows
         vec = rows[k]
-    return [mu0, *distribution_rows(m.space, rows[1:])], half_l1(rows, pi.probs)
+    _check_probs(rows)
+    rows.flags.writeable = False
+    return rows, half_l1(rows, pi.probs)
 
 
 def _propagate_events(
@@ -106,18 +113,12 @@ def _propagate_events(
     p = [0]
     for ev in schedule.events:
         p.append(p[ev.read_from + 1] + 1)  # read_from -1 is version 0
-    rungs, dist = _ladder(m, mu0, pi, max(p))
+    ladder, dist = _ladder(m, mu0, pi, max(p))
     depth = np.array(p)
     d = dist[depth]
     b = schedule.staleness_bound
     return MeasureTrace(
-        schedule,
-        pi,
-        tuple(rungs[k] for k in p),
-        tuple(d.tolist()),
-        tuple(_window_stats(d, b, np.max).tolist()),
-        tuple(p),
-        tuple(_window_stats(depth, b, np.min).tolist()),
+        schedule, ladder, d, _window_stats(d, b, np.max), depth, _window_stats(depth, b, np.min)
     )
 
 
@@ -137,17 +138,15 @@ class TheoremReport:
 
     passed: bool
     failures: tuple
-    monotone_ok: bool
-    depth_nondecreasing: bool
     depth_floor: int
-    depth_floor_ok: bool
-    dominance_ok: bool
-    converged: bool
     d_final: float
     p_star_final: int
-    l_times: tuple
     tolerance: float
     threshold: float
+
+
+def _offending(mask: np.ndarray, offset: int) -> list:
+    return (np.flatnonzero(mask) + offset).tolist()
 
 
 def verify_theorem4(trace: MeasureTrace, *, threshold: float = CONVERGENCE_THRESHOLD) -> TheoremReport:
@@ -156,61 +155,32 @@ def verify_theorem4(trace: MeasureTrace, *, threshold: float = CONVERGENCE_THRES
     ``d_star`` may rise by at most the tolerance, 0 on an exact trace and
     ``MONOTONE_TOL`` on a float one.  Failures signal an implementation bug
     for valid inputs, never a theory bug; each failure message names the
-    offending version index.
+    offending version index.  They are listed by kind, each kind in index
+    order: ``d_star`` rises once the window is warm, ``p_star`` drops, the
+    linear depth floor, ``d_star`` below ``d``, and the final distance.
     """
     b = trace.schedule.staleness_bound
     n = len(trace.schedule.events)
-    d, d_star, p, p_star = trace.d, trace.d_star, trace.p, trace.p_star
+    d, d_star, p_star = trace.d, trace.d_star, trace.p_star
     tolerance = 0 if trace.exact else MONOTONE_TOL
-    failures = []
-
-    monotone_ok = True
-    for k in range(b + 1, n):
-        if d_star[k + 1] > d_star[k] + tolerance:
-            monotone_ok = False
-            failures.append(f"d_star increases at k={k + 1}")
-
-    depth_nondecreasing = True
-    for k in range(n):
-        if p_star[k + 1] < p_star[k]:
-            depth_nondecreasing = False
-            failures.append(f"p_star decreases at k={k + 1}")
     depth_floor = (n - b) // b - 1
-    depth_floor_ok = p_star[n] >= depth_floor
-    if not depth_floor_ok:
-        failures.append(f"p_star[{n}]={p_star[n]} below linear floor {depth_floor}")
+    p_star_final = int(p_star[n])
 
-    dominance_ok = True
-    for k in range(n + 1):
-        if d_star[k] < d[k]:
-            dominance_ok = False
-            failures.append(f"d_star below d at k={k}")
-
-    converged = d[n] <= threshold
-    if not converged:
+    rises = _offending(d_star[b + 2 :] > d_star[b + 1 : -1] + tolerance, b + 2)
+    failures = [f"d_star increases at k={k}" for k in rises]
+    failures += [f"p_star decreases at k={k}" for k in _offending(p_star[1:] < p_star[:-1], 1)]
+    if p_star_final < depth_floor:
+        failures.append(f"p_star[{n}]={p_star_final} below linear floor {depth_floor}")
+    failures += [f"d_star below d at k={k}" for k in _offending(d_star < d, 0)]
+    if not d[n] <= threshold:
         failures.append(f"d at final version {n} is {float(d[n]):.3e} > {threshold:.1e}")
-
-    # smallest index attaining max p_star over 0 < j < k, one entry per k >= 2
-    l_times = []
-    best_j, best_val = 1, p_star[1] if n >= 1 else 0
-    for k in range(2, n + 1):
-        j = k - 1
-        if p_star[j] > best_val:
-            best_val, best_j = p_star[j], j
-        l_times.append(best_j)
 
     return TheoremReport(
         passed=not failures,
         failures=tuple(failures),
-        monotone_ok=monotone_ok,
-        depth_nondecreasing=depth_nondecreasing,
         depth_floor=depth_floor,
-        depth_floor_ok=depth_floor_ok,
-        dominance_ok=dominance_ok,
-        converged=converged,
         d_final=float(d[n]),
-        p_star_final=int(p_star[n]),
-        l_times=tuple(l_times),
+        p_star_final=p_star_final,
         tolerance=float(tolerance),
         threshold=threshold,
     )
@@ -255,17 +225,16 @@ def propagate_unbounded_counterexample(
 def matrix_power_consistency(
     trace: MeasureTrace, m: StochasticMatrix, *, tol: float = 1e-10
 ) -> bool:
-    """Check mu_v equals mu_0 times the p_v-th power of the kernel.
+    """Check each version's law ``ladder[p[v]]`` equals mu_0 times the p_v-th power of the kernel.
 
     The powers come from :func:`matrix_power`, not from the operator ladder
     that produced the trace, so this is an independent cross-check.
     """
-    mu0 = trace.mus[0]
-    expected = {k: apply_operator(matrix_power(m, k), mu0) for k in set(trace.p)}
+    mu0 = FiniteDistribution(m.space, trace.ladder[0])
     zero = 0 if trace.exact else tol
     return all(
-        tv_distance(trace.mus[v], expected[trace.p[v]]) <= zero
-        for v in range(trace.n_versions)
+        half_l1(trace.ladder[k], apply_operator(matrix_power(m, k), mu0).probs) <= zero
+        for k in set(trace.p.tolist())
     )
 
 

@@ -13,7 +13,6 @@ floats, which the constructors turn into a float64 array).
 """
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,16 +154,6 @@ class FiniteDistribution:
             return self
         return FiniteDistribution(self.space, self.probs.astype(float))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"labels": list(self.space.labels), "probs": [float(p) for p in self.probs]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteDistribution":
-        doc = _load_json_object(text, {"labels", "probs"})
-        return cls(StateSpace(tuple(doc["labels"])), np.asarray(doc["probs"], dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
@@ -195,40 +184,11 @@ class StochasticMatrix:
             return self
         return StochasticMatrix(self.space, self.rows.astype(float))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "labels": list(self.space.labels),
-                "rows": [[float(x) for x in row] for row in self.rows],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "StochasticMatrix":
-        doc = _load_json_object(text, {"labels", "rows"})
-        return cls(StateSpace(tuple(doc["labels"])), np.asarray(doc["rows"], dtype=float))
-
-
-def _load_json_object(text: str, required: set) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not required.issubset(doc):
-        raise ValidationError(f"JSON document must contain fields {sorted(required)}")
-    return doc
-
 
 def apply_operator(m: StochasticMatrix, mu: FiniteDistribution) -> FiniteDistribution:
     """One step of the distribution-level dynamics: mu -> mu P."""
     _require_same_space(m.space, mu.space, "matrix and distribution")
     return FiniteDistribution(mu.space, mu.probs @ m.rows)
-
-
-def compose(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
-    """Matrix product a b, i.e. step a followed by step b."""
-    _require_same_space(a.space, b.space, "matrices")
-    return StochasticMatrix(a.space, a.rows @ b.rows)
 
 
 def matrix_power(m: StochasticMatrix, k: int) -> StochasticMatrix:
@@ -256,27 +216,6 @@ def tv_distance(a: FiniteDistribution, b: FiniteDistribution):
     _require_same_space(a.space, b.space, "distributions")
     d = half_l1(a.probs, b.probs)
     return d if a.exact and b.exact else float(d)
-
-
-def distribution_rows(space: StateSpace, rows: np.ndarray) -> list:
-    """One distribution per row of ``rows``, validated in one pass.
-
-    Runs the conversion and checks of :class:`FiniteDistribution` on all rows
-    at once.  The array is made read-only and each result's ``probs`` is a
-    view of its row, not a copy.
-    """
-    rows = _as_prob_array(rows)
-    if rows.ndim != 2 or rows.shape[1] != space.size:
-        raise DimensionError(f"rows of shape {rows.shape} for a space of size {space.size}")
-    _check_probs(rows)
-    rows.flags.writeable = False
-    out = []
-    for row in rows:
-        dist = object.__new__(FiniteDistribution)
-        object.__setattr__(dist, "space", space)
-        object.__setattr__(dist, "probs", row)
-        out.append(dist)
-    return out
 
 
 def _is_primitive(rows: np.ndarray) -> bool:

@@ -340,12 +340,6 @@ class PServerRecord:
         )
         return Schedule(events, self.config["m"], self.staleness_bound)
 
-    def state_labels(self) -> list:
-        if not self.target.is_finite:
-            raise UnsupportedTargetError("continuous runs store coordinates, not labels")
-        labels = self.target.support.labels
-        return [labels[i] for i in self.states]
-
 
 def _worker_proposal(kernel: KernelSpec):
     if kernel.kind == "metropolis_hastings":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -22,11 +23,11 @@ from asyncmc.schedules import schedule_to_jsonl, synchronous_schedule
 class TestConfig:
     def test_round_trip_identity(self):
         cfg = canned_config("theorem4_smoke")
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
     def test_round_trip_through_json(self):
         cfg = canned_config("pserver_gaussian")
-        text = json.dumps(cfg.to_dict())
+        text = json.dumps(dataclasses.asdict(cfg))
         assert ExperimentConfig.from_dict(json.loads(text)) == cfg
 
     def test_missing_fields_named(self):
@@ -34,7 +35,7 @@ class TestConfig:
             ExperimentConfig.from_dict({"name": "x"})
 
     def test_unknown_fields_named(self):
-        doc = canned_config("theorem4_smoke").to_dict()
+        doc = dataclasses.asdict(canned_config("theorem4_smoke"))
         doc["horizonn"] = 5
         with pytest.raises(ValidationError, match="horizonn"):
             ExperimentConfig.from_dict(doc)
@@ -87,7 +88,7 @@ class TestRun:
     def test_smoke_run_and_artifacts(self, tmp_path):
         cfg = canned_config("theorem4_smoke")
         code, summary = run_experiment(
-            ExperimentConfig.from_dict({**cfg.to_dict(), "out_dir": str(tmp_path)})
+            ExperimentConfig.from_dict({**dataclasses.asdict(cfg), "out_dir": str(tmp_path)})
         )
         assert code == EXIT_OK
         assert summary["passed"] is True
@@ -97,7 +98,7 @@ class TestRun:
         assert (tmp_path / "trace.jsonl").exists()
 
     def test_deterministic_reruns_byte_identical(self, tmp_path):
-        cfg = canned_config("theorem4_smoke").to_dict()
+        cfg = dataclasses.asdict(canned_config("theorem4_smoke"))
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -112,7 +113,7 @@ class TestRun:
         assert '"passed": true' in out
 
     def test_cli_run_config_file(self, tmp_path, capsys):
-        cfg = canned_config("frozen_worker_counterexample").to_dict()
+        cfg = dataclasses.asdict(canned_config("frozen_worker_counterexample"))
         cfg["out_dir"] = str(tmp_path / "out")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -134,7 +135,7 @@ class TestRun:
         assert "cannot read config" in capsys.readouterr().err
 
     def test_invalid_field_is_usage_error(self, tmp_path):
-        cfg = canned_config("theorem4_smoke").to_dict()
+        cfg = dataclasses.asdict(canned_config("theorem4_smoke"))
         cfg["mode"] = "quantum"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -162,6 +163,18 @@ class TestValidateCommand:
     def test_missing_file_usage(self):
         assert main(["validate", "/nonexistent/trace.jsonl"]) == EXIT_USAGE
 
+    def test_non_utf8_file_usage(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b'{"seq": 0, "worker": 0, "read_from": -1, "kind": "write"}\xff\n')
+        assert main(["validate", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(path) in err
+
+    def test_directory_usage(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(tmp_path) in err
+
     @pytest.mark.parametrize("value,message", [("x", "must be an integer"), (-3, "is negative")])
     def test_bad_worker_value_is_usage_error(self, tmp_path, capsys, value, message):
         lines = schedule_to_jsonl(synchronous_schedule(2, 10, b=4)).splitlines()
@@ -177,7 +190,7 @@ class TestValidateCommand:
 
 
 def _small_pserver_config(tmp_path, **overrides) -> dict:
-    doc = canned_config("pserver_gaussian").to_dict()
+    doc = dataclasses.asdict(canned_config("pserver_gaussian"))
     doc.update(horizon=200, out_dir=str(tmp_path / "out"))
     for key, value in overrides.items():
         doc[key] = {**doc[key], **value}
@@ -246,7 +259,7 @@ class TestMalformedRunParameters:
 
 
 def test_coupled_single_replica_runs(tmp_path):
-    doc = canned_config("coupled_replicas").to_dict()
+    doc = dataclasses.asdict(canned_config("coupled_replicas"))
     doc.update(m=1, horizon=5000, out_dir=str(tmp_path / "out"))
     assert _run_file(tmp_path, doc) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())

@@ -18,8 +18,6 @@ from asyncmc.measures import (
     StochasticMatrix,
     apply_operator,
     check_contraction,
-    compose,
-    distribution_rows,
     matrix_power,
     random_distribution,
     random_rational_distribution,
@@ -82,8 +80,6 @@ class TestConstruction:
             FiniteDistribution(space(2), [Fraction(1, 3), Fraction(2, 3) + tiny])
         with pytest.raises(ValidationError):
             StochasticMatrix(space(2), [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 3) - tiny]])
-        with pytest.raises(ValidationError):
-            distribution_rows(space(2), np.array([[Fraction(1, 2), Fraction(1, 2) + tiny]], dtype=object))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -98,7 +94,7 @@ class TestConstruction:
 
     def test_nan_from_json_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            FiniteDistribution.from_json('{"labels": [0, 1, 2], "probs": [NaN, 0.5, 0.5]}')
+            FiniteDistribution(space(3), json.loads("[NaN, 0.5, 0.5]"))
 
 
 class TestApplyOperator:
@@ -260,15 +256,6 @@ class TestContraction:
 
 
 class TestComposition:
-    def test_product_is_row_stochastic(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(2, 9))
-            a = random_stochastic_matrix(rng, n)
-            b = random_stochastic_matrix(rng, n)
-            prod = compose(a, b)
-            assert np.abs(np.asarray(prod.rows, dtype=float).sum(axis=1) - 1).max() <= 1e-10
-
     def test_matrix_power_matches_iteration(self):
         rng = np.random.default_rng(8)
         m = random_stochastic_matrix(rng, 4)
@@ -292,30 +279,6 @@ class TestComposition:
                 below = True
                 break
         assert below
-
-
-class TestSerialization:
-    def test_distribution_round_trip(self):
-        d = dist(0.25, 0.5, 0.25)
-        out = FiniteDistribution.from_json(d.to_json())
-        assert out.space == d.space
-        assert np.allclose(out.probs, d.probs)
-
-    def test_matrix_round_trip(self):
-        m = StochasticMatrix(space(2), [[0.9, 0.1], [0.2, 0.8]])
-        out = StochasticMatrix.from_json(m.to_json())
-        assert out.space == m.space
-        assert np.allclose(out.rows, m.rows)
-
-    def test_rejects_invalid_payload(self):
-        with pytest.raises(ValidationError):
-            FiniteDistribution.from_json(json.dumps({"labels": [0, 1], "probs": [0.7, 0.7]}))
-        with pytest.raises(ValidationError):
-            StochasticMatrix.from_json(json.dumps({"labels": [0, 1], "rows": [[1.5, -0.5], [0.5, 0.5]]}))
-        with pytest.raises(ValidationError):
-            FiniteDistribution.from_json("not json")
-        with pytest.raises(ValidationError):
-            FiniteDistribution.from_json(json.dumps({"labels": [0, 1]}))
 
 
 class TestExactGenerators:

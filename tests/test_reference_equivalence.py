@@ -46,18 +46,19 @@ from asyncmc.kernels import (
     worker_streams,
 )
 from asyncmc.measure_sim import (
+    MONOTONE_TOL,
     frozen_worker_schedule,
     matrix_power_consistency,
     propagate,
     propagate_unbounded_counterexample,
+    verify_theorem4,
 )
 from asyncmc.measures import (
     FiniteDistribution,
     StateSpace,
     StochasticMatrix,
+    _check_probs,
     apply_operator,
-    compose,
-    distribution_rows,
     matrix_power,
     random_distribution,
     random_rational_distribution,
@@ -168,16 +169,19 @@ def reference_edf_safe_workers(deadlines, seq):
 
 def assert_identical(trace, m, mu0, pi):
     mus, d, d_star, p, p_star = reference_propagate(m, mu0, trace.schedule, pi)
-    assert list(trace.p) == p and list(trace.p_star) == p_star
-    assert all(type(x) is int for x in trace.p + trace.p_star)
+    assert trace.p.dtype == trace.p_star.dtype == np.int64
+    assert trace.p.tolist() == p and trace.p_star.tolist() == p_star
     for got, want in ((trace.d, d), (trace.d_star, d_star)):
-        assert [type(x) for x in got] == [type(x) for x in want]
-        assert list(got) == want
+        assert got.dtype == (object if trace.exact else np.float64)
+        assert_same_entries(got, want)
         if not trace.exact:
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert len(trace.mus) == len(mus)
-    for got, want in zip(trace.mus, mus):
-        assert_same_entries(got.probs, want)
+            assert got.tobytes() == np.array(want).tobytes()
+    assert trace.ladder.shape == (max(p) + 1, m.space.size) and not trace.ladder.flags.writeable
+    assert trace.n_versions == len(mus)
+    # row 0 is mu0 in the ladder's dtype: float64 for an exact mu0 under a float kernel
+    assert_same_entries(trace.ladder[0], mus[0].astype(trace.ladder.dtype))
+    for v, want in enumerate(mus[1:], 1):
+        assert_same_entries(trace.ladder[trace.p[v]], want)
 
 
 def blended_kernel(rng, n):
@@ -226,11 +230,10 @@ class TestFloatPropagation:
         rng = np.random.default_rng(4)
         m = random_stochastic_matrix(rng, 3)
         trace = propagate(m, random_distribution(rng, 3), random_schedule(3, 6, 200, rng))
-        first = {}
-        for v, depth in enumerate(trace.p):
-            assert trace.mus[v] is first.setdefault(depth, trace.mus[v])
-            if depth > 0:
-                assert not trace.mus[v].probs.flags.writeable
+        # every depth up to the deepest is some version's, so no rung is computed in vain
+        assert sorted(set(trace.p.tolist())) == list(range(len(trace.ladder)))
+        with pytest.raises(ValueError):
+            trace.ladder[0, 0] = 1.0
 
 
 class TestExactPropagation:
@@ -269,13 +272,6 @@ class TestExactOperations:
             out = apply_operator(m, mu)
             assert out.exact
             assert_same_entries(out.probs, reference_vec_dot_mat(mu.probs, m.rows))
-
-    def test_compose(self):
-        for rng, a, _ in rational_instances(32, 40):
-            b = random_rational_matrix(rng, a.space.size)
-            product = compose(a, b)
-            assert product.exact
-            assert_same_entries(product.rows, reference_mat_mul(a.rows, b.rows))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 64])
     def test_matrix_power(self, k):
@@ -337,18 +333,16 @@ class TestMixedOperands:
 
 class TestLadderValidation:
     def test_rows_checked_like_single_distributions(self):
-        space = StateSpace((0, 1))
-        with pytest.raises(ValidationError, match="negative"):
-            distribution_rows(space, np.array([[0.5, 0.5], [-0.5, 1.5]]))
-        with pytest.raises(ValidationError, match="sum to"):
-            distribution_rows(space, np.array([[0.5, 0.5], [0.5, 0.6]]))
-
-    def test_rows_are_read_only_views(self):
-        rows = np.array([[0.5, 0.5], [0.25, 0.75]])
-        dists = distribution_rows(StateSpace((0, 1)), rows)
-        assert all(np.shares_memory(d.probs, rows) for d in dists)
-        with pytest.raises(ValueError):
-            dists[0].probs[0] = 1.0
+        # the one check the ladder runs over all its rows
+        tiny = Fraction(1, 10**15)
+        for rows, message in (
+            (np.array([[0.5, 0.5], [-0.5, 1.5]]), "negative"),
+            (np.array([[0.5, 0.5], [0.5, 0.6]]), "sum to"),
+            (np.array([[0.5, 0.5], [np.nan, 1.0]]), "non-finite"),
+            (np.array([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2) + tiny]]), "sum to"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                _check_probs(rows)
 
 
 class TestMatrixPowerConsistency:
@@ -362,13 +356,112 @@ class TestMatrixPowerConsistency:
         schedule = random_schedule(2, 4, 50, rng)
         trace = propagate(m, mu0, schedule)
         assert matrix_power_consistency(trace, m)
-        k = 5
-        wrong = apply_operator(m, trace.mus[k])  # one operator application too many
-        mus = trace.mus[:k] + (wrong,) + trace.mus[k + 1 :]
-        assert not matrix_power_consistency(dataclasses.replace(trace, mus=mus), m)
+        k = trace.p[5]
+        ladder = trace.ladder.copy()
+        ladder[k] = ladder[k] @ m.rows  # one operator application too many
+        assert not matrix_power_consistency(dataclasses.replace(trace, ladder=ladder), m)
         # a trace that is self-consistent but built from another kernel
         other = propagate(StochasticMatrix(m.space, m.rows[::-1]), mu0, schedule)
         assert not matrix_power_consistency(other, m)
+
+
+def reference_verify_theorem4(trace, threshold):
+    """The failures of the per-index loops, over the trace's values as lists."""
+    b = trace.schedule.staleness_bound
+    n = len(trace.schedule.events)
+    d, d_star, p_star = trace.d.tolist(), trace.d_star.tolist(), trace.p_star.tolist()
+    tolerance = 0 if trace.exact else MONOTONE_TOL
+    failures = []
+    for k in range(b + 1, n):
+        if d_star[k + 1] > d_star[k] + tolerance:
+            failures.append(f"d_star increases at k={k + 1}")
+    for k in range(n):
+        if p_star[k + 1] < p_star[k]:
+            failures.append(f"p_star decreases at k={k + 1}")
+    depth_floor = (n - b) // b - 1
+    if not p_star[n] >= depth_floor:
+        failures.append(f"p_star[{n}]={p_star[n]} below linear floor {depth_floor}")
+    for k in range(n + 1):
+        if d_star[k] < d[k]:
+            failures.append(f"d_star below d at k={k}")
+    if not d[n] <= threshold:
+        failures.append(f"d at final version {n} is {float(d[n]):.3e} > {threshold:.1e}")
+    return tuple(failures)
+
+
+FAILURE_KINDS = (
+    "d_star increases", "p_star decreases", "below linear floor", "d_star below d", "d at final version"
+)
+
+
+def planted_failures(trace, unit):
+    """``(trace, threshold, kinds)`` for the trace itself and for copies with
+    each kind of failure planted, one at a time and all at once."""
+    b, n = trace.schedule.staleness_bound, len(trace.schedule.events)
+    rise = trace.d_star.copy()
+    for j in (b + 1, b + 3, n):  # b + 1 is before the window is warm
+        rise[j] = rise[j - 1] + unit
+    rise[b + 5] = rise[b + 4] + unit / 10**4  # within the float tolerance, not the exact one
+    drop = trace.p_star.copy()
+    for j in (1, n // 2):
+        drop[j] = drop[j - 1] - 1
+    floor = trace.p_star.copy()
+    floor[n] = (n - b) // b - 2
+    below = trace.d_star.copy()
+    for j in (0, 3, n - 1):
+        below[j] = trace.d[j] - unit
+    every = trace.d_star.copy()
+    every[: b + 6] = rise[: b + 6]
+    every[n - 1] = below[n - 1]
+    every_depth = drop.copy()
+    every_depth[n] = floor[n]
+    replace = dataclasses.replace
+    rise_kind, drop_kind, floor_kind, below_kind, final_kind = FAILURE_KINDS
+    return (
+        (trace, 1, ()),
+        (replace(trace, d_star=rise), 1, (rise_kind,)),
+        (replace(trace, p_star=drop), 1, (drop_kind,)),
+        (replace(trace, p_star=floor), 1, (floor_kind,)),
+        (replace(trace, d_star=below), 1, (below_kind,)),
+        (trace, 1e-30, (final_kind,)),
+        (replace(trace, d_star=every, p_star=every_depth), 1e-30, FAILURE_KINDS),
+    )
+
+
+class TestReferenceVerify:
+    """The array checks of ``verify_theorem4`` name the same failures, in the
+    same order, as the per-index loops."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_planted_failures(self, exact):
+        rng = np.random.default_rng(17)
+        if exact:
+            m, mu0 = random_rational_matrix(rng, 3), random_rational_distribution(rng, 3)
+            unit = Fraction(1, 10**9)
+        else:
+            m, mu0, unit = blended_kernel(rng, 4), random_distribution(rng, 4), 1e-9
+        trace = propagate(m, mu0, random_schedule(3, 5, 60, rng))
+        for crafted, threshold, kinds in planted_failures(trace, unit):
+            want = reference_verify_theorem4(crafted, threshold)
+            report = verify_theorem4(crafted, threshold=threshold)
+            assert report.failures == want
+            assert report.passed == (not want)
+            # every planted kind is named; one plant may trip another kind too
+            # (a floor break is also a drop), which the reference then names as well
+            assert bool(want) == bool(kinds)
+            assert all(any(kind in f for f in want) for kind in kinds), (kinds, want)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_frozen_worker_counterexample(self, exact):
+        rng = np.random.default_rng(18)
+        if exact:
+            m, mu0 = random_rational_matrix(rng, 2), random_rational_distribution(rng, 2)
+        else:
+            m, mu0 = random_stochastic_matrix(rng, 2), random_distribution(rng, 2)
+        trace = propagate_unbounded_counterexample(m, mu0, 60)
+        report = verify_theorem4(trace)
+        assert report.failures == reference_verify_theorem4(trace, report.threshold)
+        assert not report.passed
 
 
 def reference_random_schedule(m, b, length, rng, kind="write"):

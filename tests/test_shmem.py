@@ -141,7 +141,7 @@ class TestReplay:
             record = replay(spec, schedule, seed=seed)
             counts[record.states[k]] += 1
         emp = np.array([counts[l] for l in spec.target.support.labels], dtype=float) / n_seeds
-        tv = 0.5 * np.abs(emp - trace.mus[k + 1].probs).sum()
+        tv = 0.5 * np.abs(emp - trace.ladder[trace.p[k + 1]]).sum()
         assert tv <= 0.03
 
     def test_pooled_late_states_near_stationary(self):
@@ -247,7 +247,7 @@ class TestSampleMeasureIdentity:
             for v, state in enumerate(replay(kernel, schedule, seed).states):
                 counts[v, index(state)] += 1
         level = self.ALPHA / self.EVENTS
-        p_values = [goodness_of_fit(counts[v], trace.mus[v + 1].probs) for v in range(self.EVENTS)]
+        p_values = [goodness_of_fit(counts[v], trace.ladder[trace.p[v + 1]]) for v in range(self.EVENTS)]
         assert min(p_values) >= level, (np.argmin(p_values), min(p_values))
 
 
