@@ -485,13 +485,8 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
             # rendering, but the run itself is still valid
             summary["detailed_balance_error"] = None
         else:
-            pi = kernels.target_distribution(target).to_float().probs
-            db = max(
-                abs(pi[i] * srv.rows[i][j] - pi[j] * srv.rows[j][i])
-                for i in range(srv.space.size)
-                for j in range(srv.space.size)
-            )
-            summary["detailed_balance_error"] = float(db)
+            flow = kernels.target_distribution(target).to_float().probs[:, None] * srv.rows
+            summary["detailed_balance_error"] = float(np.abs(flow - flow.T).max())
     else:
         summary.update(_gaussian_summary(record, target, burn, n_batches))
     return EXIT_OK, summary, artifacts

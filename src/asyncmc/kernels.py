@@ -2,8 +2,8 @@
 
 Two kernel families are implemented: random-proposal Metropolis-Hastings and
 single-site Gibbs (random-scan or systematic-scan).  Every step works in log
-space, returns the log unnormalized target density at its result, and draws
-from an explicitly seeded stream in a fixed order:
+space, returns the next state, and draws from an explicitly seeded stream in
+a fixed order:
 
 * ``mh_step``: the proposal's draws first, then exactly one uniform for the
   accept decision (drawn even when the ratio exceeds 1).
@@ -38,7 +38,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -176,25 +176,6 @@ def finite_target(weights: Sequence[float], labels: Sequence | None = None) -> T
 
     return TargetDensity(
         dim=1, log_unnorm=log_unnorm, support=space, site_domains=(tuple(space.labels),)
-    )
-
-
-def product_finite_target(
-    site_domains: Sequence[Sequence], log_weight: Callable
-) -> TargetDensity:
-    """Multi-site finite target; states are tuples, one entry per site."""
-    domains = tuple(tuple(d) for d in site_domains)
-    labels = tuple(itertools.product(*domains))
-    space = StateSpace(labels)
-    table = {lab: float(log_weight(lab)) for lab in labels}
-    if all(v == NEG_INF for v in table.values()):
-        raise ValidationError("target has empty support")
-
-    def log_unnorm(x):
-        return table.get(tuple(x), NEG_INF)
-
-    return TargetDensity(
-        dim=len(domains), log_unnorm=log_unnorm, support=space, site_domains=domains
     )
 
 
@@ -465,14 +446,8 @@ class KernelSpec:
         return f"{self.kind}" + (f"[{prop}]" if prop else "")
 
 
-class StepResult(NamedTuple):
-    state: object
-    log_pi: float
-    accepted: bool
-
-
-def mh_step(spec: KernelSpec, x, rng: np.random.Generator) -> StepResult:
-    """One Metropolis-Hastings transition from ``x``.
+def mh_step(spec: KernelSpec, x, rng: np.random.Generator):
+    """One Metropolis-Hastings transition from ``x``; returns the next state.
 
     The accept decision consumes exactly one uniform, drawn after the
     proposal's own draws; rejection returns ``x`` unchanged.
@@ -493,29 +468,19 @@ def mh_step(spec: KernelSpec, x, rng: np.random.Generator) -> StepResult:
     else:
         log_ratio = (lp_y + proposal.logpdf(x, y, params)) - (lp_x + log_fwd)
     u = rng.random()
-    accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
-    if accepted:
-        return StepResult(y, lp_y, True)
-    return StepResult(x, lp_x, False)
+    return y if log_ratio >= 0.0 or u < math.exp(log_ratio) else x
 
 
-def gibbs_site_step(spec: KernelSpec, x, site: int, rng: np.random.Generator) -> StepResult:
-    new = gibbs_site_draw(spec.target, x, site, rng)
-    return StepResult(new, spec.target.log_unnorm(new), True)
-
-
-def kernel_step(spec: KernelSpec, x, rng: np.random.Generator) -> StepResult:
-    """Dispatch one full kernel application according to the spec's kind."""
+def kernel_step(spec: KernelSpec, x, rng: np.random.Generator):
+    """One full kernel application according to the spec's kind; returns the next state."""
     if spec.kind == "metropolis_hastings":
         return mh_step(spec, x, rng)
     if spec.kind == "gibbs_single_site":
         site = int(rng.integers(0, spec.target.dim))
-        return gibbs_site_step(spec, x, site, rng)
-    order = spec.site_order or tuple(range(spec.target.dim))
-    state = x
-    for site in order:
-        state = gibbs_site_draw(spec.target, state, site, rng)
-    return StepResult(state, spec.target.log_unnorm(state), True)
+        return gibbs_site_draw(spec.target, x, site, rng)
+    for site in spec.site_order or range(spec.target.dim):
+        x = gibbs_site_draw(spec.target, x, site, rng)
+    return x
 
 
 def default_init(target: TargetDensity):

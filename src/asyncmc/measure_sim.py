@@ -35,9 +35,7 @@ from .measures import (
     FiniteDistribution,
     StochasticMatrix,
     _check_probs,
-    apply_operator,
     half_l1,
-    matrix_power,
     random_distribution,
     random_stochastic_matrix,
     stationary_distribution,
@@ -71,10 +69,6 @@ class MeasureTrace:
     @property
     def exact(self) -> bool:
         return self.d.dtype == object
-
-    @property
-    def n_versions(self) -> int:
-        return len(self.p)
 
 
 def _window_stats(values: np.ndarray, b: int, reduce) -> np.ndarray:
@@ -173,7 +167,7 @@ def verify_theorem4(trace: MeasureTrace, *, threshold: float = CONVERGENCE_THRES
         failures.append(f"p_star[{n}]={p_star_final} below linear floor {depth_floor}")
     failures += [f"d_star below d at k={k}" for k in _offending(d_star < d, 0)]
     if not d[n] <= threshold:
-        failures.append(f"d at final version {n} is {float(d[n]):.3e} > {threshold:.1e}")
+        failures.append(f"d at final version {n} is {float(d[n]):.3e} > {float(threshold):.1e}")
 
     return TheoremReport(
         passed=not failures,
@@ -220,22 +214,6 @@ def propagate_unbounded_counterexample(
         )
     schedule = frozen_worker_schedule(length)
     return _propagate_events(m, mu0, schedule, pi)
-
-
-def matrix_power_consistency(
-    trace: MeasureTrace, m: StochasticMatrix, *, tol: float = 1e-10
-) -> bool:
-    """Check each version's law ``ladder[p[v]]`` equals mu_0 times the p_v-th power of the kernel.
-
-    The powers come from :func:`matrix_power`, not from the operator ladder
-    that produced the trace, so this is an independent cross-check.
-    """
-    mu0 = FiniteDistribution(m.space, trace.ladder[0])
-    zero = 0 if trace.exact else tol
-    return all(
-        half_l1(trace.ladder[k], apply_operator(matrix_power(m, k), mu0).probs) <= zero
-        for k in set(trace.p.tolist())
-    )
 
 
 def measure_trace_csv(trace: MeasureTrace) -> str:

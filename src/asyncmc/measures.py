@@ -4,7 +4,7 @@ Distributions are probability vectors over an enumerated space and transition
 kernels are row-stochastic matrices acting on them by right multiplication of
 the row vector.  Two arithmetic modes coexist: float64 (default) and exact
 rationals, held as numpy object arrays of ``fractions.Fraction`` on which
-numpy's ``@``, ``matrix_power``, ``abs``, ``sum`` and comparisons run exactly.
+numpy's ``@``, ``abs``, ``sum`` and comparisons run exactly.
 The rational mode exists so that the convergence-proof replication can run
 with zero tolerance on small instances.  Each operation is one numpy
 expression whose arithmetic follows its operands: exact when all of them are
@@ -32,7 +32,6 @@ SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 POWER_ITER_STEP_TOL = 1e-13
 POWER_ITER_MAX = 10**6
-RATIONAL_MAX_WEIGHT = 20  # integer weights of the random rational matrices and distributions
 CONTRACTION_SIZES = tuple(range(2, 11))  # state-space sizes of the contraction campaign
 
 
@@ -191,12 +190,6 @@ def apply_operator(m: StochasticMatrix, mu: FiniteDistribution) -> FiniteDistrib
     return FiniteDistribution(mu.space, mu.probs @ m.rows)
 
 
-def matrix_power(m: StochasticMatrix, k: int) -> StochasticMatrix:
-    if k < 0:
-        raise ValidationError("matrix power needs k >= 0")
-    return StochasticMatrix(m.space, np.linalg.matrix_power(m.rows, k))
-
-
 def half_l1(x: np.ndarray, y: np.ndarray):
     """Half the L1 distance between probability arrays along their last axis.
 
@@ -306,18 +299,6 @@ def random_stochastic_matrix(rng: np.random.Generator, n: int) -> StochasticMatr
 
 def random_distribution(rng: np.random.Generator, n: int) -> FiniteDistribution:
     return FiniteDistribution(StateSpace(tuple(range(n))), rng.dirichlet(np.ones(n)))
-
-
-def random_rational_matrix(rng: np.random.Generator, n: int) -> StochasticMatrix:
-    """Exact-mode analogue of :func:`random_stochastic_matrix`."""
-    labels = StateSpace(tuple(range(n)))
-    weights = _as_prob_array(rng.integers(1, RATIONAL_MAX_WEIGHT + 1, size=(n, n)).astype(object))
-    return StochasticMatrix(labels, weights / weights.sum(axis=1, keepdims=True))
-
-
-def random_rational_distribution(rng: np.random.Generator, n: int) -> FiniteDistribution:
-    weights = rng.integers(1, RATIONAL_MAX_WEIGHT + 1, size=n).astype(object)
-    return FiniteDistribution.from_weights(StateSpace(tuple(range(n))), weights)
 
 
 @dataclass(frozen=True)

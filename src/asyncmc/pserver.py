@@ -132,9 +132,7 @@ class DelayModel:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in DELAY_KINDS:
             raise ParameterError(f"delay.kind: unknown delay kind {self.kind!r}")
-        cap = self.staleness_cap
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-            raise ParameterError(f"delay.staleness_cap: must be an integer >= 0, got {cap!r}")
+        _check_number("delay.staleness_cap", self.staleness_cap, integer=True)
         params = self.params
         if not isinstance(params, dict):
             raise ParameterError(f"delay.params: must be an object, got {params!r}")
@@ -258,7 +256,6 @@ def server_receive(
     rng: np.random.Generator,
     *,
     mode: str = "mh_corrected",
-    debug_revalidate: bool = False,
 ) -> tuple[ServerState, bool, float]:
     """Process one message; returns (new state, accepted, log accept ratio).
 
@@ -275,17 +272,6 @@ def server_receive(
         raise ProtocolError(
             f"message read version {msg.read_version} is ahead of the server ({st.version})"
         )
-    if debug_revalidate:
-        actual = target.log_unnorm(msg.x_star)
-        if not math.isclose(actual, msg.log_pi_x_star, rel_tol=0, abs_tol=1e-10):
-            raise ValidationError(
-                f"worker-shipped density {msg.log_pi_x_star} disagrees with target ({actual})"
-            )
-        cached = target.log_unnorm(st.tagged.value)
-        if not math.isclose(cached, st.tagged.log_pi, rel_tol=0, abs_tol=1e-10):
-            raise ValidationError(
-                f"server cached density {st.tagged.log_pi} disagrees with target ({cached})"
-            )
 
     cand_value, cand_lp = _candidate(st.tagged.value, msg.x_star, msg.log_pi_x_star, msg.params)
     if cand_lp is None:

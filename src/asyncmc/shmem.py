@@ -123,10 +123,8 @@ class _AsyncCoordinator(SharedCell):
             for w in range(self.m):
                 if seq - self.last_write[w] > self.watchdog_b:
                     self.stop = True
-                    self.liveness_failure = (
-                        w,
-                        f"worker {w} wrote nothing in window ({seq - self.watchdog_b}, {seq}]",
-                    )
+                    window = f"({seq - self.watchdog_b}, {seq}]"
+                    self.liveness_failure = f"worker {w} wrote nothing in window {window}"
                     return False
             self.next_seq = seq + 1
             self.last_write[worker] = seq
@@ -179,14 +177,12 @@ def run_async(
         rng = rngs[worker]
         while True:
             state, version = coord.read()
-            step = kernel_step(kernel, state, rng)
-            if not coord.commit(worker, version, step.state):
+            if not coord.commit(worker, version, kernel_step(kernel, state, rng)):
                 return
 
     _run_threads(work, m)
     if coord.liveness_failure is not None:
-        worker, detail = coord.liveness_failure
-        raise LivenessError(f"liveness watchdog fired: {detail}")
+        raise LivenessError(f"liveness watchdog fired: {coord.liveness_failure}")
 
     events = coord.events
     trace = Schedule(tuple(Event(*ev) for ev in events), m, minimal_valid_bound(events, m))
@@ -232,7 +228,7 @@ def replay(kernel: KernelSpec, schedule: Schedule, seed: int) -> RunRecord:
         # version v lives at index v; the initial state, version -1, at the end
         versions = [None] * len(events) + [init]
         for seq, worker, read_from, _ in events:
-            versions[seq] = kernel_step(kernel, versions[read_from], rngs[worker]).state
+            versions[seq] = kernel_step(kernel, versions[read_from], rngs[worker])
         versions.pop()
     config = {
         "mode": "shmem_replay",

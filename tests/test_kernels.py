@@ -24,15 +24,14 @@ from asyncmc.kernels import (
     default_init,
     finite_target,
     gaussian_target,
-    gibbs_site_step,
     kernel_step,
     mh_step,
-    product_finite_target,
     render_matrix,
     target_distribution,
     worker_streams,
 )
 from asyncmc.measures import apply_operator, stationary_distribution, tv_distance
+from test_reference_equivalence import product_finite_target
 
 
 def three_state():
@@ -85,8 +84,7 @@ class TestMHStep:
     def test_identity_proposal_always_accepts(self):
         spec = KernelSpec("metropolis_hastings", three_state(), IdentityProposal())
         rng = np.random.default_rng(0)
-        res = mh_step(spec, 1, rng)
-        assert res.accepted and res.state == 1
+        assert mh_step(spec, 1, rng) == 1
 
     def test_symmetric_uphill_always_accepted(self):
         target = gaussian_target([0.0], [[1.0]])
@@ -103,10 +101,10 @@ class TestMHStep:
         rng = np.random.default_rng(1)
         uphill_seen = 0
         for _ in range(500):
-            res = mh_step(spec, (2.0,), rng)
+            state = mh_step(spec, (2.0,), rng)
             if target.log_unnorm(Recording.last) >= target.log_unnorm((2.0,)):
                 uphill_seen += 1
-                assert res.accepted and res.state == Recording.last
+                assert state == Recording.last
         assert uphill_seen > 100
 
     def test_one_uniform_per_decision(self):
@@ -116,7 +114,7 @@ class TestMHStep:
         r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
         x1 = x2 = 0
         for _ in range(100):
-            x1 = mh_step(spec, x1, r1).state
+            x1 = mh_step(spec, x1, r1)
             idx = int(r2.integers(3))
             u = r2.random()
             lr = spec.target.log_unnorm(spec.target.support.labels[idx]) - spec.target.log_unnorm(x2)
@@ -154,7 +152,7 @@ class TestMHStep:
             x = (0.0, 0.0)
             traj = []
             for _ in range(300):
-                x = mh_step(spec, x, rng).state
+                x = mh_step(spec, x, rng)
                 traj.append(x)
             out.append(traj)
         assert out[0] == out[1]
@@ -165,8 +163,7 @@ class TestGibbs:
         target = binary_product(((1.0, 3.0), (1.0, 3.0)))
         rng = np.random.default_rng(5)
         for _ in range(50):
-            res = gibbs_site_step(KernelSpec("gibbs_single_site", target), (0, 1), 0, rng)
-            assert res.state[1] == 1
+            assert gibbs_site_draw(target, (0, 1), 0, rng)[1] == 1
 
     def test_independent_product_marginal_frequencies(self):
         # independent sites: conditional at a site equals its marginal
@@ -174,18 +171,14 @@ class TestGibbs:
             [(0, 1), (0, 1)], lambda x: math.log([1.0, 3.0][x[0]] * [2.0, 2.0][x[1]])
         )
         rng = np.random.default_rng(6)
-        hits = Counter(
-            gibbs_site_step(KernelSpec("gibbs_single_site", target), (0, 0), 0, rng).state[0]
-            for _ in range(20000)
-        )
+        hits = Counter(gibbs_site_draw(target, (0, 0), 0, rng)[0] for _ in range(20000))
         assert hits[1] / 20000 == pytest.approx(0.75, abs=0.01)
 
     def test_gaussian_conditional_moment_check(self):
         r = 0.6
         target = gaussian_target([0.0, 0.0], ((1.0, r), (r, 1.0)))
-        spec = KernelSpec("gibbs_single_site", target)
         rng = np.random.default_rng(7)
-        draws = np.array([gibbs_site_step(spec, (0.0, 2.0), 0, rng).state[0] for _ in range(20000)])
+        draws = np.array([gibbs_site_draw(target, (0.0, 2.0), 0, rng)[0] for _ in range(20000)])
         assert draws.mean() == pytest.approx(-r * 2.0, abs=0.02)
         assert draws.var() == pytest.approx(1.0, abs=0.03)
 
@@ -215,7 +208,7 @@ class TestGibbs:
         with pytest.raises(UnsupportedTargetError):
             gibbs_site_draw(no_structure, (9.0,), 0, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            gibbs_site_step(KernelSpec("gibbs_single_site", bare), (9.0,), 2, np.random.default_rng(0))
+            gibbs_site_draw(bare, (9.0,), 2, np.random.default_rng(0))
 
 
 class TestRenderMatrix:
@@ -249,7 +242,7 @@ class TestRenderMatrix:
         counts = Counter()
         x = default_init(spec.target)
         for _ in range(1_000_000):
-            x = mh_step(spec, x, rng).state
+            x = mh_step(spec, x, rng)
             counts[x] += 1
         emp = np.array([counts[l] for l in spec.target.support.labels], dtype=float)
         emp /= emp.sum()
@@ -277,7 +270,7 @@ class TestGaussianGibbsSampling:
         out = np.empty((n, 2))
         x = (0.0, 0.0)
         for i in range(n):
-            x = kernel_step(spec, x, rng).state
+            x = kernel_step(spec, x, rng)
             out[i] = x
         mean = out.mean(axis=0)
         cov = np.cov(out, rowvar=False)

@@ -12,7 +12,6 @@ from asyncmc.errors import (
 from asyncmc.kernels import KernelSpec, UniformIndependenceProposal, finite_target, render_matrix
 from asyncmc.measure_sim import (
     frozen_worker_schedule,
-    matrix_power_consistency,
     measure_trace_csv,
     propagate,
     propagate_unbounded_counterexample,
@@ -25,11 +24,14 @@ from asyncmc.measures import (
     StochasticMatrix,
     apply_operator,
     half_l1,
-    random_rational_distribution,
-    random_rational_matrix,
     stationary_distribution,
 )
 from asyncmc.schedules import random_schedule, synchronous_schedule, validate
+from test_reference_equivalence import (
+    matrix_power_consistency,
+    random_rational_distribution,
+    random_rational_matrix,
+)
 
 
 def three_state_matrix():
@@ -194,7 +196,7 @@ class TestCounterexample:
         trace = propagate_unbounded_counterexample(m, mu0, 1000)
         d1 = trace.d[1]
         assert d1 > 0
-        odd = [trace.d[v] for v in range(1, trace.n_versions, 2)]
+        odd = [trace.d[v] for v in range(1, len(trace.p), 2)]
         assert min(odd) >= d1 / 2
         assert any(trace.d[k] >= d1 / 2 for k in range(501, 1001))
 

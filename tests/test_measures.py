@@ -18,15 +18,13 @@ from asyncmc.measures import (
     StochasticMatrix,
     apply_operator,
     check_contraction,
-    matrix_power,
     random_distribution,
-    random_rational_distribution,
-    random_rational_matrix,
     random_stochastic_matrix,
     run_contraction_campaign,
     stationary_distribution,
     tv_distance,
 )
+from test_reference_equivalence import matrix_power, random_rational_distribution, random_rational_matrix
 
 
 def space(n):

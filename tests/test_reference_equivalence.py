@@ -13,16 +13,21 @@ and trace and samples writers with one ``json.dumps`` per line.  The fast
 paths must agree with them exactly (``==`` and equal bytes, never
 approximately), because the canned experiments' artifacts are required to
 stay byte-identical.
+
+The module also holds the constructors that only tests need, which other test
+modules import from here: random rational matrices and distributions,
+multi-site product targets, and the matrix-power cross-check of a trace.
 """
 import dataclasses
 import heapq
+import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from asyncmc import kernels, pserver, schedules, shmem
+from asyncmc import cli, kernels, pserver, schedules, shmem
 from asyncmc.errors import (
     LivenessError,
     ParameterError,
@@ -42,13 +47,11 @@ from asyncmc.kernels import (
     finite_target,
     gaussian_target,
     kernel_step,
-    product_finite_target,
     worker_streams,
 )
 from asyncmc.measure_sim import (
     MONOTONE_TOL,
     frozen_worker_schedule,
-    matrix_power_consistency,
     propagate,
     propagate_unbounded_counterexample,
     verify_theorem4,
@@ -59,10 +62,8 @@ from asyncmc.measures import (
     StochasticMatrix,
     _check_probs,
     apply_operator,
-    matrix_power,
+    half_l1,
     random_distribution,
-    random_rational_distribution,
-    random_rational_matrix,
     random_stochastic_matrix,
     stationary_distribution,
     tv_distance,
@@ -90,6 +91,54 @@ from asyncmc.schedules import (
     validate,
 )
 from asyncmc.shmem import RunRecord, replay, samples_csv
+
+
+RATIONAL_MAX_WEIGHT = 20  # integer weights of the random rational matrices and distributions
+
+
+def random_rational_matrix(rng, n):
+    """Exact-mode analogue of ``measures.random_stochastic_matrix``."""
+    draws = rng.integers(1, RATIONAL_MAX_WEIGHT + 1, size=(n, n)).astype(object)
+    weights = np.frompyfunc(Fraction, 1, 1)(draws)
+    return StochasticMatrix(StateSpace(tuple(range(n))), weights / weights.sum(axis=1, keepdims=True))
+
+
+def random_rational_distribution(rng, n):
+    weights = rng.integers(1, RATIONAL_MAX_WEIGHT + 1, size=n).astype(object)
+    return FiniteDistribution.from_weights(StateSpace(tuple(range(n))), weights)
+
+
+def product_finite_target(site_domains, log_weight):
+    """Multi-site finite target; states are tuples, one entry per site."""
+    domains = tuple(tuple(d) for d in site_domains)
+    labels = tuple(itertools.product(*domains))
+    table = {lab: float(log_weight(lab)) for lab in labels}
+
+    def log_unnorm(x):
+        return table.get(tuple(x), kernels.NEG_INF)
+
+    return kernels.TargetDensity(
+        dim=len(domains), log_unnorm=log_unnorm, support=StateSpace(labels), site_domains=domains
+    )
+
+
+def matrix_power(m, k):
+    """``m`` to the ``k``-th power by numpy's binary powering, exact when ``m`` is."""
+    return StochasticMatrix(m.space, np.linalg.matrix_power(m.rows, k))
+
+
+def matrix_power_consistency(trace, m, *, tol=1e-10):
+    """Check each version's law ``ladder[p[v]]`` equals mu_0 times the p_v-th power of the kernel.
+
+    The powers come from :func:`matrix_power`, not from the operator ladder
+    that produced the trace, so this is an independent cross-check.
+    """
+    mu0 = FiniteDistribution(m.space, trace.ladder[0])
+    zero = 0 if trace.exact else tol
+    return all(
+        half_l1(trace.ladder[k], apply_operator(matrix_power(m, k), mu0).probs) <= zero
+        for k in set(trace.p.tolist())
+    )
 
 
 def is_exact(arr):
@@ -177,7 +226,7 @@ def assert_identical(trace, m, mu0, pi):
         if not trace.exact:
             assert got.tobytes() == np.array(want).tobytes()
     assert trace.ladder.shape == (max(p) + 1, m.space.size) and not trace.ladder.flags.writeable
-    assert trace.n_versions == len(mus)
+    assert len(trace.p) == len(mus)
     # row 0 is mu0 in the ladder's dtype: float64 for an exact mu0 under a float kernel
     assert_same_entries(trace.ladder[0], mus[0].astype(trace.ladder.dtype))
     for v, want in enumerate(mus[1:], 1):
@@ -385,7 +434,7 @@ def reference_verify_theorem4(trace, threshold):
         if d_star[k] < d[k]:
             failures.append(f"d_star below d at k={k}")
     if not d[n] <= threshold:
-        failures.append(f"d at final version {n} is {float(d[n]):.3e} > {threshold:.1e}")
+        failures.append(f"d at final version {n} is {float(d[n]):.3e} > {float(threshold):.1e}")
     return tuple(failures)
 
 
@@ -462,6 +511,18 @@ class TestReferenceVerify:
         report = verify_theorem4(trace)
         assert report.failures == reference_verify_theorem4(trace, report.threshold)
         assert not report.passed
+
+    def test_fraction_threshold(self):
+        # the message prints a Fraction threshold as a float: before Python
+        # 3.12 a Fraction takes no ".1e" format spec
+        rng = np.random.default_rng(19)
+        m, mu0 = random_rational_matrix(rng, 3), random_rational_distribution(rng, 3)
+        trace = propagate(m, mu0, synchronous_schedule(1, 20))
+        threshold = Fraction(1, 10**30)
+        report = verify_theorem4(trace, threshold=threshold)
+        assert report.failures == reference_verify_theorem4(trace, threshold)
+        assert report.failures == (f"d at final version 20 is {float(trace.d[20]):.3e} > 1.0e-30",)
+        assert report.threshold == threshold
 
 
 def reference_random_schedule(m, b, length, rng, kind="write"):
@@ -1101,9 +1162,8 @@ def reference_replay_samples(kernel, schedule, seed):
     versions = {-1: default_init(kernel.target)}
     states = []
     for ev in schedule.events:
-        step = kernel_step(kernel, versions[ev.read_from], rngs[ev.worker])
-        versions[ev.seq] = step.state
-        states.append(step.state)
+        versions[ev.seq] = state = kernel_step(kernel, versions[ev.read_from], rngs[ev.worker])
+        states.append(state)
     return states
 
 
@@ -1251,7 +1311,7 @@ def replay_on(monkeypatch, kernel, schedule, make_rngs):
     record = replay(kernel, schedule, 0)
     rngs, versions = make_rngs(), {-1: default_init(kernel.target)}
     for ev in schedule.events:
-        versions[ev.seq] = kernel_step(kernel, versions[ev.read_from], rngs[ev.worker]).state
+        versions[ev.seq] = kernel_step(kernel, versions[ev.read_from], rngs[ev.worker])
     return record.states, [versions[seq] for seq in range(len(schedule.events))]
 
 
@@ -1456,3 +1516,30 @@ class TestEvent:
             ev.extra = 1
         assert ev == Event(3, 1, 2, "write") and ev.kind == "write"
         assert ev._replace(kind="server_commit").kind == "server_commit"
+
+
+def reference_detailed_balance_error(kernel):
+    """The largest ``|pi_i P_ij - pi_j P_ji|``, one pair at a time."""
+    rows = kernels.render_matrix(kernel).rows
+    pi = kernels.target_distribution(kernel.target).to_float().probs
+    n = len(pi)
+    return float(max(abs(pi[i] * rows[i][j] - pi[j] * rows[j][i]) for i in range(n) for j in range(n)))
+
+
+@pytest.mark.parametrize(
+    "proposal",
+    [{"type": "uniform_independence"}, {"type": "table_independence", "weights": [1.0, 3.0, 2.0, 0.5]}],
+)
+def test_detailed_balance_error_matches_pairwise_loop(proposal, tmp_path):
+    doc = {
+        "name": "db", "mode": "pserver", "seed": 3, "m": 1, "horizon": 100,
+        "target": {"type": "finite", "weights": [1.0, 2.0, 3.0, 0.5]},
+        "kernel": {"kind": "metropolis_hastings", "proposal": proposal},
+        "correction": "mh_corrected", "out_dir": str(tmp_path),
+        "delay": {"kind": "fifo_fixed", "params": {"latency": 0.0}, "staleness_cap": 0},
+    }
+    code, summary = cli.run_experiment(cli.ExperimentConfig.from_dict(doc))
+    target = cli.build_target(doc["target"])
+    kernel = cli.build_kernel(doc["kernel"], target)
+    assert code == 0
+    assert summary["detailed_balance_error"] == reference_detailed_balance_error(kernel)

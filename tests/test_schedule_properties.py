@@ -1,4 +1,5 @@
-"""Property tests of the schedule generator and the validity threshold.
+"""Property tests of the schedule generator, the validity threshold and the
+JSONL round trip.
 
 Run with the ``test`` extra installed (``hypothesis``); every test is
 derandomized, so each run tries the same examples.
@@ -10,7 +11,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncmc.schedules import Event, Schedule, minimal_valid_bound, random_schedule, validate
+from asyncmc.schedules import (
+    EVENT_KINDS,
+    Event,
+    Schedule,
+    minimal_valid_bound,
+    random_schedule,
+    schedule_from_jsonl,
+    schedule_to_jsonl,
+    validate,
+)
 from test_reference_equivalence import (
     BIT_GENERATORS,
     generator_pair,
@@ -74,3 +84,22 @@ def test_minimal_valid_bound_is_the_threshold(case):
     bound = minimal_valid_bound([e[:3] for e in events], workers)
     for b in range(1, bound + 3):
         assert (validate(Schedule(events, workers, b)) is None) == (b >= bound)
+
+
+@SETTINGS
+@given(
+    shape=shapes(),
+    seed=st.integers(0, 2**32 - 1),
+    case=event_lists(),
+    kinds=st.lists(st.sampled_from(EVENT_KINDS), min_size=40, max_size=40),
+    slack=st.integers(0, 3),
+)
+def test_jsonl_round_trip(shape, seed, case, kinds, slack):
+    m, b, length = shape
+    generated = random_schedule(m, b, length, np.random.default_rng(seed))
+    workers, events = case
+    events = tuple(ev._replace(kind=kind) for ev, kind in zip(events, kinds))
+    # the declared bound is kept as written, also above the minimal one
+    bound = minimal_valid_bound([e[:3] for e in events], workers) + slack
+    for s in (generated, Schedule(events, workers, bound)):
+        assert schedule_from_jsonl(schedule_to_jsonl(s)) == s

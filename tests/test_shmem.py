@@ -11,7 +11,6 @@ from asyncmc.kernels import (
     default_init,
     finite_target,
     kernel_step,
-    product_finite_target,
     render_matrix,
     steps_on_indices,
     worker_streams,
@@ -27,6 +26,7 @@ from asyncmc.shmem import (
     samples_csv,
     torn_state_stress,
 )
+from test_reference_equivalence import product_finite_target
 
 
 def mh_spec():
@@ -56,7 +56,7 @@ class TestRunAsync:
         x = default_init(spec.target)
         expected = []
         for _ in range(300):
-            x = kernel_step(spec, x, rng).state
+            x = kernel_step(spec, x, rng)
             expected.append(x)
         assert record.states == expected
         assert all(e.read_from == e.seq - 1 for e in record.trace.events)
@@ -77,7 +77,9 @@ class TestRunAsync:
         ]
 
     def test_watchdog_fires_on_infeasible_bound(self):
-        with pytest.raises(LivenessError):
+        # seq 1 always finds a worker that has not yet written
+        fired = r"^liveness watchdog fired: worker [01] wrote nothing in window \(0, 1\]$"
+        with pytest.raises(LivenessError, match=fired):
             run_async(mh_spec(), m=2, horizon=100, seed=1, watchdog_b=1)
 
     def test_worker_exception_is_raised_after_join(self):
@@ -115,7 +117,7 @@ class TestReplay:
         x = default_init(spec.target)
         expected = []
         for _ in range(150):
-            x = kernel_step(spec, x, rng).state
+            x = kernel_step(spec, x, rng)
             expected.append(x)
         assert record.states == expected
 
