@@ -144,8 +144,6 @@ class ExperimentConfig:
         for field_name in ("target", "kernel", "delay"):
             needed = runs and (field_name != "delay" or self.mode == "pserver")
             _read(doc, field_name, dict, ... if needed else None)
-        if self.mode in ("measure_sim", "shmem_replay") and experiment == "run" and self.b < self.m:
-            raise ValidationError(f"b: staleness bound {self.b} < m={self.m} is infeasible")
         serves = self.mode == "pserver" and experiment in ("run", "coupled")
         if serves and self.correction not in pserver.MODES:
             raise ValidationError(f"correction: must be one of {pserver.MODES}")
@@ -424,8 +422,12 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     delay = build_delay(cfg.delay)
     params = cfg.params
     burn = _read(params, "params.burn_fraction", float, 0.2, least=0, below=1)
-    init = _read(params, "params.init", list if target.is_finite else (list, float), None)
-    init = None if init is None else tuple(init)
+    # a label of a finite target, one label per slot when coupled, or a point of a Gaussian one
+    if target.is_finite and cfg.experiment != "coupled":
+        init = _read(params, "params.init", object, None)
+    else:
+        init = _read(params, "params.init", list if target.is_finite else (list, float), None)
+        init = None if init is None else tuple(init)
     frozen = tuple(_read(params, "params.frozen_workers", (list, int), []))
     n_batches = _read(params, "params.n_batches", int, 50, least=diagnostics.MIN_BATCHES)
 

@@ -20,6 +20,7 @@ distribution, so arrays here are offset by one from event sequence numbers.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,14 +254,20 @@ def run_theorem4_campaign(
     the per-application TV contraction coefficient away from 1 so that
     every trace reaches ``CONVERGENCE_THRESHOLD``, the threshold each is
     checked against, at the worst legal operator depth.  The sizes are
-    checked first, so that every drawn schedule is feasible.
+    checked first, so that every drawn schedule is feasible and long enough:
+    a blended kernel contracts TV by at most ``1 - CAMPAIGN_UNIFORM_MIX[0]``
+    per application, so ``depth`` applications reach the threshold, and a
+    horizon of ``(depth + 2) * b_max`` gives every schedule a depth floor
+    ``(horizon - b) // b - 1`` of at least ``depth``.
     """
+    depth = math.ceil(math.log(CONVERGENCE_THRESHOLD) / math.log(1.0 - CAMPAIGN_UNIFORM_MIX[0]))
+    shortest = (depth + 2) * b_max if isinstance(b_max, int) else None  # a bad b_max fails first
     for field, value, least, why in (
         ("params.instances", n_instances, 1, ""),
         ("params.n_states_max", n_states_max, 2, ""),
         ("params.m_max", m_max, 1, ""),
         ("params.b_max", b_max, m_max, " (params.m_max)"),
-        ("horizon", length, b_max, " (params.b_max)"),
+        ("horizon", length, shortest, f" ({depth + 2} * params.b_max)"),
     ):
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
             raise ParameterError(f"{field}: must be an integer >= {least}{why}, got {value!r}")

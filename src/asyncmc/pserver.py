@@ -55,7 +55,7 @@ from .kernels import (
     worker_streams,
 )
 from .measures import StateSpace
-from .schedules import Event, Schedule, minimal_valid_bound, trace_lines
+from .schedules import minimal_valid_bound, trace_lines
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -315,16 +315,6 @@ class PServerRecord:
             (np.arange(len(self.workers)), self.workers, self.read_versions - 1)
         )
         return minimal_valid_bound(triples, self.config["m"])
-
-    @property
-    def trace(self) -> Schedule:
-        """The run as a ``server_commit`` schedule, built from the arrays on each access."""
-        reads = (self.read_versions - 1).tolist()
-        events = tuple(
-            Event(seq, worker, read_from, "server_commit")
-            for seq, (worker, read_from) in enumerate(zip(self.workers.tolist(), reads))
-        )
-        return Schedule(events, self.config["m"], self.staleness_bound)
 
 
 def _worker_proposal(kernel: KernelSpec):

@@ -26,30 +26,16 @@ import numpy as np
 from .errors import ParameterError, ValidationError
 
 EVENT_KINDS = ("write", "server_commit")
-_VALIDATED = "_validated"  # instance mark of a schedule random_schedule checked
 _WORD = 0xFFFFFFFF
 
 
-class _EventFields(NamedTuple):
+class Event(NamedTuple):
+    """One write: an immutable ``(seq, worker, read_from, kind)`` tuple."""
+
     seq: int
     worker: int
     read_from: int
     kind: str = "write"
-
-
-class Event(_EventFields):
-    """One write: an immutable ``(seq, worker, read_from, kind)`` tuple."""
-
-    __slots__ = ()
-
-    def __new__(cls, seq: int, worker: int, read_from: int, kind: str = "write"):
-        if kind not in EVENT_KINDS:
-            raise ValidationError(f"unknown event kind {kind!r}")
-        return tuple.__new__(cls, (seq, worker, read_from, kind))
-
-    @classmethod
-    def _make(cls, iterable):  # keeps ``_replace`` behind the kind check
-        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -80,16 +66,7 @@ class ScheduleViolation:
 
 
 def validate(s: Schedule) -> ScheduleViolation | None:
-    """Return ``None`` when valid, else a report naming the first bad seq.
-
-    A schedule that :func:`random_schedule` built and checked carries a
-    private mark and passes at once: a ``Schedule`` is frozen and its events
-    are immutable tuples of ints, so it cannot have changed since.  The mark
-    is no dataclass field, so equality, ``repr`` and ``dataclasses.replace``
-    ignore it, and every other schedule is walked in full.
-    """
-    if getattr(s, _VALIDATED, False):
-        return None
+    """Return ``None`` when valid, else a report naming the first bad seq."""
     b, m = s.staleness_bound, s.workers
     events = s.events
     last_write = [-1] * m
@@ -157,8 +134,9 @@ def random_schedule(m: int, b: int, length: int, rng: np.random.Generator) -> Sc
     draw needs, each rejected word appends one more, and the loop runs
     Lemire on them inline.  At the end the generator is rewound to before
     the fetch and draws again only the words used, leaving it exactly where
-    the scalar calls would have.  The schedule is checked once here and
-    marked, so :func:`validate` passes it without a second walk.
+    the scalar calls would have.  The schedule is not checked here: its
+    consumers, :func:`measure_sim.propagate` and :func:`shmem.replay`, check
+    every schedule they are given.
     """
     _check_feasible(m, b, length)
     state = rng.bit_generator.state
@@ -219,12 +197,7 @@ def random_schedule(m: int, b: int, length: int, rng: np.random.Generator) -> Sc
         events.append(new_event(Event, (seq, worker, read_from, "write")))
     rng.bit_generator.state = state
     rng.integers(0, _WORD + 1, size=pos, dtype=np.uint32)
-    sched = Schedule(tuple(events), m, b)
-    violation = validate(sched)
-    if violation is not None:  # pragma: no cover - generator soundness guard
-        raise ParameterError(f"generator produced invalid schedule: {violation}")
-    object.__setattr__(sched, _VALIDATED, True)
-    return sched
+    return Schedule(tuple(events), m, b)
 
 
 def synchronous_schedule(m: int, length: int, b: int | None = None) -> Schedule:
@@ -266,11 +239,6 @@ def adversarial_schedules(m: int, b: int, length: int) -> dict[str, Schedule]:
         for seq in range(length)
     )
     out["alternating_window"] = Schedule(events, m, b)
-
-    for name, sched in out.items():
-        violation = validate(sched)
-        if violation is not None:  # pragma: no cover - construction soundness guard
-            raise ParameterError(f"{name}: {violation}")
     return out
 
 
@@ -358,13 +326,18 @@ def schedule_from_jsonl(text: str | Iterable[str]) -> Schedule:
         if not isinstance(doc, dict):
             raise ValidationError(f"trace line {line}: expected a JSON object")
         if doc.get("kind") == "meta":
-            workers = _int_field(doc, "workers", line)
-            bound = _int_field(doc, "staleness_bound", line)
+            workers, bound = (_int_field(doc, f, line) for f in ("workers", "staleness_bound"))
+            for field, value in (("workers", workers), ("staleness_bound", bound)):
+                if value < 1:
+                    raise ValidationError(f"trace line {line}: field {field!r} must be >= 1, got {value}")
             continue
         seq, worker, read_from = (_int_field(doc, f, line) for f in ("seq", "worker", "read_from"))
         if worker < 0:
             raise ValidationError(f"trace line {line}: field 'worker' is negative ({worker})")
-        events.append(Event(seq, worker, read_from, doc.get("kind", "write")))
+        kind = doc.get("kind", "write")
+        if kind not in EVENT_KINDS:
+            raise ValidationError(f"trace line {line}: field 'kind' must be one of {EVENT_KINDS}, got {kind!r}")
+        events.append(Event(seq, worker, read_from, kind))
     if not events and workers is None:
         raise ValidationError("trace contains no events")
     if workers is None:

@@ -11,12 +11,16 @@ from asyncmc.cli import (
     EXIT_VIOLATION,
     ExperimentConfig,
     _write_text,
+    build_delay,
+    build_kernel,
+    build_target,
     canned_config,
     list_experiments,
     main,
     run_experiment,
 )
 from asyncmc.errors import ValidationError
+from asyncmc.pserver import PServerRecord, messages_csv_lines, run_pserver, trace_jsonl_lines
 from asyncmc.schedules import schedule_to_jsonl, synchronous_schedule
 
 
@@ -40,13 +44,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match="horizonn"):
             ExperimentConfig.from_dict(doc)
 
-    def test_infeasible_replay_bound_rejected(self):
-        with pytest.raises(ValidationError, match="b:"):
-            ExperimentConfig(
-                name="x", mode="shmem_replay", seed=1, m=3, b=2, horizon=10,
-                target={"type": "finite", "weights": [1, 1]},
-                kernel={"kind": "metropolis_hastings", "proposal": {"type": "uniform_independence"}},
-            )
+    def test_infeasible_replay_bound_rejected(self, tmp_path, capsys):
+        for mode in ("shmem_replay", "measure_sim"):
+            doc = {**_replay_config(tmp_path, 0.5), "mode": mode, "m": 3, "b": 2, "params": {}}
+            assert _run_file(tmp_path, doc) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "b: b=2 < m=3" in err and "Traceback" not in err
+            assert not (tmp_path / "out").exists()
 
     def test_pserver_requires_delay_and_mode(self):
         base = dict(
@@ -267,17 +271,53 @@ def test_coupled_single_replica_runs(tmp_path):
     assert tv < 0.1
 
 
-def test_pserver_zero_weight_target_runs(tmp_path):
-    doc = {
+def _finite_pserver_config(tmp_path, weights, params) -> dict:
+    return {
         "name": "x", "mode": "pserver", "seed": 1, "m": 2, "horizon": 200,
-        "target": {"type": "finite", "weights": [1.0, 2.0, 0.0]},
+        "target": {"type": "finite", "weights": weights},
         "kernel": {"kind": "metropolis_hastings", "proposal": {"type": "uniform_independence"}},
         "correction": "mh_corrected", "out_dir": str(tmp_path / "out"),
         "delay": {"kind": "fifo_random", "params": {"mean": 2.0}, "staleness_cap": 64},
+        "params": params,
     }
+
+
+def _run_pserver_of(doc, **kwargs) -> PServerRecord:
+    target = build_target(doc["target"])
+    return run_pserver(
+        build_kernel(doc["kernel"], target), doc["m"], doc["horizon"], build_delay(doc["delay"]),
+        doc["correction"], doc["seed"], **kwargs,
+    )
+
+
+def test_pserver_zero_weight_target_runs(tmp_path):
+    doc = _finite_pserver_config(tmp_path, [1.0, 2.0, 0.0], {})
     assert _run_file(tmp_path, doc) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["detailed_balance_error"] is None and summary["late_tv"] < 0.2
+
+
+def test_pserver_init_is_a_label_of_a_finite_target(tmp_path, capsys):
+    doc = _finite_pserver_config(tmp_path, [1.0, 2.0, 3.0], {"init": 2})
+    assert _run_file(tmp_path, doc) == EXIT_OK
+    record = _run_pserver_of(doc, init=2)
+    out = tmp_path / "out"
+    assert (out / "trace.jsonl").read_text() == "".join(f"{ln}\n" for ln in trace_jsonl_lines(record))
+    assert (out / "metrics.csv").read_text() == "".join(f"{ln}\n" for ln in messages_csv_lines(record))
+    doc = _finite_pserver_config(tmp_path / "list", [1.0, 2.0, 3.0], {"init": [2]})
+    assert _run_file(tmp_path, doc) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "params.init: [2] is not a state" in err and "Traceback" not in err
+    assert not (tmp_path / "list").exists()
+
+
+def test_written_server_trace_validates(tmp_path, capsys):
+    doc = _finite_pserver_config(tmp_path, [1.0, 2.0, 3.0], {})
+    assert _run_file(tmp_path, doc) == EXIT_OK
+    capsys.readouterr()
+    assert main(["validate", str(tmp_path / "out" / "trace.jsonl")]) == EXIT_OK
+    bound = _run_pserver_of(doc).staleness_bound
+    assert capsys.readouterr().out == f"ok: 200 events, m=2, b={bound}\n"
 
 
 class TestConfigBoundary:
@@ -374,17 +414,24 @@ class TestConfigBoundary:
             ({"m_max": 0}, "params.m_max"),
             ({"b_max": 0}, "params.b_max"),
             ({"horizon": 5, "b_max": 10}, "horizon"),
+            ({"horizon": 26 * 4 - 1}, "horizon"),
+            ({"horizon": 26 * 4}, None),
         ],
     )
     def test_campaign_sizes_exit_1(self, tmp_path, capsys, overrides, field):
         params = {"instances": 2, "n_states_max": 3, "m_max": 2, "b_max": 4, **overrides}
         doc = {
             **_replay_config(tmp_path, 0.5), "mode": "measure_sim", "experiment": "theorem4_campaign",
-            "horizon": params.pop("horizon", 30), "params": params,
+            "horizon": params.pop("horizon", 26 * 4), "params": params,
         }
+        if field is None:  # the shortest horizon the campaign's check can pass
+            assert _run_file(tmp_path, doc) == EXIT_OK
+            return
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"{field}: must be an integer" in err and "Traceback" not in err
+        if field == "horizon":
+            assert "params.b_max)" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("frozen", [[7, -1], [2], [0, -1]])

@@ -37,7 +37,7 @@ BASES = {
     },
     "theorem4_campaign": {
         "mode": "measure_sim", "experiment": "theorem4_campaign", "target": _FINITE, "kernel": _UNIFORM,
-        "horizon": 30, "params": {"instances": 2, "n_states_max": 3, "m_max": 2, "b_max": 4},
+        "horizon": 104, "params": {"instances": 2, "n_states_max": 3, "m_max": 2, "b_max": 4},
     },
     "contraction_campaign": {
         "mode": "measure_sim", "experiment": "contraction_campaign", "target": _FINITE,

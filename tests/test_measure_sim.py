@@ -135,12 +135,18 @@ class TestVerify:
             ({"m_max": 2.0}, "params.m_max"),
             ({"m_max": 5, "b_max": 4}, "params.b_max"),
             ({"b_max": 10, "length": 5}, "horizon"),
+            ({"m_max": 2, "b_max": 4, "length": 26 * 4 - 1}, "horizon"),
         ],
     )
     def test_campaign_sizes_checked_first(self, kwargs, field):
         kwargs = {"n_instances": 3, "length": 30, **kwargs}
         with pytest.raises(ParameterError, match=f"^{field}: must be an integer"):
             run_theorem4_campaign(kwargs.pop("n_instances"), 0, **kwargs)
+
+    def test_shortest_campaign_horizon_passes(self):
+        # the uniform blend contracts by 0.45 or less, and 0.45**24 < 1e-8
+        report = run_theorem4_campaign(30, 3, m_max=2, b_max=4, length=26 * 4)
+        assert report.violations == 0 and report.worst_final_d <= 1e-8
 
     def test_failure_report_names_index(self):
         m = three_state_matrix()

@@ -39,7 +39,7 @@ from asyncmc.pserver import (
     server_receive,
     trace_jsonl_lines,
 )
-from asyncmc.schedules import validate
+from asyncmc.schedules import schedule_from_jsonl, validate
 
 
 def three_state():
@@ -196,7 +196,7 @@ class TestRunPServer:
         spec = mh_uniform()
         delay = DelayModel("fifo_random", {"mean": 2.0}, staleness_cap=64)
         record = run_pserver(spec, m=4, horizon=4000, delay=delay, mode="mh_corrected", seed=5)
-        assert validate(record.trace) is None
+        assert validate(schedule_from_jsonl(trace_jsonl_lines(record))) is None
         cfg = record.config
         assert cfg["messages_sent"] == 4000 + cfg["resends"] + cfg["pending_at_exit"]
         assert record.accepted.sum() + (~record.accepted).sum() == 4000
@@ -238,7 +238,7 @@ class TestRunPServer:
             init=(3.0, -3.0), frozen_workers=(0,),
         )
         assert record.config["resends"] > 1000
-        assert validate(record.trace) is None
+        assert validate(schedule_from_jsonl(trace_jsonl_lines(record))) is None
         # at cap 0 with unit periods the workers land in turn, two resends each
         delay = DelayModel("fifo_fixed", {"latency": 1.0, "jitter": 0.0}, staleness_cap=0)
         record = run_pserver(mh_uniform(), 3, 1000, delay, "mh_corrected", 2, max_resends=50)

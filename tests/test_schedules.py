@@ -151,6 +151,9 @@ class TestSerialization:
             ('{"seq": 0, "worker": 0, "read_from": true}', "read_from"),
             ('{"seq": 0, "worker": -1, "read_from": -1}', "worker"),
             ('{"kind": "meta", "workers": "2", "staleness_bound": 3}', "workers"),
+            ('{"kind": "meta", "workers": 0, "staleness_bound": 3}', "workers"),
+            ('{"kind": "meta", "workers": 2, "staleness_bound": 0}', "staleness_bound"),
+            ('{"seq": 0, "worker": 0, "read_from": -1, "kind": "commit"}', "kind"),
         ],
     )
     def test_wrong_type_or_range_names_field_and_line(self, line, field):
@@ -172,7 +175,8 @@ class TestMinimalBound:
 
 
 class TestValidateOnce:
-    """A generated schedule is walked once; every other schedule in full."""
+    """A schedule is checked once, where it enters ``propagate`` or ``replay``,
+    and ``validate`` walks every schedule in full, however it was built."""
 
     @pytest.fixture
     def setting(self):
@@ -206,9 +210,8 @@ class TestValidateOnce:
         lines[31] = '{"seq": 30, "worker": 0, "read_from": 10, "kind": "write"}'
         self.assert_refused(setting, schedule_from_jsonl(lines))
 
-    def test_mark_is_not_a_field(self):
+    def test_generated_schedule_changed_in_place_is_checked(self, setting):
         generated = random_schedule(3, 5, 60, np.random.default_rng(2))
-        plain = Schedule(generated.events, 3, 5)
-        assert plain == generated and repr(plain) == repr(generated)
-        assert [f.name for f in dataclasses.fields(Schedule)] == ["events", "workers", "staleness_bound"]
-        assert validate(plain) is None
+        assert validate(generated) is None
+        object.__setattr__(generated, "staleness_bound", 1)
+        self.assert_refused(setting, generated)
