@@ -28,6 +28,7 @@ from .errors import (
     AsyncMCError,
     DimensionError,
     LivenessError,
+    NonErgodicKernelError,
     ParameterError,
     UnsupportedTargetError,
     ValidationError,
@@ -42,7 +43,7 @@ EXIT_VIOLATION = 3
 EXPERIMENTS = {
     "measure_sim": ("run", "theorem4_campaign", "contraction_campaign", "frozen_worker_counterexample"),
     "shmem_real": ("run", "torn_state"),
-    "shmem_replay": ("run", "torn_state"),
+    "shmem_replay": ("run",),
     "pserver": ("run", "naive_divergence_control", "coupled"),
 }
 
@@ -245,7 +246,7 @@ def build_mu0(doc: dict, space: measures.StateSpace) -> measures.FiniteDistribut
     kind = _kind(doc, "params.mu0", _MU0_KEYS, "point_mass")
     if kind == "point_mass":
         label = _read(doc, "params.mu0.label", object, space.labels[0])
-        if label not in space.labels:
+        if not space.holds(label):
             raise ValidationError(f"params.mu0.label: {label!r} is not a label of the target")
         return measures.FiniteDistribution.point_mass(space, label)
     if kind == "uniform":
@@ -289,14 +290,14 @@ def _finite_late_tv(indices, target, burn_fraction) -> float:
     late = np.asarray(diagnostics.discard_burn_in(indices, burn_fraction), dtype=np.intp)
     counts = np.bincount(late, minlength=target.support.size).astype(float)
     emp = counts / counts.sum()
-    return float(0.5 * np.abs(emp - pi.to_float().probs).sum())
+    return float(0.5 * np.abs(emp - pi.probs).sum())
 
 
 # the keys of ``params`` that each measure_sim experiment reads
 _MEASURE_PARAMS = {
     "run": ("mu0", "schedule", "threshold"),
-    "theorem4_campaign": ("mu0", "instances", "n_states_max", "m_max", "b_max"),
-    "contraction_campaign": ("mu0", "instances"),
+    "theorem4_campaign": ("instances", "n_states_max", "m_max", "b_max"),
+    "contraction_campaign": ("instances",),
     "frozen_worker_counterexample": ("mu0",),
 }
 
@@ -307,33 +308,13 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     kernel = build_kernel(cfg.kernel, target)
     matrix = kernels.render_matrix(kernel)
     params = cfg.params
-    mu0 = build_mu0(_read(params, "params.mu0", dict, None) or {}, matrix.space)
-
-    if cfg.experiment == "frozen_worker_counterexample":
-        horizon = _read(vars(cfg), "horizon", int, least=10)
-        trace = measure_sim.propagate_unbounded_counterexample(matrix, mu0, horizon)
-        d1 = float(trace.d[1])
-        min_odd = float(trace.d[1::2].min())
-        stuck = min_odd >= d1 / 2
-        summary = {
-            "experiment": cfg.experiment,
-            "d_1": d1,
-            "min_odd_d": min_odd,
-            "non_convergence_demonstrated": stuck,
-            "schedule_valid": schedules.validate(trace.schedule) is None,
-        }
-        artifacts = {
-            "metrics.csv": measure_sim.measure_trace_csv(trace),
-            "trace.jsonl": schedules.schedule_to_jsonl(trace.schedule),
-        }
-        return (EXIT_OK if stuck else EXIT_VIOLATION), summary, artifacts
 
     if cfg.experiment == "theorem4_campaign":
         report = measure_sim.run_theorem4_campaign(
             _read(params, "params.instances", int, 1000),
             cfg.seed,
             length=cfg.horizon,
-            n_states_max=_read(params, "params.n_states_max", int, 6),
+            n_states_max=_read(params, "params.n_states_max", int, 6, least=2, below=kernels.RENDER_CAP + 1),
             m_max=_read(params, "params.m_max", int, 5),
             b_max=_read(params, "params.b_max", int, 10),
         )
@@ -347,12 +328,38 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
         summary = {"experiment": cfg.experiment, **dataclasses.asdict(report)}
         return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
 
-    rng = np.random.default_rng(cfg.seed)
-    schedule = build_schedule(cfg, rng)
-    threshold = _read(params, "params.threshold", float, measure_sim.CONVERGENCE_THRESHOLD)
-    if threshold <= 0:  # no distance is below it: a malformed field, not a violation
-        raise ValidationError(f"params.threshold: must be > 0, got {threshold!r}")
-    trace = measure_sim.propagate(matrix, mu0, schedule)
+    mu0 = build_mu0(_read(params, "params.mu0", dict, None) or {}, matrix.space)
+    frozen = cfg.experiment == "frozen_worker_counterexample"
+    if frozen:
+        horizon = _read(vars(cfg), "horizon", int, least=10)
+    else:
+        schedule = build_schedule(cfg, np.random.default_rng(cfg.seed))
+        threshold = _read(params, "params.threshold", float, measure_sim.CONVERGENCE_THRESHOLD)
+        if threshold <= 0:  # no distance is below it: a malformed field, not a violation
+            raise ValidationError(f"params.threshold: must be > 0, got {threshold!r}")
+    try:
+        trace = (measure_sim.propagate_unbounded_counterexample(matrix, mu0, horizon) if frozen
+                 else measure_sim.propagate(matrix, mu0, schedule))
+    except NonErgodicKernelError as exc:  # the configured kernel has no one law to converge to
+        raise ValidationError(f"kernel: {kernel.describe()} is not ergodic on this target ({exc})") from exc
+    artifacts = {
+        "metrics.csv": measure_sim.measure_trace_csv(trace),
+        "trace.jsonl": schedules.schedule_to_jsonl(trace.schedule),
+    }
+
+    if frozen:
+        d1 = float(trace.d[1])
+        min_odd = float(trace.d[1::2].min())
+        stuck = min_odd >= d1 / 2
+        summary = {
+            "experiment": cfg.experiment,
+            "d_1": d1,
+            "min_odd_d": min_odd,
+            "non_convergence_demonstrated": stuck,
+            "schedule_valid": schedules.validate(trace.schedule) is None,
+        }
+        return (EXIT_OK if stuck else EXIT_VIOLATION), summary, artifacts
+
     report = measure_sim.verify_theorem4(trace, threshold=threshold)
     summary = {
         "experiment": "run",
@@ -361,10 +368,6 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
         "p_star_final": report.p_star_final,
         "depth_floor": report.depth_floor,
         "failures": list(report.failures),
-    }
-    artifacts = {
-        "metrics.csv": measure_sim.measure_trace_csv(trace),
-        "trace.jsonl": schedules.schedule_to_jsonl(trace.schedule),
     }
     return (EXIT_OK if report.passed else EXIT_VIOLATION), summary, artifacts
 
@@ -434,6 +437,8 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     sort = {"naive_divergence_control": "continuous", "coupled": "finite"}.get(cfg.experiment, target.sort)
     if target.sort != sort:
         raise ValidationError(f"target.type: the {cfg.experiment} experiment needs a {sort} target")
+    if "n_batches" in params and (target.is_finite or cfg.experiment != "run"):
+        raise ValidationError("params.n_batches: only a run on a Gaussian target reports batch means")
 
     if cfg.experiment == "naive_divergence_control":
         results = {}
@@ -487,7 +492,7 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
             # rendering, but the run itself is still valid
             summary["detailed_balance_error"] = None
         else:
-            flow = kernels.target_distribution(target).to_float().probs[:, None] * srv.rows
+            flow = kernels.target_distribution(target).probs[:, None] * srv.rows
             summary["detailed_balance_error"] = float(np.abs(flow - flow.T).max())
     else:
         summary.update(_gaussian_summary(record, target, burn, n_batches))

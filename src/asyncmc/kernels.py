@@ -14,10 +14,10 @@ a fixed order:
 
 The stream is a ``numpy.random.Generator``, or a :class:`_PCG64Draws` over
 one, which gives the same values in the same order from raw PCG64 outputs
-fetched in bulk.  Steps call only ``random()``, ``integers(low, high)`` and,
-on Gaussian targets, ``standard_normal()``; the helper has no normal draw, so
-``shmem.replay`` uses it for finite targets only, and ``shmem.run_async``
-always steps on the ``Generator``.
+fetched 64 at a time.  Steps call only ``random()``, ``integers(low, high)``
+and, on Gaussian targets, ``standard_normal()``; the helper has no normal
+draw, so ``shmem.replay`` uses it for finite targets only, and
+``shmem.run_async`` always steps on the ``Generator``.
 
 A uniform independence proposal never looks at the state, so the draws of
 its Metropolis-Hastings steps can be made ahead: :func:`index_draws`
@@ -560,26 +560,16 @@ def worker_streams(seed: int, n_workers: int, extra: int = 0) -> list[np.random.
     return [np.random.default_rng(c) for c in children]
 
 
-_FIRST_FETCH_WORDS = 8  # a short replay or run reads only a few outputs
-_RAW_WORDS_PER_FETCH = 1024  # 64-bit PCG64 outputs fetched at a time, at most
+_RAW_WORDS_PER_FETCH = 64  # 64-bit PCG64 outputs fetched at a time
 _LOW32 = 0xFFFFFFFF
 _LOW64 = 0xFFFFFFFFFFFFFFFF
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 
 
-def _raw_fetches(random_raw):
-    """Lists of raw outputs: ``_FIRST_FETCH_WORDS`` first, then each fetch
-    twice the last, up to ``_RAW_WORDS_PER_FETCH``."""
-    words = _FIRST_FETCH_WORDS
-    while True:
-        words = min(words, _RAW_WORDS_PER_FETCH)
-        yield random_raw(words).tolist()
-        words *= 2
-
-
 class _PCG64Draws:
     """``rng.random()`` and ``int(rng.integers(low, high))`` of a PCG64
-    ``Generator``, bit for bit, from raw 64-bit outputs fetched in bulk.
+    ``Generator``, bit for bit, from raw 64-bit outputs fetched
+    ``_RAW_WORDS_PER_FETCH`` at a time.
 
     numpy makes a double of one output ``w`` as ``(w >> 11) * 2**-53``.  A
     bounded integer below ``k = high - low`` draws nothing at ``k == 1``; up
@@ -587,9 +577,11 @@ class _PCG64Draws:
     multiply-and-reject on 32-bit half-words, where PCG64 hands out an
     output's low half and keeps the high half for the next half-word
     (doubles and 64-bit draws leave that buffer alone); above, Lemire's
-    method runs on whole outputs.  Fetch sizes decide only where refills
-    fall, never which values come out.  Outputs fetched and not used are
-    left behind, so the generator is not to be drawn from again.
+    method runs on whole outputs.  The fetch size decides only where refills
+    fall, never which values come out: 64 outputs waste little when a short
+    replay reads a few, and cost one ``random_raw`` call per 64 when a long
+    run reads many.  Outputs fetched and not used are left behind, so the
+    generator is not to be drawn from again.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -598,7 +590,8 @@ class _PCG64Draws:
             raise TypeError(f"raw-word draws need PCG64, got {type(bit_generator).__name__}")
         state = bit_generator.state
         self.half = state["uinteger"] if state["has_uint32"] else None
-        fetches = _raw_fetches(bit_generator.random_raw)
+        random_raw = bit_generator.random_raw
+        fetches = iter(lambda: random_raw(_RAW_WORDS_PER_FETCH).tolist(), None)
         self.next64 = itertools.chain.from_iterable(fetches).__next__
 
     def next32(self) -> int:

@@ -136,8 +136,6 @@ class TheoremReport:
     depth_floor: int
     d_final: float
     p_star_final: int
-    tolerance: float
-    threshold: float
 
 
 def _offending(mask: np.ndarray, offset: int) -> list:
@@ -176,8 +174,6 @@ def verify_theorem4(trace: MeasureTrace, *, threshold: float = CONVERGENCE_THRES
         depth_floor=depth_floor,
         d_final=float(d[n]),
         p_star_final=p_star_final,
-        tolerance=float(tolerance),
-        threshold=threshold,
     )
 
 

@@ -85,6 +85,20 @@ class StateSpace:
         except KeyError as exc:
             raise ValidationError(f"label {exc.args[0]!r} not in state space") from None
 
+    def holds(self, value) -> bool:
+        """Whether ``value`` is one of the labels as JSON values compare: a
+        bool matches only a bool, though in Python ``True == 1``.  Values
+        are compared, not hashed, so any JSON value may be asked about."""
+        labels = self.labels
+        return value in labels and _same_bools(value, labels[labels.index(value)])
+
+
+def _same_bools(a, b) -> bool:
+    """For ``a == b``: whether each bool in one is a bool in the other, item by item in tuples."""
+    if isinstance(a, tuple):
+        return all(map(_same_bools, a, b))
+    return isinstance(a, bool) == isinstance(b, bool)
+
 
 def _require_same_space(a: StateSpace, b: StateSpace, what: str) -> None:
     if a != b:
@@ -148,11 +162,6 @@ class FiniteDistribution:
             raise ValidationError("weights must be non-negative with positive total")
         return cls(space, w / total)
 
-    def to_float(self) -> "FiniteDistribution":
-        if not self.exact:
-            return self
-        return FiniteDistribution(self.space, self.probs.astype(float))
-
 
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
@@ -177,11 +186,6 @@ class StochasticMatrix:
     @property
     def exact(self) -> bool:
         return _is_exact(self.rows)
-
-    def to_float(self) -> "StochasticMatrix":
-        if not self.exact:
-            return self
-        return StochasticMatrix(self.space, self.rows.astype(float))
 
 
 def apply_operator(m: StochasticMatrix, mu: FiniteDistribution) -> FiniteDistribution:

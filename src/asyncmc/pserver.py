@@ -74,6 +74,10 @@ MAX_SPAN = 2**63 - 1
 # Processed messages whose densities and accept decisions the block path
 # resolves at once (see run_pserver).
 _BLOCK = 1024
+# Stale resends of one message in a row after which a run is not live.
+MAX_RESENDS = 1000
+# The most states a coupled finite run enumerates: n**m for m workers on n.
+MAX_COUPLED_STATES = 2**20
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,12 @@ def coupled_embed(target: TargetDensity, m: int) -> TargetDensity:
 
     support = None
     if target.is_finite:
+        n = target.support.size
+        # n**21 > 2**20 for every n >= 2: capping the exponent keeps the test and its cost small
+        if n ** min(m, MAX_COUPLED_STATES.bit_length()) > MAX_COUPLED_STATES:
+            raise ParameterError(
+                f"m: a coupled run enumerates {n}**m replica states, more than 2**20 at m={m}"
+            )
         labels = tuple(itertools.product(*([target.support.labels] * m)))
         support = StateSpace(labels)
     return TargetDensity(dim=m, log_unnorm=log_unnorm, support=support)
@@ -224,12 +234,16 @@ class SlotProposal:
         return self.base.logpdf(ys[self.slot], xs[self.slot], params)
 
 
-def _candidate(current, x_star, log_pi_x_star: float, params: dict):
-    """The proposed next server state and, when known, its shipped density."""
+def _candidate(current, x_star, log_pi_x_star: float, params: dict, sites: int):
+    """The proposed next server state and, when known, its shipped density.
+
+    A site or slot proposal moves one component of ``current``, unless the
+    state has one site (``sites``), when the proposal is the whole state.
+    """
     component = params.get("slot")
     if component is None:
         component = params.get("site")
-    if component is None:
+    if component is None or sites == 1:
         return x_star, log_pi_x_star
     out = list(current)
     out[component] = x_star[component]
@@ -273,7 +287,7 @@ def server_receive(
             f"message read version {msg.read_version} is ahead of the server ({st.version})"
         )
 
-    cand_value, cand_lp = _candidate(st.tagged.value, msg.x_star, msg.log_pi_x_star, msg.params)
+    cand_value, cand_lp = _candidate(st.tagged.value, msg.x_star, msg.log_pi_x_star, msg.params, target.dim)
     if cand_lp is None:
         cand_lp = target.log_unnorm(cand_value)
     log_f_reverse = family.logpdf(st.tagged.value, msg.x, msg.params)
@@ -333,7 +347,7 @@ def _worker_proposal(kernel: KernelSpec):
     )
 
 
-def _event_loop(horizon, periods, delay, infra, frozen, max_resends, value, send, receive) -> dict:
+def _event_loop(horizon, periods, delay, infra, frozen, value, send, receive) -> dict:
     """Deliver messages in virtual-time order until ``horizon`` are processed.
 
     This is the timing, backpressure and liveness of every run.  A heap entry
@@ -373,9 +387,9 @@ def _event_loop(horizon, periods, delay, infra, frozen, max_resends, value, send
             # staler than the model allows
             resends += 1
             stalled[w] += 1
-            if stalled[w] > max_resends:
+            if stalled[w] > MAX_RESENDS:
                 raise LivenessError(
-                    f"worker {w} exceeded {max_resends} stale resends (cap {cap})"
+                    f"worker {w} exceeded {MAX_RESENDS} stale resends (cap {cap})"
                 )
             frozen_reads.pop(w, None)  # a resend reads afresh, frozen or not
         if w in frozen_reads:
@@ -399,7 +413,7 @@ def _message_path(kernel, target, props, rngs, init, init_lp, naive, coupled, ou
     params)``, and ``receive`` does what :func:`server_receive` does.
     """
     workers_arr, reads_arr, accepted_arr, ratios_arr, states = out
-    log_unnorm, exp = target.log_unnorm, math.exp
+    log_unnorm, exp, sites = target.log_unnorm, math.exp, target.dim
     samplers = [p.sample for p in props]
     logpdfs = [p.logpdf for p in props]
     raws = [r.bit_generator.random_raw for r in rngs]
@@ -418,7 +432,7 @@ def _message_path(kernel, target, props, rngs, init, init_lp, naive, coupled, ou
         nonlocal value, log_pi, processed
         read_version, x, x_star, lp_star, log_f_forward, params = msg
         # a full-state message has no params, and is its own candidate
-        cand, cand_lp = _candidate(value, x_star, lp_star, params) if params else (x_star, lp_star)
+        cand, cand_lp = _candidate(value, x_star, lp_star, params, sites) if params else (x_star, lp_star)
         if cand_lp is None:
             cand_lp = log_unnorm(cand)
         if cached_reverse:
@@ -523,7 +537,6 @@ def run_pserver(
     init=None,
     frozen_workers: tuple = (),
     coupled: bool = False,
-    max_resends: int = 1000,
 ) -> PServerRecord:
     """Drive ``m`` workers against one simulated server for ``horizon`` messages.
 
@@ -533,7 +546,7 @@ def run_pserver(
     ``m`` replica slots of the target and worker ``i`` only ever updates
     slot ``i``.  A message staler than the delay model's cap is dropped and
     its worker re-reads and resends; :class:`LivenessError` is raised when
-    one worker's message is dropped more than ``max_resends`` times in a row
+    one worker's message is dropped more than ``MAX_RESENDS`` times in a row
     (the count restarts each time one of its messages lands).
 
     One event loop (:func:`_event_loop`) owns the heap, backpressure and
@@ -562,8 +575,9 @@ def run_pserver(
     infra stream gives one start offset per non-frozen worker, then a latency
     per send and a jitter per processed message, in the order they happen.
     Except under ``fifo_random``, whose geometric latency needs numpy, the
-    infra stream is read as PCG64 raw outputs fetched in bulk, giving the
-    same numbers in the same order as the scalar calls.
+    infra stream is read as PCG64 raw outputs fetched 64 at a time
+    (:class:`kernels._PCG64Draws`), giving the same numbers in the same
+    order as the scalar calls.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -589,8 +603,7 @@ def run_pserver(
         if init is None:
             init = default_init(base_target)
 
-    # labels are compared, not hashed: a given init may hold any JSON value
-    is_state = init in target.support.labels if target.is_finite else len(init) == target.dim
+    is_state = target.support.holds(init) if target.is_finite else len(init) == target.dim
     if not is_state:
         raise ValidationError(f"params.init: {init!r} is not a state of the target")
     init_lp = target.log_unnorm(init)
@@ -612,7 +625,7 @@ def run_pserver(
         states,
     )
     naive = mode == "naive_accept"
-    loop = (horizon, periods, delay, infra, frozen, max_resends)
+    loop = (horizon, periods, delay, infra, frozen)
     if kernel.kind == "metropolis_hastings" and not coupled and target.gaussian is not None:
         send, receive, flush = _block_path(target, worker_props[0], rngs[:m], init, init_lp, naive, out)
         counts = _event_loop(*loop, None, send, receive)

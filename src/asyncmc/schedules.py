@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,13 +310,11 @@ def _lines(text: str):
         start = end + 1
 
 
-def schedule_from_jsonl(text: str | Iterable[str]) -> Schedule:
+def schedule_from_jsonl(text: str) -> Schedule:
     """Parse a JSONL trace; infers workers/bound when the meta line is absent."""
-    if isinstance(text, str):
-        text = _lines(text)
     workers = bound = None
     events = []
-    for line, ln in enumerate(text, start=1):
+    for line, ln in enumerate(_lines(text), start=1):
         if not ln.strip():
             continue
         try:

@@ -311,6 +311,50 @@ def test_pserver_init_is_a_label_of_a_finite_target(tmp_path, capsys):
     assert not (tmp_path / "list").exists()
 
 
+def test_pserver_gibbs_on_a_finite_target_runs(tmp_path):
+    # a site draw on a one-site state is a bare label, and replaces the whole state
+    doc = _finite_pserver_config(tmp_path, [1, 2, 3], {})
+    doc.update(kernel={"kind": "gibbs_single_site"}, delay={"kind": "fifo_fixed"})
+    assert _run_file(tmp_path, doc) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["late_tv"] < 0.15 and summary["detailed_balance_error"] < 1e-15
+
+
+def test_boolean_labels_match_only_booleans(tmp_path, capsys):
+    # JSON tells true from 1, though in Python True == 1
+    labels = {"type": "finite", "weights": [1.0, 2.0], "labels": [False, True]}
+    doc = {**_finite_pserver_config(tmp_path, [1.0, 2.0], {"init": True}), "target": labels}
+    assert _run_file(tmp_path, doc) == EXIT_OK
+    record = _run_pserver_of(doc, init=True)
+    assert (tmp_path / "out" / "trace.jsonl").read_text() == "".join(
+        f"{ln}\n" for ln in trace_jsonl_lines(record)
+    )
+    measure = {**_replay_config(tmp_path / "m", 0.5), "mode": "measure_sim", "target": labels}
+    texts = []
+    for mu0 in ({"type": "point_mass", "label": True}, {"type": "probs", "probs": [0.0, 1.0]}):
+        assert _run_file(tmp_path, {**measure, "params": {"mu0": mu0}}) == EXIT_OK
+        texts.append((tmp_path / "m" / "out" / "metrics.csv").read_text())
+    assert texts[0] == texts[1]
+    capsys.readouterr()
+    for target, params, field in (
+        (labels, {"init": 1}, "params.init"),
+        (labels, {"init": 0.0}, "params.init"),
+        ({"type": "finite", "weights": [1.0, 2.0, 3.0]}, {"init": True}, "params.init"),
+        (labels, {"mu0": {"label": 1}}, "params.mu0.label"),
+        ({"type": "finite", "weights": [1.0, 2.0, 3.0]}, {"mu0": {"label": True}}, "params.mu0.label"),
+    ):
+        server = "init" in params
+        base = _finite_pserver_config(tmp_path / "x", [], params) if server else {**measure, "params": params}
+        assert _run_file(tmp_path, {**base, "target": target}) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{field}: " in err and "Traceback" not in err
+    doc = _finite_pserver_config(tmp_path / "x", [1.0, 2.0, 3.0], {"init": [True, 0]})
+    doc["experiment"] = "coupled"
+    assert _run_file(tmp_path, doc) == EXIT_USAGE
+    assert "params.init: (True, 0) is not a state" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_written_server_trace_validates(tmp_path, capsys):
     doc = _finite_pserver_config(tmp_path, [1.0, 2.0, 3.0], {})
     assert _run_file(tmp_path, doc) == EXIT_OK
@@ -437,8 +481,9 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("frozen", [[7, -1], [2], [0, -1]])
     @pytest.mark.parametrize("experiment", ["run", "naive_divergence_control"])
     def test_frozen_worker_out_of_range_exit_1(self, tmp_path, capsys, frozen, experiment):
-        doc = _small_pserver_config(tmp_path, params={"frozen_workers": frozen})
-        doc.update(m=2, experiment=experiment)
+        # only the field under test: naive_divergence_control refuses the base's n_batches
+        doc = _small_pserver_config(tmp_path)
+        doc.update(m=2, experiment=experiment, params={"frozen_workers": frozen})
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "params.frozen_workers: worker ids must lie in [0, 2)" in err and "Traceback" not in err
@@ -500,6 +545,8 @@ _TORN = {"mode": "shmem_real", "experiment": "torn_state"}
 _CONTRACTION = {"mode": "measure_sim", "experiment": "contraction_campaign"}
 _MEASURE = {"mode": "measure_sim", "params": {}}  # a replay's burn_fraction is no measure_sim key
 _MH_UNIFORM = _mh({"type": "uniform_independence"})
+_THEOREM4 = {"mode": "measure_sim", "experiment": "theorem4_campaign", "horizon": 104}
+_THREE_STATE = {"type": "finite", "weights": [1.0, 2.0, 3.0]}
 
 
 class TestEveryFieldNamed:
@@ -546,6 +593,29 @@ class TestEveryFieldNamed:
                          "kernel": {"kind": "gibbs_single_site"}}, "target.type"),
             ("pserver", {"experiment": "coupled", "correction": None, "kernel": _MH_UNIFORM,
                          "target": {"type": "finite", "weights": [1, 2]}}, "correction"),
+            # a kernel with no unique stationary law
+            *(
+                ("replay", {**_MEASURE, "experiment": experiment, "target": target, "kernel": kernel},
+                 "kernel")
+                for experiment in ("run", "frozen_worker_counterexample")
+                for target, kernel in (
+                    ({"type": "finite", "weights": [0, 1, 2]}, {"kind": "gibbs_single_site"}),
+                    ({"type": "finite", "weights": [1, 2]}, _mh({"type": "identity"})),
+                )
+            ),
+            # a threaded stress test has no replay form
+            ("replay", {"experiment": "torn_state", "params": {"ops": 100}}, "experiment"),
+            # sizes that would exhaust memory
+            ("replay", {**_THEOREM4, "params": {"n_states_max": 10**6}}, "params.n_states_max"),
+            ("pserver", {"experiment": "coupled", "m": 13, "kernel": _MH_UNIFORM, "target": _THREE_STATE,
+                         "params": {}}, "m"),
+            # fields that the run reads but never uses
+            ("pserver", {"kernel": _MH_UNIFORM, "target": _THREE_STATE, "params": {"n_batches": 20}},
+             "params.n_batches"),
+            ("pserver", {"experiment": "naive_divergence_control", "kernel": {"kind": "gibbs_single_site"},
+                         "params": {"n_batches": 20}}, "params.n_batches"),
+            ("replay", {**_THEOREM4, "params": {"mu0": {"type": "uniform"}}}, "params.mu0"),
+            ("replay", {**_CONTRACTION, "params": {"mu0": {"type": "uniform"}}}, "params.mu0"),
         ],
     )
     def test_bad_field_exit_1(self, tmp_path, capsys, base, overrides, field):

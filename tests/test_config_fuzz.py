@@ -73,6 +73,10 @@ BASES = {
         "delay": {"kind": "fifo_random", "params": {"mean": 2.0}, "staleness_cap": 64},
         "params": {"burn_fraction": 0.2},
     },
+    "pserver_gibbs_finite": {
+        **_SERVER, "target": {"type": "finite", "weights": [1, 2, 3]}, "kernel": _GIBBS,
+        "delay": {"kind": "fifo_fixed"},
+    },
     "pserver_gaussian": {
         **_SERVER, "target": _GAUSS,
         "kernel": {"kind": "metropolis_hastings",

@@ -77,7 +77,7 @@ class TestTargets:
 
     def test_target_distribution_normalizes(self):
         pi = target_distribution(three_state())
-        assert np.allclose(pi.to_float().probs, [1 / 6, 2 / 6, 3 / 6])
+        assert np.allclose(pi.probs.astype(float), [1 / 6, 2 / 6, 3 / 6])
 
 
 class TestMHStep:
@@ -185,7 +185,7 @@ class TestGibbs:
     def test_systematic_scan_matrix_is_stationary_for_target(self):
         target = binary_product()
         mat = render_matrix(KernelSpec("systematic_gibbs", target))
-        pi = target_distribution(target).to_float()
+        pi = target_distribution(target)
         assert tv_distance(apply_operator(mat, pi), pi) <= 1e-10
         pi_hat = stationary_distribution(mat)
         assert tv_distance(pi_hat, pi) <= 1e-8
@@ -193,7 +193,7 @@ class TestGibbs:
     def test_random_scan_matrix_is_stationary_for_target(self):
         target = binary_product(((2.0, 1.0), (1.0, 5.0)))
         mat = render_matrix(KernelSpec("gibbs_single_site", target))
-        pi = target_distribution(target).to_float()
+        pi = target_distribution(target)
         assert tv_distance(apply_operator(mat, pi), pi) <= 1e-10
 
     def test_site_order_validated(self):
@@ -228,7 +228,7 @@ class TestRenderMatrix:
             target = finite_target(weights)
             prop = TableIndependenceProposal(target.support, rng.uniform(0.2, 2.0, size=4))
             mat = render_matrix(KernelSpec("metropolis_hastings", target, prop))
-            pi = target_distribution(target).to_float().probs
+            pi = target_distribution(target).probs.astype(float)
             for i in range(4):
                 for j in range(4):
                     if i != j:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -165,8 +166,12 @@ class TestExactMode:
         trace = propagate(m, mu0, random_schedule(2, 4, 80, rng))
         assert trace.exact
         report = verify_theorem4(trace, threshold=Fraction(1, 10**6))
-        assert report.tolerance == 0
         assert all(f.startswith("d at final version") for f in report.failures)
+        # a rise far below MONOTONE_TOL still fails an exact trace
+        rise = trace.d_star.copy()
+        rise[20] = rise[19] + Fraction(1, 10**30)
+        report = verify_theorem4(dataclasses.replace(trace, d_star=rise), threshold=Fraction(1, 10**6))
+        assert "d_star increases at k=20" in report.failures
 
     def test_exact_and_float_distances_agree(self):
         rng = np.random.default_rng(8)
@@ -175,8 +180,8 @@ class TestExactMode:
             m_exact = random_rational_matrix(rng, n)
             mu_exact = random_rational_distribution(rng, n)
             schedule = random_schedule(2, 3, 100, rng)
-            m_float = m_exact.to_float()
-            mu_float = mu_exact.to_float()
+            m_float = StochasticMatrix(m_exact.space, m_exact.rows.astype(float))
+            mu_float = FiniteDistribution(mu_exact.space, mu_exact.probs.astype(float))
             t_exact = propagate(m_exact, mu_exact, schedule)
             t_float = propagate(m_float, mu_float, schedule)
             diff = max(abs(float(a) - b) for a, b in zip(t_exact.d, t_float.d))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from asyncmc import pserver
 from asyncmc.diagnostics import discard_burn_in
 from asyncmc.errors import (
     LivenessError,
@@ -153,7 +154,7 @@ class TestZeroDelay:
     def test_server_kernel_detailed_balance(self):
         spec = mh_uniform()
         srv = render_matrix(spec)
-        pi = target_distribution(spec.target).to_float().probs
+        pi = target_distribution(spec.target).probs.astype(float)
         worst = max(
             abs(pi[i] * srv.rows[i][j] - pi[j] * srv.rows[j][i])
             for i in range(3)
@@ -164,7 +165,7 @@ class TestZeroDelay:
     def test_empirical_distribution_near_target(self):
         spec = mh_uniform()
         record = run_pserver(spec, m=1, horizon=100_000, delay=zero_delay(), mode="mh_corrected", seed=5)
-        pi = target_distribution(spec.target).to_float().probs
+        pi = target_distribution(spec.target).probs.astype(float)
         late = discard_burn_in(record.states, 0.2)
         emp = np.bincount(late, minlength=3) / len(late)
         assert 0.5 * np.abs(emp - pi).sum() <= 0.02
@@ -176,7 +177,7 @@ class TestZeroDelay:
         record = run_pserver(spec, m=4, horizon=200_000, delay=delay, mode="mh_corrected", seed=14)
         staleness = np.arange(200_000) - (record.read_versions - 1)
         assert staleness.max() > 1  # messages really did arrive stale
-        pi = target_distribution(spec.target).to_float().probs
+        pi = target_distribution(spec.target).probs.astype(float)
         late = discard_burn_in(record.states, 0.2)
         emp = np.bincount(late, minlength=3) / len(late)
         assert 0.5 * np.abs(emp - pi).sum() <= 0.02
@@ -196,7 +197,7 @@ class TestRunPServer:
         spec = mh_uniform()
         delay = DelayModel("fifo_random", {"mean": 2.0}, staleness_cap=64)
         record = run_pserver(spec, m=4, horizon=4000, delay=delay, mode="mh_corrected", seed=5)
-        assert validate(schedule_from_jsonl(trace_jsonl_lines(record))) is None
+        assert validate(schedule_from_jsonl("\n".join(trace_jsonl_lines(record)))) is None
         cfg = record.config
         assert cfg["messages_sent"] == 4000 + cfg["resends"] + cfg["pending_at_exit"]
         assert record.accepted.sum() + (~record.accepted).sum() == 4000
@@ -216,19 +217,20 @@ class TestRunPServer:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.accepted, b.accepted)
 
-    def test_backpressure_deadlock_raises_liveness(self):
+    def test_backpressure_deadlock_raises_liveness(self, monkeypatch):
         # cap 0 and zero period: the worker that lands first re-sends at
         # once and lands again inside every other worker's flight
         spec = mh_uniform()
         delay = DelayModel(
             "fifo_fixed", {"latency": 1.0, "jitter": 0.0, "periods": 0.0}, staleness_cap=0
         )
+        monkeypatch.setattr(pserver, "MAX_RESENDS", 50)
         with pytest.raises(LivenessError):
-            run_pserver(spec, m=3, horizon=1000, delay=delay, mode="mh_corrected", seed=2, max_resends=50)
+            run_pserver(spec, m=3, horizon=1000, delay=delay, mode="mh_corrected", seed=2)
 
-    def test_max_resends_caps_a_stall_not_the_run(self):
+    def test_max_resends_caps_a_stall_not_the_run(self, monkeypatch):
         # the frozen worker's stale message is dropped once, then its fresh
-        # resend lands; over the run that adds up to more than max_resends
+        # resend lands; over the run that adds up to more than MAX_RESENDS
         target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.9).precision)
         delay = DelayModel(
             "fifo_fixed", {"latency": 0.0, "periods": [1.0, 2.0, 2.0], "jitter": 0.5}, staleness_cap=6
@@ -238,10 +240,11 @@ class TestRunPServer:
             init=(3.0, -3.0), frozen_workers=(0,),
         )
         assert record.config["resends"] > 1000
-        assert validate(schedule_from_jsonl(trace_jsonl_lines(record))) is None
+        assert validate(schedule_from_jsonl("\n".join(trace_jsonl_lines(record)))) is None
         # at cap 0 with unit periods the workers land in turn, two resends each
         delay = DelayModel("fifo_fixed", {"latency": 1.0, "jitter": 0.0}, staleness_cap=0)
-        record = run_pserver(mh_uniform(), 3, 1000, delay, "mh_corrected", 2, max_resends=50)
+        monkeypatch.setattr(pserver, "MAX_RESENDS", 50)
+        record = run_pserver(mh_uniform(), 3, 1000, delay, "mh_corrected", 2)
         assert record.config["resends"] > 50
 
     def test_mode_validation(self):
@@ -333,12 +336,20 @@ class TestCoupled:
         assert math.exp(coupled.log_unnorm((1, 2))) == pytest.approx(2.0 * 3.0)
         assert coupled.dim == 2
 
+    def test_embed_refuses_a_product_space_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(pserver, "MAX_COUPLED_STATES", 2**6)
+        assert coupled_embed(finite_target([1.0] * 2), 6).support.size == 2**6
+        assert coupled_embed(finite_target([1.0] * 8), 2).support.size == 2**6
+        for n, m in ((2, 7), (9, 2), (3, 10**9)):  # the last without computing 3**(10**9)
+            with pytest.raises(ParameterError, match=f"^m: .* at m={m}$"):
+                coupled_embed(finite_target([1.0] * n), m)
+
     def test_replica_marginals_near_target(self):
         spec = mh_uniform()
         delay = DelayModel("fifo_random", {"mean": 2.0}, staleness_cap=64)
         record = run_pserver(spec, m=2, horizon=150_000, delay=delay, mode="mh_corrected",
                              seed=6, coupled=True)
-        pi = target_distribution(spec.target).to_float().probs
+        pi = target_distribution(spec.target).probs.astype(float)
         for slot in range(2):
             idx = replica_marginal_indices(record, slot, spec.target)
             late = idx[len(idx) // 5:]

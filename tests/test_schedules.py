@@ -208,7 +208,7 @@ class TestValidateOnce:
         generated = random_schedule(3, 5, 60, np.random.default_rng(1))
         lines = schedule_to_jsonl(generated).splitlines()
         lines[31] = '{"seq": 30, "worker": 0, "read_from": 10, "kind": "write"}'
-        self.assert_refused(setting, schedule_from_jsonl(lines))
+        self.assert_refused(setting, schedule_from_jsonl("\n".join(lines)))
 
     def test_generated_schedule_changed_in_place_is_checked(self, setting):
         generated = random_schedule(3, 5, 60, np.random.default_rng(2))
