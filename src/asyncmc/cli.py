@@ -38,6 +38,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_LIVENESS = 2
 EXIT_VIOLATION = 3
+# The most workers a config may ask for: every mode builds one stream per
+# worker before it runs.  No canned config, test or benchmark workload asks
+# for more than 13.
+MAX_WORKERS = 256
 
 # the experiments of each mode; ``determinism_repro`` runs under any mode
 EXPERIMENTS = {
@@ -137,8 +141,9 @@ class ExperimentConfig:
         runs = experiment != "determinism_repro"
         if runs and experiment not in EXPERIMENTS[self.mode]:
             raise ValidationError(f"experiment: unknown {self.mode} experiment {experiment!r}")
-        for field_name, least in (("m", 1), ("b", None), ("horizon", 1)):
-            _read(doc, field_name, int, least=least)
+        _read(doc, "m", int, least=1, below=MAX_WORKERS + 1)
+        _read(doc, "b", int)
+        _read(doc, "horizon", int, least=1)
         _read(doc, "params", dict)
         _read(doc, "out_dir", str, None)
         _read(doc, "correction", str, None)

@@ -41,10 +41,6 @@ class LivenessError(AsyncMCError):
     """A worker or message stream stalled past its staleness allowance."""
 
 
-class ProtocolError(AsyncMCError):
-    """Malformed or unregistered parameter-server message."""
-
-
 class NumericError(AsyncMCError):
     """Non-finite arithmetic outside the allowed -inf density convention."""
 

@@ -193,10 +193,11 @@ def target_distribution(target: TargetDensity) -> FiniteDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Proposal families.  Each carries an id (used for server-side registration),
-# a symmetry flag, the sorts of target it serves (``targets``, checked by
-# KernelSpec), sample/logpdf, and, when the family is enumerable over a
-# finite space, a support_logpdfs method used for matrix rendering.
+# Proposal families.  Each carries an id (the name ``KernelSpec.describe``
+# and error messages give it), a symmetry flag, the sorts of target it serves
+# (``targets``, checked by KernelSpec), sample/logpdf, and, when the family is
+# enumerable over a finite space, a support_logpdfs method used for matrix
+# rendering.
 # ---------------------------------------------------------------------------
 
 

@@ -7,6 +7,15 @@ where ``x`` is the state the worker read and ``x_s`` the server's state at
 receipt.  A switchable naive mode accepts everything, reproducing the known
 divergence of uncorrected asynchronous Gibbs.
 
+What the correction makes exact: a message from a proposal in
+``SERVER_PROPOSALS`` ignores the state the worker read, so the corrected
+server chain is independence MH at any staleness and leaves pi invariant.
+A stale ``gibbs_single_site`` server chain does not: on two binary sites
+with weights 00:10, 01:1, 10:1, 11:10, with every message reading one
+version back, its stationary law is at TV 2.8e-2 from pi (computed on the
+augmented chain of the last two server states).  Acceptance criterion 6
+runs an independence proposal, so it cannot fail because of staleness.
+
 How a proposal lands depends on its scope:
 
 * full-state proposals replace the whole server state on accept, and the
@@ -38,7 +47,6 @@ from .errors import (
     LivenessError,
     NumericError,
     ParameterError,
-    ProtocolError,
     UnsupportedTargetError,
     ValidationError,
 )
@@ -78,33 +86,6 @@ _BLOCK = 1024
 MAX_RESENDS = 1000
 # The most states a coupled finite run enumerates: n**m for m workers on n.
 MAX_COUPLED_STATES = 2**20
-
-
-@dataclass(frozen=True)
-class TaggedState:
-    value: object
-    log_pi: float
-
-
-@dataclass(frozen=True)
-class ServerState:
-    tagged: TaggedState
-    version: int = 0
-    commit_count: int = 0
-
-
-@dataclass(frozen=True)
-class ServerMessage:
-    """What a worker sends: its read, its proposal, and cached densities."""
-
-    worker: int
-    read_version: int
-    x: object
-    x_star: object
-    log_pi_x_star: float
-    log_f_forward: float
-    proposal_id: str
-    params: dict = field(default_factory=dict)
 
 
 def _check_number(name: str, value, *, integer: bool = False) -> None:
@@ -217,12 +198,9 @@ def coupled_embed(target: TargetDensity, m: int) -> TargetDensity:
 class SlotProposal:
     """Propose a new value for one replica slot of a coupled state."""
 
-    symmetric = False
-
     def __init__(self, base, slot: int):
         self.base = base
         self.slot = int(slot)
-        self.proposal_id = f"slot{slot}:{base.proposal_id}"
 
     def sample(self, xs, rng: np.random.Generator):
         value, base_params = self.base.sample(xs[self.slot], rng)
@@ -262,44 +240,25 @@ def _log_accept_ratio(num: float, den: float) -> float:
     return log_ratio
 
 
-def server_receive(
-    st: ServerState,
-    msg: ServerMessage,
-    target: TargetDensity,
-    proposals: dict,
-    rng: np.random.Generator,
-    *,
-    mode: str = "mh_corrected",
-) -> tuple[ServerState, bool, float]:
-    """Process one message; returns (new state, accepted, log accept ratio).
+def server_receive(value, log_pi: float, message: tuple, log_f_reverse: float, u: float, naive: bool,
+                   target: TargetDensity) -> tuple:
+    """One delivered message against the server state ``value`` of log density ``log_pi``.
 
-    Exactly one uniform is drawn per message in either mode, so corrected
-    and naive runs with the same seed consume identical randomness.  This is
-    the one-message reference for the loop in :func:`run_pserver`.
+    ``message`` is ``(read_version, x, x_star, log_pi_x_star, log_f_forward,
+    params)``; ``log_f_reverse`` is ``f(value | x)`` and ``u`` the message's
+    accept uniform, both supplied by the caller.  Returns the next server
+    state, its log density, whether the message was accepted, and the log
+    accept ratio.  ``naive`` accepts every message.
     """
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
-    family = proposals.get(msg.proposal_id)
-    if family is None:
-        raise ProtocolError(f"proposal id {msg.proposal_id!r} is not registered")
-    if msg.read_version > st.version:
-        raise ProtocolError(
-            f"message read version {msg.read_version} is ahead of the server ({st.version})"
-        )
-
-    cand_value, cand_lp = _candidate(st.tagged.value, msg.x_star, msg.log_pi_x_star, msg.params, target.dim)
+    _, _, x_star, lp_star, log_f_forward, params = message
+    # a full-state message has no params, and is its own candidate
+    cand, cand_lp = _candidate(value, x_star, lp_star, params, target.dim) if params else (x_star, lp_star)
     if cand_lp is None:
-        cand_lp = target.log_unnorm(cand_value)
-    log_f_reverse = family.logpdf(st.tagged.value, msg.x, msg.params)
-    log_ratio = _log_accept_ratio(cand_lp + log_f_reverse, st.tagged.log_pi + msg.log_f_forward)
-
-    u = rng.random()
-    accepted = mode == "naive_accept" or log_ratio >= 0.0 or u < math.exp(log_ratio)
-    if accepted:
-        new = ServerState(TaggedState(cand_value, cand_lp), st.version + 1, st.commit_count + 1)
-    else:
-        new = ServerState(st.tagged, st.version + 1, st.commit_count)
-    return new, accepted, log_ratio
+        cand_lp = target.log_unnorm(cand)
+    log_ratio = _log_accept_ratio(cand_lp + log_f_reverse, log_pi + log_f_forward)
+    if naive or log_ratio >= 0.0 or u < math.exp(log_ratio):
+        return cand, cand_lp, True, log_ratio
+    return value, log_pi, False, log_ratio
 
 
 @dataclass(frozen=True)
@@ -410,10 +369,11 @@ def _message_path(kernel, target, props, rngs, init, init_lp, naive, coupled, ou
     """``send`` and ``receive`` deciding each delivery against the server at once.
 
     A message is ``(read_version, x, x_star, log_pi_x_star, log_f_forward,
-    params)``, and ``receive`` does what :func:`server_receive` does.
+    params)``.  ``receive`` supplies the reverse density and the accept
+    uniform, lets :func:`server_receive` decide, and writes the record rows.
     """
     workers_arr, reads_arr, accepted_arr, ratios_arr, states = out
-    log_unnorm, exp, sites = target.log_unnorm, math.exp, target.dim
+    log_unnorm = target.log_unnorm
     samplers = [p.sample for p in props]
     logpdfs = [p.logpdf for p in props]
     raws = [r.bit_generator.random_raw for r in rngs]
@@ -421,7 +381,7 @@ def _message_path(kernel, target, props, rngs, init, init_lp, naive, coupled, ou
     slot_of = list(range(len(props))) if coupled else [0] * len(props)
     if cached_reverse:
         reverse = [logpdfs[w](init, init, {}) for w in range(len(props) if coupled else 1)]
-    index = {lab: i for i, lab in enumerate(target.support.labels)} if target.is_finite else None
+    index = target.support._index if target.is_finite else None
     value, log_pi, processed = init, init_lp, 0
 
     def send(w, x, read_version):
@@ -430,22 +390,18 @@ def _message_path(kernel, target, props, rngs, init, init_lp, naive, coupled, ou
 
     def receive(w, msg):
         nonlocal value, log_pi, processed
-        read_version, x, x_star, lp_star, log_f_forward, params = msg
-        # a full-state message has no params, and is its own candidate
-        cand, cand_lp = _candidate(value, x_star, lp_star, params, sites) if params else (x_star, lp_star)
-        if cand_lp is None:
-            cand_lp = log_unnorm(cand)
+        read_version, x, _, _, log_f_forward, params = msg
         if cached_reverse:
             log_f_reverse = reverse[slot_of[w]]
         else:
             log_f_reverse = logpdfs[w](value, x, params)
-        log_ratio = _log_accept_ratio(cand_lp + log_f_reverse, log_pi + log_f_forward)
         u = (raws[w]() >> 11) * _DOUBLE_UNIT
-        accepted = naive or log_ratio >= 0.0 or u < exp(log_ratio)
-        if accepted:
-            value, log_pi = cand, cand_lp
-            if cached_reverse:
-                reverse[slot_of[w]] = log_f_forward
+        # a global lookup per call, so a wrapper bound to pserver.server_receive sees every message
+        value, log_pi, accepted, log_ratio = server_receive(
+            value, log_pi, msg, log_f_reverse, u, naive, target
+        )
+        if accepted and cached_reverse:
+            reverse[slot_of[w]] = log_f_forward
         workers_arr[processed] = w
         reads_arr[processed] = read_version
         accepted_arr[processed] = accepted
@@ -654,9 +610,7 @@ def replica_marginal_indices(record: PServerRecord, slot: int, base: TargetDensi
     """Map a coupled finite run's states to one replica's label indices."""
     if not record.target.is_finite:
         raise UnsupportedTargetError("marginals by label need a finite target")
-    base_index = {lab: i for i, lab in enumerate(base.support.labels)}
-    coupled_labels = record.target.support.labels
-    lookup = np.array([base_index[lab[slot]] for lab in coupled_labels], dtype=np.int64)
+    lookup = np.array(base.support.indices(lab[slot] for lab in record.target.support.labels), dtype=np.int64)
     return lookup[record.states]
 
 

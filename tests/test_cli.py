@@ -9,6 +9,7 @@ from asyncmc.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    MAX_WORKERS,
     ExperimentConfig,
     _write_text,
     build_delay,
@@ -624,6 +625,28 @@ class TestEveryFieldNamed:
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"{field}:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("m", [MAX_WORKERS + 1, 10**9])
+    @pytest.mark.parametrize(
+        "base,overrides",
+        [
+            ("replay", _MEASURE),
+            ("replay", {"mode": "shmem_real", "params": {}}),
+            ("replay", {}),
+            ("pserver", {}),
+            ("pserver", {"experiment": "coupled", "kernel": _MH_UNIFORM, "target": _THREE_STATE, "params": {}}),
+        ],
+    )
+    def test_m_past_max_workers_exit_1(self, tmp_path, capsys, base, overrides, m):
+        doc = _small_pserver_config(tmp_path) if base == "pserver" else _replay_config(tmp_path, 0.5)
+        doc.update(overrides, m=m)
+        # refused by the config itself, before any stream or thread exists
+        with pytest.raises(ValidationError, match=rf"^m: must be an integer in \[1, {MAX_WORKERS + 1}\), got {m}$"):
+            ExperimentConfig.from_dict(doc)
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "m:" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_config_not_an_object_exit_1(self, tmp_path, capsys):

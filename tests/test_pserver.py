@@ -9,7 +9,6 @@ from asyncmc.errors import (
     LivenessError,
     NumericError,
     ParameterError,
-    ProtocolError,
     UnsupportedTargetError,
 )
 from asyncmc.kernels import (
@@ -29,10 +28,6 @@ from asyncmc.kernels import (
 )
 from asyncmc.pserver import (
     DelayModel,
-    ServerMessage,
-    ServerState,
-    SlotProposal,
-    TaggedState,
     coupled_embed,
     messages_csv_lines,
     replica_marginal_indices,
@@ -58,16 +53,16 @@ def zero_delay(cap=0):
 
 def make_message(target, proposal, x, y, params=None):
     params = params or {}
-    return ServerMessage(
-        worker=0,
-        read_version=0,
-        x=x,
-        x_star=y,
-        log_pi_x_star=target.log_unnorm(y),
-        log_f_forward=proposal.logpdf(y, x, params),
-        proposal_id=proposal.proposal_id,
-        params=params,
-    )
+    return 0, x, y, target.log_unnorm(y), proposal.logpdf(y, x, params), params
+
+
+def receive(target, proposal, x_s, msg, u, naive=False):
+    """``server_receive`` of ``msg`` at server state ``x_s``, reverse density from ``logpdf``."""
+    reverse = proposal.logpdf(x_s, msg[1], msg[5])
+    return server_receive(x_s, target.log_unnorm(x_s), msg, reverse, u, naive, target)
+
+
+LARGEST_UNIFORM = 1.0 - 2.0**-53
 
 
 class TestServerReceive:
@@ -75,68 +70,48 @@ class TestServerReceive:
         target = gaussian_target([0.0, 0.0], ((1.0, 0.0), (0.0, 1.0)))
         prop = GaussianRandomWalkProposal(0.5)
         x_s = (1.0, 1.0)
-        st = ServerState(TaggedState(x_s, target.log_unnorm(x_s)))
         rng = np.random.default_rng(0)
         for _ in range(100):
             y = (float(rng.uniform(-0.9, 0.9)), float(rng.uniform(-0.9, 0.9)))
             assert target.log_unnorm(y) >= target.log_unnorm(x_s)
             msg = make_message(target, prop, x_s, y)
-            _, accepted, _ = server_receive(
-                st, msg, target, {prop.proposal_id: prop}, np.random.default_rng(1)
-            )
-            assert accepted
+            value, lp, accepted, _ = receive(target, prop, x_s, msg, LARGEST_UNIFORM)
+            assert accepted and value == y and lp == target.log_unnorm(y)
 
     def test_zero_density_proposal_always_rejected(self):
         target = finite_target([1.0, 2.0, 0.0])
         prop = TableIndependenceProposal(target.support, [1.0, 1.0, 1.0])
-        st = ServerState(TaggedState(0, target.log_unnorm(0)))
         msg = make_message(target, prop, 0, 2)
-        for seed in range(50):
-            new, accepted, lr = server_receive(
-                st, msg, target, {prop.proposal_id: prop}, np.random.default_rng(seed)
-            )
+        for u in (0.0, 0.5, LARGEST_UNIFORM):
+            value, lp, accepted, lr = receive(target, prop, 0, msg, u)
             assert not accepted
             assert lr == float("-inf")
-            assert new.tagged.value == 0
-            assert new.version == st.version + 1
+            assert (value, lp) == (0, target.log_unnorm(0))
 
-    def test_rejection_increments_version_not_commits(self):
+    def test_decision_follows_the_uniform(self):
         target = three_state()
         prop = TableIndependenceProposal(target.support, [1.0, 0.001, 0.001])
-        st = ServerState(TaggedState(2, target.log_unnorm(2)), version=5, commit_count=3)
         msg = make_message(target, prop, 2, 0)
-        new, accepted, _ = server_receive(
-            st, msg, target, {prop.proposal_id: prop}, np.random.default_rng(42)
-        )
-        assert new.version == 6
-        assert new.commit_count == (4 if accepted else 3)
-
-    def test_unregistered_proposal_raises(self):
-        target = three_state()
-        prop = UniformIndependenceProposal(target.support)
-        st = ServerState(TaggedState(0, target.log_unnorm(0)))
-        with pytest.raises(ProtocolError):
-            server_receive(st, make_message(target, prop, 0, 1), target, {}, np.random.default_rng(0))
+        accepted = receive(target, prop, 2, msg, 0.0)
+        rejected = receive(target, prop, 2, msg, LARGEST_UNIFORM)
+        assert accepted[:3] == (0, target.log_unnorm(0), True)
+        assert rejected[:3] == (2, target.log_unnorm(2), False)
+        assert accepted[3] == rejected[3] < 0.0
 
     def test_nan_arithmetic_raises(self):
         target = three_state()
         prop = UniformIndependenceProposal(target.support)
-        st = ServerState(TaggedState(0, target.log_unnorm(0)))
-        msg = ServerMessage(0, 0, 0, 1, float("nan"), prop.logpdf(1, 0, {}), prop.proposal_id, {})
+        msg = (0, 0, 1, float("nan"), prop.logpdf(1, 0, {}), {})
         with pytest.raises(NumericError):
-            server_receive(st, msg, target, {prop.proposal_id: prop}, np.random.default_rng(0))
+            receive(target, prop, 0, msg, 0.5)
 
-    def test_one_uniform_in_both_modes(self):
-        target = three_state()
-        prop = UniformIndependenceProposal(target.support)
-        st = ServerState(TaggedState(0, target.log_unnorm(0)))
-        msg = make_message(target, prop, 0, 1)
-        for mode in ("mh_corrected", "naive_accept"):
-            rng = np.random.default_rng(7)
-            server_receive(st, msg, target, {prop.proposal_id: prop}, rng, mode=mode)
-            follow = np.random.default_rng(7)
-            follow.random()
-            assert rng.random() == follow.random()
+    def test_naive_accepts_a_zero_density_proposal(self):
+        target = finite_target([1.0, 2.0, 0.0])
+        prop = TableIndependenceProposal(target.support, [1.0, 1.0, 1.0])
+        msg = make_message(target, prop, 0, 2)
+        assert receive(target, prop, 0, msg, LARGEST_UNIFORM, naive=True) == (
+            2, float("-inf"), True, float("-inf")
+        )
 
 
 class TestZeroDelay:
@@ -181,15 +156,6 @@ class TestZeroDelay:
         late = discard_burn_in(record.states, 0.2)
         emp = np.bincount(late, minlength=3) / len(late)
         assert 0.5 * np.abs(emp - pi).sum() <= 0.02
-
-    def test_server_version_invariant_enforced(self):
-        target = three_state()
-        prop = UniformIndependenceProposal(target.support)
-        st = ServerState(TaggedState(0, target.log_unnorm(0)), version=2)
-        msg = ServerMessage(0, 5, 0, 1, target.log_unnorm(1), prop.logpdf(1, 0, {}),
-                            prop.proposal_id, {})
-        with pytest.raises(ProtocolError):
-            server_receive(st, msg, target, {prop.proposal_id: prop}, np.random.default_rng(0))
 
 
 class TestRunPServer:
@@ -380,8 +346,3 @@ class TestExports:
         lines = list(messages_csv_lines(record))
         assert lines[0] == "seq,worker,read_version,accepted,log_ratio"
         assert len(lines) == 21
-
-
-def test_slot_proposal_id_prefixes_the_base_id():
-    base = UniformIndependenceProposal(three_state().support)
-    assert SlotProposal(base, 1).proposal_id == "slot1:uniform_independence"

@@ -6,8 +6,12 @@ application and one TV distance per event, element loops over
 binary powering, half-L1), one sort per candidate worker,
 a schedule generator with two scalar ``rng.integers`` calls per event,
 scalar ``Generator.random``/``integers`` calls for the raw-word draws,
-a parameter-server loop that sends every message through
-``server_receive`` as a ``ServerMessage``, a replay loop over a dict of
+a parameter-server loop that sends every message as a ``ServerMessage``
+through ``reference_server_receive``, which looks its proposal up in a
+registry by id, checks the read version against a ``ServerState``, takes
+the reverse density from ``logpdf`` and draws its uniform with
+``Generator.random`` (the library's loop hands ``pserver.server_receive``
+both), a replay loop over a dict of
 versions, a ``validate`` that checks every worker's silence at every event,
 and trace and samples writers with one ``json.dumps`` per line.  The fast
 paths must agree with them exactly (``==`` and equal bytes, never
@@ -22,6 +26,8 @@ import dataclasses
 import heapq
 import itertools
 import json
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -70,15 +76,14 @@ from asyncmc.measures import (
     tv_distance,
 )
 from asyncmc.pserver import (
+    MODES,
     DelayModel,
-    ServerMessage,
-    ServerState,
     SlotProposal,
-    TaggedState,
+    _candidate,
+    _log_accept_ratio,
     _worker_proposal,
     coupled_embed,
     run_pserver,
-    server_receive,
     trace_jsonl_lines,
 )
 from asyncmc.schedules import (
@@ -820,9 +825,71 @@ def reference_period(delay, worker):
     return float(periods) if isinstance(periods, (int, float)) else float(periods[worker])
 
 
+class ProtocolError(Exception):
+    """Malformed or unregistered parameter-server message."""
+
+
+@dataclass(frozen=True)
+class TaggedState:
+    value: object
+    log_pi: float
+
+
+@dataclass(frozen=True)
+class ServerState:
+    tagged: TaggedState
+    version: int = 0
+    commit_count: int = 0
+
+
+@dataclass(frozen=True)
+class ServerMessage:
+    """What a worker sends: its read, its proposal, and cached densities."""
+
+    worker: int
+    read_version: int
+    x: object
+    x_star: object
+    log_pi_x_star: float
+    log_f_forward: float
+    proposal_id: str
+    params: dict = field(default_factory=dict)
+
+
+def reference_server_receive(st, msg, target, proposals, rng, *, mode="mh_corrected"):
+    """Process one message; returns (new state, accepted, log accept ratio).
+
+    The reverse density comes from the registered proposal's ``logpdf`` at
+    every message, and one uniform is drawn per message in either mode.
+    """
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}")
+    family = proposals.get(msg.proposal_id)
+    if family is None:
+        raise ProtocolError(f"proposal id {msg.proposal_id!r} is not registered")
+    if msg.read_version > st.version:
+        raise ProtocolError(
+            f"message read version {msg.read_version} is ahead of the server ({st.version})"
+        )
+
+    cand_value, cand_lp = _candidate(st.tagged.value, msg.x_star, msg.log_pi_x_star, msg.params, target.dim)
+    if cand_lp is None:
+        cand_lp = target.log_unnorm(cand_value)
+    log_f_reverse = family.logpdf(st.tagged.value, msg.x, msg.params)
+    log_ratio = _log_accept_ratio(cand_lp + log_f_reverse, st.tagged.log_pi + msg.log_f_forward)
+
+    u = rng.random()
+    accepted = mode == "naive_accept" or log_ratio >= 0.0 or u < math.exp(log_ratio)
+    if accepted:
+        new = ServerState(TaggedState(cand_value, cand_lp), st.version + 1, st.commit_count + 1)
+    else:
+        new = ServerState(st.tagged, st.version + 1, st.commit_count)
+    return new, accepted, log_ratio
+
+
 def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
                           frozen_workers=(), coupled=False):
-    """One ``ServerMessage`` and one ``server_receive`` call per message."""
+    """One ``ServerMessage`` and one ``reference_server_receive`` call per message."""
     if coupled:
         target = coupled_embed(kernel.target, m)
         worker_props = [SlotProposal(_worker_proposal(kernel), w) for w in range(m)]
@@ -833,7 +900,8 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
         worker_props = [_worker_proposal(kernel)] * m
         if init is None:
             init = default_init(kernel.target)
-    registry = {p.proposal_id: p for p in worker_props}
+    ids = [f"slot{w}:{p.base.proposal_id}" if coupled else p.proposal_id for w, p in enumerate(worker_props)]
+    registry = dict(zip(ids, worker_props))
     st = ServerState(TaggedState(init, target.log_unnorm(init)))
     rngs = worker_streams(seed, m, extra=1)
     infra = rngs[m]
@@ -858,7 +926,7 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
         prop = worker_props[worker]
         y, params = prop.sample(x, rngs[worker])
         msg = ServerMessage(worker, rv, x, y, target.log_unnorm(y), prop.logpdf(y, x, params),
-                            prop.proposal_id, params)
+                            ids[worker], params)
         push(t + reference_latency(delay, infra), "deliver", msg)
 
     for w in range(m):
@@ -884,7 +952,7 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
                 )
             compose(msg.worker, t, force_fresh=True)
             continue
-        st, acc, log_ratio = server_receive(st, msg, target, registry, rngs[msg.worker], mode=mode)
+        st, acc, log_ratio = reference_server_receive(st, msg, target, registry, rngs[msg.worker], mode=mode)
         stalled[msg.worker] = 0
         workers.append(msg.worker)
         reads.append(msg.read_version)
@@ -1129,6 +1197,38 @@ class TestServerLoop:
                 run(kernel, 3, 1000, delay, "mh_corrected", 2)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+def counted_kernel(case):
+    table = finite_target([1.0, 2.0, 3.0, 0.5])
+    if case == "finite_mh":
+        return KernelSpec("metropolis_hastings", table, UniformIndependenceProposal(table.support))
+    if case == "gibbs":
+        target = gaussian_target((0.0, 0.0), GaussianTarget.bivariate_correlated(0.9).precision)
+        return KernelSpec("gibbs_single_site", target)
+    if case == "coupled":
+        prop = TableIndependenceProposal(table.support, [1.0, 3.0, 2.0, 1.0])
+        return KernelSpec("metropolis_hastings", table, prop)
+    return bench_kernel()
+
+
+@pytest.mark.parametrize("case", ["finite_mh", "gibbs", "coupled", "block"])
+def test_server_receive_once_per_processed_message(monkeypatch, case):
+    # the per-message path decides every delivery through the module's
+    # server_receive, dropped stale messages excluded; the block path decides inline
+    calls = []
+    step = pserver.server_receive
+
+    def counted(*args):
+        calls.append(args[2][0])  # the message's read version
+        return step(*args)
+
+    monkeypatch.setattr(pserver, "server_receive", counted)
+    delay = DelayModel("reorder_random", {"span": 12, "jitter": 0.3}, staleness_cap=5)
+    record = run_pserver(counted_kernel(case), 3, 2000, delay, "mh_corrected", 41,
+                         frozen_workers=(0,) if case == "gibbs" else (), coupled=case == "coupled")
+    assert record.config["resends"] > 0
+    assert calls == ([] if case == "block" else record.read_versions.tolist())
 
 
 # ---------------------------------------------------------------------------
