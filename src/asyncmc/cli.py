@@ -483,11 +483,7 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     }
     summary: dict = {"experiment": cfg.experiment, "accept_rate": record.accept_rate}
     if cfg.experiment == "coupled":
-        tvs = []
-        for slot in range(cfg.m):
-            idx = pserver.replica_marginal_indices(record, slot, target)
-            tvs.append(_finite_late_tv(idx, target, burn))
-        summary["replica_marginal_tv"] = tvs
+        summary["replica_marginal_tv"] = [_finite_late_tv(idx, target, burn) for idx in record.states.T]
     elif target.is_finite:
         summary["late_tv"] = _finite_late_tv(record.states, target, burn)
         try:

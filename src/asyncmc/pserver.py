@@ -18,14 +18,16 @@ runs an independence proposal, so it cannot fail because of staleness.
 
 How a proposal lands depends on its scope:
 
-* full-state proposals replace the whole server state on accept, and the
-  server trusts the worker-shipped density of the proposed state;
+* full-state proposals replace the whole server state on accept;
   :func:`run_pserver` takes only those whose law ignores the current state
   (``SERVER_PROPOSALS``), and rejects a random walk;
 * site proposals (Gibbs conditionals) and slot proposals (coupled replicas)
   apply their one updated component to the server's current state, which is
-  the componentwise reading of the coupled-operator picture; the density of
-  that merged candidate is evaluated server-side since no worker can know it.
+  the componentwise reading of the coupled-operator picture.
+
+Either way the server evaluates the density of the candidate itself: a
+message carries the worker's read, its proposal and the forward proposal
+density, and nothing else the decision reads.
 
 The simulation is a deterministic discrete-event loop: worker sends and
 message deliveries live in one priority queue keyed by virtual time; workers
@@ -62,7 +64,6 @@ from .kernels import (
     default_init,
     worker_streams,
 )
-from .measures import StateSpace
 from .schedules import minimal_valid_bound, trace_lines
 
 NEG_INF = float("-inf")
@@ -84,8 +85,6 @@ MAX_SPAN = 2**63 - 1
 _BLOCK = 1024
 # Stale resends of one message in a row after which a run is not live.
 MAX_RESENDS = 1000
-# The most states a coupled finite run enumerates: n**m for m workers on n.
-MAX_COUPLED_STATES = 2**20
 
 
 def _check_number(name: str, value, *, integer: bool = False) -> None:
@@ -173,8 +172,7 @@ class DelayModel:
 def coupled_embed(target: TargetDensity, m: int) -> TargetDensity:
     """Product target over ``m`` replicas; marginal ``i`` is the original.
 
-    States are tuples of base states.  For finite base targets the result is
-    itself finite with the product space enumerated explicitly.
+    States are tuples of base states; the product space is never enumerated.
     """
     if m < 1:
         raise ParameterError("need at least one replica")
@@ -182,17 +180,7 @@ def coupled_embed(target: TargetDensity, m: int) -> TargetDensity:
     def log_unnorm(xs):
         return sum(target.log_unnorm(x) for x in xs)
 
-    support = None
-    if target.is_finite:
-        n = target.support.size
-        # n**21 > 2**20 for every n >= 2: capping the exponent keeps the test and its cost small
-        if n ** min(m, MAX_COUPLED_STATES.bit_length()) > MAX_COUPLED_STATES:
-            raise ParameterError(
-                f"m: a coupled run enumerates {n}**m replica states, more than 2**20 at m={m}"
-            )
-        labels = tuple(itertools.product(*([target.support.labels] * m)))
-        support = StateSpace(labels)
-    return TargetDensity(dim=m, log_unnorm=log_unnorm, support=support)
+    return TargetDensity(dim=m, log_unnorm=log_unnorm)
 
 
 class SlotProposal:
@@ -212,8 +200,8 @@ class SlotProposal:
         return self.base.logpdf(ys[self.slot], xs[self.slot], params)
 
 
-def _candidate(current, x_star, log_pi_x_star: float, params: dict, sites: int):
-    """The proposed next server state and, when known, its shipped density.
+def _candidate(current, x_star, params: dict, sites: int):
+    """The proposed next server state.
 
     A site or slot proposal moves one component of ``current``, unless the
     state has one site (``sites``), when the proposal is the whole state.
@@ -222,10 +210,10 @@ def _candidate(current, x_star, log_pi_x_star: float, params: dict, sites: int):
     if component is None:
         component = params.get("site")
     if component is None or sites == 1:
-        return x_star, log_pi_x_star
+        return x_star
     out = list(current)
     out[component] = x_star[component]
-    return tuple(out), None
+    return tuple(out)
 
 
 def _log_accept_ratio(num: float, den: float) -> float:
@@ -244,17 +232,16 @@ def server_receive(value, log_pi: float, message: tuple, log_f_reverse: float, u
                    target: TargetDensity) -> tuple:
     """One delivered message against the server state ``value`` of log density ``log_pi``.
 
-    ``message`` is ``(read_version, x, x_star, log_pi_x_star, log_f_forward,
-    params)``; ``log_f_reverse`` is ``f(value | x)`` and ``u`` the message's
-    accept uniform, both supplied by the caller.  Returns the next server
-    state, its log density, whether the message was accepted, and the log
-    accept ratio.  ``naive`` accepts every message.
+    ``message`` is ``(read_version, x, x_star, log_f_forward, params)``;
+    ``log_f_reverse`` is ``f(value | x)`` and ``u`` the message's accept
+    uniform, both supplied by the caller.  Returns the next server state, its
+    log density, whether the message was accepted, and the log accept ratio.
+    ``naive`` accepts every message.
     """
-    _, _, x_star, lp_star, log_f_forward, params = message
+    _, _, x_star, log_f_forward, params = message
     # a full-state message has no params, and is its own candidate
-    cand, cand_lp = _candidate(value, x_star, lp_star, params, target.dim) if params else (x_star, lp_star)
-    if cand_lp is None:
-        cand_lp = target.log_unnorm(cand)
+    cand = _candidate(value, x_star, params, target.dim) if params else x_star
+    cand_lp = target.log_unnorm(cand)
     log_ratio = _log_accept_ratio(cand_lp + log_f_reverse, log_pi + log_f_forward)
     if naive or log_ratio >= 0.0 or u < math.exp(log_ratio):
         return cand, cand_lp, True, log_ratio
@@ -268,15 +255,20 @@ class PServerRecord:
     Message ``i`` produced server version ``i + 1`` from a read of version
     ``read_versions[i]``; as a schedule event it is ``seq = i`` reading
     ``read_from = read_versions[i] - 1``.
+
+    ``states[i]`` is the server state after message ``i``: a ``(dim,)`` float
+    row on a Gaussian target, the index of a label of a finite one.  A
+    coupled run adds a replica axis after the message axis, so its states
+    are ``(horizon, m, dim)`` floats or ``(horizon, m)`` label indices, and
+    ``states[:, i]`` is replica ``i``'s chain.
     """
 
     workers: np.ndarray
     read_versions: np.ndarray
     accepted: np.ndarray
     log_ratios: np.ndarray
-    states: np.ndarray  # (horizon, dim) floats, (horizon, m, dim) if coupled, or (horizon,) label indices
+    states: np.ndarray
     config: dict
-    target: TargetDensity
 
     @property
     def accept_rate(self) -> float:
@@ -368,12 +360,11 @@ def _event_loop(horizon, periods, delay, infra, frozen, value, send, receive) ->
 def _message_path(kernel, target, props, rngs, init, init_lp, naive, coupled, out):
     """``send`` and ``receive`` deciding each delivery against the server at once.
 
-    A message is ``(read_version, x, x_star, log_pi_x_star, log_f_forward,
-    params)``.  ``receive`` supplies the reverse density and the accept
-    uniform, lets :func:`server_receive` decide, and writes the record rows.
+    A message is ``(read_version, x, x_star, log_f_forward, params)``.
+    ``receive`` supplies the reverse density and the accept uniform, lets
+    :func:`server_receive` decide, and writes the record rows.
     """
     workers_arr, reads_arr, accepted_arr, ratios_arr, states = out
-    log_unnorm = target.log_unnorm
     samplers = [p.sample for p in props]
     logpdfs = [p.logpdf for p in props]
     raws = [r.bit_generator.random_raw for r in rngs]
@@ -381,16 +372,19 @@ def _message_path(kernel, target, props, rngs, init, init_lp, naive, coupled, ou
     slot_of = list(range(len(props))) if coupled else [0] * len(props)
     if cached_reverse:
         reverse = [logpdfs[w](init, init, {}) for w in range(len(props) if coupled else 1)]
-    index = target.support._index if target.is_finite else None
+    row = None  # a state as its record row, where that is not the state itself
+    if kernel.target.is_finite:
+        index = kernel.target.support._index
+        row = (lambda xs: [index[x] for x in xs]) if coupled else index.__getitem__
     value, log_pi, processed = init, init_lp, 0
 
     def send(w, x, read_version):
         x_star, params = samplers[w](x, rngs[w])
-        return read_version, x, x_star, log_unnorm(x_star), logpdfs[w](x_star, x, params), params
+        return read_version, x, x_star, logpdfs[w](x_star, x, params), params
 
     def receive(w, msg):
         nonlocal value, log_pi, processed
-        read_version, x, _, _, log_f_forward, params = msg
+        read_version, x, _, log_f_forward, params = msg
         if cached_reverse:
             log_f_reverse = reverse[slot_of[w]]
         else:
@@ -406,7 +400,7 @@ def _message_path(kernel, target, props, rngs, init, init_lp, naive, coupled, ou
         reads_arr[processed] = read_version
         accepted_arr[processed] = accepted
         ratios_arr[processed] = log_ratio
-        states[processed] = value if index is None else index[value]
+        states[processed] = value if row is None else row(value)
         processed += 1
         return value
 
@@ -547,20 +541,24 @@ def run_pserver(
         )
 
     base_target = kernel.target
+
+    def is_state(x) -> bool:
+        return base_target.support.holds(x) if base_target.is_finite else np.shape(x) == (base_target.dim,)
+
     if coupled:
         target = coupled_embed(base_target, m)
         base_proposal = _worker_proposal(kernel)
         worker_props = [SlotProposal(base_proposal, w) for w in range(m)]
         if init is None:
             init = tuple(default_init(base_target) for _ in range(m))
+        ok = isinstance(init, (tuple, list)) and len(init) == m and all(map(is_state, init))
     else:
         target = base_target
         worker_props = [_worker_proposal(kernel)] * m
         if init is None:
             init = default_init(base_target)
-
-    is_state = target.support.holds(init) if target.is_finite else len(init) == target.dim
-    if not is_state:
+        ok = is_state(init)
+    if not ok:
         raise ValidationError(f"params.init: {init!r} is not a state of the target")
     init_lp = target.log_unnorm(init)
     if init_lp == NEG_INF:
@@ -569,10 +567,11 @@ def run_pserver(
     rngs = worker_streams(seed, m, extra=1)
     # numpy's geometric draw cannot be rerun on raw words
     infra = rngs[m] if delay.kind == "fifo_random" else _PCG64Draws(rngs[m])
-    if target.is_finite:
-        states = np.empty(horizon, dtype=np.int64)
+    shape = (horizon, m) if coupled else (horizon,)
+    if base_target.is_finite:
+        states = np.empty(shape, dtype=np.int64)
     else:
-        states = np.empty((horizon, m, base_target.dim) if coupled else (horizon, target.dim))
+        states = np.empty((*shape, base_target.dim))
     out = (
         np.empty(horizon, dtype=np.int32),  # workers
         np.empty(horizon, dtype=np.int64),  # read versions
@@ -603,15 +602,7 @@ def run_pserver(
         "resends": counts["resends"],
         "pending_at_exit": counts["pending_at_exit"],
     }
-    return PServerRecord(*out, config, target)
-
-
-def replica_marginal_indices(record: PServerRecord, slot: int, base: TargetDensity) -> np.ndarray:
-    """Map a coupled finite run's states to one replica's label indices."""
-    if not record.target.is_finite:
-        raise UnsupportedTargetError("marginals by label need a finite target")
-    lookup = np.array(base.support.indices(lab[slot] for lab in record.target.support.labels), dtype=np.int64)
-    return lookup[record.states]
+    return PServerRecord(*out, config)
 
 
 def trace_jsonl_lines(record: PServerRecord):

@@ -272,6 +272,15 @@ def test_coupled_single_replica_runs(tmp_path):
     assert tv < 0.1
 
 
+def test_coupled_run_has_no_product_space_cap(tmp_path):
+    # 3**13 replica tuples: the run stores each slot's label index, never the product
+    doc = dataclasses.asdict(canned_config("coupled_replicas"))
+    doc.update(m=13, horizon=2000, out_dir=str(tmp_path / "out"))
+    assert _run_file(tmp_path, doc) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert len(summary["replica_marginal_tv"]) == 13
+
+
 def _finite_pserver_config(tmp_path, weights, params) -> dict:
     return {
         "name": "x", "mode": "pserver", "seed": 1, "m": 2, "horizon": 200,
@@ -608,8 +617,6 @@ class TestEveryFieldNamed:
             ("replay", {"experiment": "torn_state", "params": {"ops": 100}}, "experiment"),
             # sizes that would exhaust memory
             ("replay", {**_THEOREM4, "params": {"n_states_max": 10**6}}, "params.n_states_max"),
-            ("pserver", {"experiment": "coupled", "m": 13, "kernel": _MH_UNIFORM, "target": _THREE_STATE,
-                         "params": {}}, "m"),
             # fields that the run reads but never uses
             ("pserver", {"kernel": _MH_UNIFORM, "target": _THREE_STATE, "params": {"n_batches": 20}},
              "params.n_batches"),

@@ -10,6 +10,7 @@ from asyncmc.errors import (
     NumericError,
     ParameterError,
     UnsupportedTargetError,
+    ValidationError,
 )
 from asyncmc.kernels import (
     GaussianIndependenceProposal,
@@ -30,7 +31,6 @@ from asyncmc.pserver import (
     DelayModel,
     coupled_embed,
     messages_csv_lines,
-    replica_marginal_indices,
     run_pserver,
     server_receive,
     trace_jsonl_lines,
@@ -53,12 +53,12 @@ def zero_delay(cap=0):
 
 def make_message(target, proposal, x, y, params=None):
     params = params or {}
-    return 0, x, y, target.log_unnorm(y), proposal.logpdf(y, x, params), params
+    return 0, x, y, proposal.logpdf(y, x, params), params
 
 
 def receive(target, proposal, x_s, msg, u, naive=False):
     """``server_receive`` of ``msg`` at server state ``x_s``, reverse density from ``logpdf``."""
-    reverse = proposal.logpdf(x_s, msg[1], msg[5])
+    reverse = proposal.logpdf(x_s, msg[1], msg[4])
     return server_receive(x_s, target.log_unnorm(x_s), msg, reverse, u, naive, target)
 
 
@@ -101,7 +101,7 @@ class TestServerReceive:
     def test_nan_arithmetic_raises(self):
         target = three_state()
         prop = UniformIndependenceProposal(target.support)
-        msg = (0, 0, 1, float("nan"), prop.logpdf(1, 0, {}), {})
+        msg = (0, 0, 1, float("nan"), {})  # a NaN forward density
         with pytest.raises(NumericError):
             receive(target, prop, 0, msg, 0.5)
 
@@ -298,17 +298,27 @@ class TestCoupled:
     def test_embed_product_weights(self):
         t = three_state()
         coupled = coupled_embed(t, 2)
-        assert coupled.support.size == 9
+        assert coupled.support is None  # the product space is never enumerated
         assert math.exp(coupled.log_unnorm((1, 2))) == pytest.approx(2.0 * 3.0)
         assert coupled.dim == 2
 
-    def test_embed_refuses_a_product_space_over_the_cap(self, monkeypatch):
-        monkeypatch.setattr(pserver, "MAX_COUPLED_STATES", 2**6)
-        assert coupled_embed(finite_target([1.0] * 2), 6).support.size == 2**6
-        assert coupled_embed(finite_target([1.0] * 8), 2).support.size == 2**6
-        for n, m in ((2, 7), (9, 2), (3, 10**9)):  # the last without computing 3**(10**9)
-            with pytest.raises(ParameterError, match=f"^m: .* at m={m}$"):
-                coupled_embed(finite_target([1.0] * n), m)
+    def test_finite_states_hold_one_label_index_per_slot(self):
+        target = finite_target([1.0, 2.0, 3.0], ["a", "b", "c"])
+        spec = mh_uniform(target)
+        record = run_pserver(spec, m=3, horizon=500, delay=zero_delay(64), mode="mh_corrected",
+                             seed=4, coupled=True, init=("c", "a", "b"))
+        assert record.states.shape == (500, 3) and record.states.dtype == np.int64
+        # the first message updates its worker's slot alone
+        others = [slot for slot in range(3) if slot != record.workers[0]]
+        assert record.states[0, others].tolist() == [[2, 0, 1][slot] for slot in others]
+
+    def test_gaussian_init_slot_of_the_wrong_dimension_rejected(self):
+        target = gaussian_target([0.0, 0.0], ((1.0, 0.0), (0.0, 1.0)))
+        spec = KernelSpec("metropolis_hastings", target, GaussianIndependenceProposal((0.0, 0.0), 1.5))
+        # a slot of one coordinate, or a bare number, or one slot too few or too many
+        for init in (((0.0,), (0.0,)), (0.0, 0.0), ((0.0, 0.0),), ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))):
+            with pytest.raises(ValidationError, match="^params.init: "):
+                run_pserver(spec, 2, 10, zero_delay(), "mh_corrected", 1, coupled=True, init=init)
 
     def test_replica_marginals_near_target(self):
         spec = mh_uniform()
@@ -316,8 +326,7 @@ class TestCoupled:
         record = run_pserver(spec, m=2, horizon=150_000, delay=delay, mode="mh_corrected",
                              seed=6, coupled=True)
         pi = target_distribution(spec.target).probs.astype(float)
-        for slot in range(2):
-            idx = replica_marginal_indices(record, slot, spec.target)
+        for idx in record.states.T:
             late = idx[len(idx) // 5:]
             emp = np.bincount(late, minlength=3) / len(late)
             assert 0.5 * np.abs(emp - pi).sum() <= 0.02
@@ -327,8 +336,7 @@ class TestCoupled:
         delay = DelayModel("fifo_random", {"mean": 2.0}, staleness_cap=64)
         record = run_pserver(spec, m=2, horizon=150_000, delay=delay, mode="mh_corrected",
                              seed=9, coupled=True)
-        a = replica_marginal_indices(record, 0, spec.target)[30_000:]
-        b = replica_marginal_indices(record, 1, spec.target)[30_000:]
+        a, b = record.states[30_000:].T
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) <= 0.02
 

@@ -872,9 +872,9 @@ def reference_server_receive(st, msg, target, proposals, rng, *, mode="mh_correc
             f"message read version {msg.read_version} is ahead of the server ({st.version})"
         )
 
-    cand_value, cand_lp = _candidate(st.tagged.value, msg.x_star, msg.log_pi_x_star, msg.params, target.dim)
-    if cand_lp is None:
-        cand_lp = target.log_unnorm(cand_value)
+    cand_value = _candidate(st.tagged.value, msg.x_star, msg.params, target.dim)
+    # the worker's density of its own proposal, the server's of a merged candidate
+    cand_lp = msg.log_pi_x_star if cand_value is msg.x_star else target.log_unnorm(cand_value)
     log_f_reverse = family.logpdf(st.tagged.value, msg.x, msg.params)
     log_ratio = _log_accept_ratio(cand_lp + log_f_reverse, st.tagged.log_pi + msg.log_f_forward)
 
@@ -932,8 +932,8 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
     for w in range(m):
         push(0.0 if w in frozen else float(infra.uniform(0.0, delay.jitter + 1e-9)), "send", w)
 
-    is_finite = target.is_finite
-    index = {lab: i for i, lab in enumerate(target.support.labels)} if is_finite else None
+    is_finite = kernel.target.is_finite
+    index = {lab: i for i, lab in enumerate(kernel.target.support.labels)} if is_finite else None
     rows, log_ratios = [], []
     workers, reads, accepted = [], [], []
     while len(rows) < horizon:
@@ -958,7 +958,10 @@ def reference_run_pserver(kernel, m, horizon, delay, mode, seed, *, init=None,
         reads.append(msg.read_version)
         accepted.append(acc)
         log_ratios.append(log_ratio)
-        rows.append(index[st.tagged.value] if is_finite else st.tagged.value)
+        value = st.tagged.value
+        if is_finite:
+            value = [index[x] for x in value] if coupled else index[value]
+        rows.append(value)
         push(t + reference_period(delay, msg.worker) + float(infra.uniform(0.0, delay.jitter)),
              "send", msg.worker)
 
