@@ -32,6 +32,8 @@ from .errors import (
     ParameterError,
     UnsupportedTargetError,
     ValidationError,
+    _only,
+    _read,
 )
 
 EXIT_OK = 0
@@ -50,55 +52,6 @@ EXPERIMENTS = {
     "shmem_replay": ("run",),
     "pserver": ("run", "naive_divergence_control", "coupled"),
 }
-
-# the JSON types a config field may be asked for, by the Python type holding them
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a finite number"}
-
-
-def _is(value, kind) -> bool:
-    """Whether ``value`` has the JSON type ``kind``; a bool is never a number."""
-    if kind is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if kind is float:
-        return (_is(value, int) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, kind)
-
-
-def _read(doc: dict, path: str, kind, default=..., least=None, below=None):
-    """The config field at ``path`` (its last part names it in ``doc``), unchanged.
-
-    ``kind`` is a key of ``_KINDS``, ``object`` (any value) or ``(list, item_kind)``;
-    a number must also be ``>= least`` and ``< below`` if given.  An absent field,
-    or a null one whose default is None, gives the default; without a default
-    (``...``) the field is required.  Else a ValidationError names ``path``.
-    """
-    name = path.rpartition(".")[2]
-    if name not in doc:
-        if default is ...:
-            raise ValidationError(f"{path}: required field is missing")
-        return default
-    value = doc[name]
-    if value is None and default is None:
-        return None
-    kind, item = kind if isinstance(kind, tuple) else (kind, None)
-    ok = _is(value, kind) and (item is None or all(_is(v, item) for v in value))
-    if not (ok and (least is None or value >= least) and (below is None or value < below)):
-        what = _KINDS[kind] + (f" of {_KINDS[item].split(' ', 1)[1]}s" if item else "")
-        if below is not None:
-            what += f" in [{least}, {below})"
-        elif least is not None:
-            what += f" >= {least}"
-        raise ValidationError(f"{path}: must be {what}, got {value!r}")
-    return value
-
-
-def _only(doc: dict, path: str, keys) -> None:
-    """Raise a ValidationError naming the first key of the object ``doc`` at
-    ``path`` that is not one of ``keys``: a key that no builder reads."""
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValidationError(f"{path}.{unknown[0]}: unknown field, expected one of {sorted(keys)}")
-
 
 def _kind(doc: dict, path: str, keys_of: dict, default=...) -> str:
     """The ``type`` field of the object ``doc`` at ``path``, once no key of
@@ -234,14 +187,9 @@ def build_kernel(doc: dict, target: kernels.TargetDensity) -> kernels.KernelSpec
 
 
 def build_delay(doc: dict) -> pserver.DelayModel:
-    """The delay model of a config; ``DelayModel`` checks ``delay.params``."""
+    """The delay model of a config; ``DelayModel`` checks its fields."""
     _only(doc, "delay", ("kind", "params", "staleness_cap"))
-    # default delay law: geometric latency with mean 2 commits
-    return pserver.DelayModel(
-        _read(doc, "delay.kind", str, "fifo_random"),
-        _read(doc, "delay.params", dict, {}),
-        _read(doc, "delay.staleness_cap", int, 64),
-    )
+    return pserver.DelayModel(**doc)
 
 
 _MU0_KEYS = {"point_mass": ("label",), "uniform": (), "probs": ("probs",)}

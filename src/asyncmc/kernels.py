@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,7 +59,7 @@ def _finite_array(values, name: str) -> np.ndarray:
     """``values`` as a float array of finite numbers, else a ValidationError naming ``name``."""
     try:
         arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
         arr = None
     if arr is None or not np.isfinite(arr).all():
         raise ValidationError(f"{name}: must hold finite numbers, got {values!r}")
@@ -66,7 +67,7 @@ def _finite_array(values, name: str) -> np.ndarray:
 
 
 def _positive_scale(scale) -> float:
-    if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not 0 < scale < math.inf:
+    if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not 0 < scale <= sys.float_info.max:
         raise ValidationError(f"kernel.proposal.scale: must be a finite number > 0, got {scale!r}")
     return float(scale)
 

@@ -51,6 +51,8 @@ from .errors import (
     ParameterError,
     UnsupportedTargetError,
     ValidationError,
+    _only,
+    _read,
 )
 from .kernels import (
     GaussianIndependenceProposal,
@@ -61,6 +63,7 @@ from .kernels import (
     UniformIndependenceProposal,
     _DOUBLE_UNIT,
     _PCG64Draws,
+    _finite_array,
     default_init,
     worker_streams,
 )
@@ -87,58 +90,41 @@ _BLOCK = 1024
 MAX_RESENDS = 1000
 
 
-def _check_number(name: str, value, *, integer: bool = False) -> None:
-    if integer:
-        ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = ok and math.isfinite(value) and value >= 0
-    if not ok:
-        kind = "an integer >= 0" if integer else "a finite number >= 0"
-        raise ParameterError(f"{name}: must be {kind}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DelayModel:
     """Latency law, per-worker send cadence, and the staleness cap.
 
     ``params`` per kind: ``latency`` (fifo_fixed), ``mean`` (fifo_random,
-    geometric), ``span`` (reorder_random, uniform integer).  Optional keys
-    for any kind: ``periods`` (scalar or per-worker list of send cadences)
-    and ``jitter``.  No other key is allowed.  Every number must be finite
-    and non-negative, and ``span`` an integer.
+    geometric; the default kind), ``span`` (reorder_random, uniform
+    integer).  Optional keys for any kind: ``periods`` (scalar or per-worker
+    list of send cadences) and ``jitter``.  Every field passes the config
+    reader (``errors._read``): each number must be finite and >= 0, ``span``
+    an integer below 2**63, and any other key, or a null, is refused by path.
     """
 
-    kind: str
+    kind: str = "fifo_random"
     params: dict = field(default_factory=dict)
     staleness_cap: int = 64
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in DELAY_KINDS:
-            raise ParameterError(f"delay.kind: unknown delay kind {self.kind!r}")
-        _check_number("delay.staleness_cap", self.staleness_cap, integer=True)
-        params = self.params
-        if not isinstance(params, dict):
-            raise ParameterError(f"delay.params: must be an object, got {params!r}")
-        keys = (DELAY_KINDS[self.kind], "periods", "jitter")
-        unknown = sorted(set(params) - set(keys))
-        if unknown:
-            raise ParameterError(f"delay.params.{unknown[0]}: unknown field, expected one of {sorted(keys)}")
+        doc = vars(self)
+        kind = _read(doc, "delay.kind", str)
+        if kind not in DELAY_KINDS:
+            raise ValidationError(f"delay.kind: unknown delay kind {kind!r}")
+        _read(doc, "delay.staleness_cap", int, least=0)
+        params = _read(doc, "delay.params", dict)
+        _only(params, "delay.params", (DELAY_KINDS[kind], "periods", "jitter"))
+        # a default that is not None, so a null is refused rather than read as absent
         for key in ("latency", "mean", "jitter"):
-            if key in params:
-                _check_number(f"delay.params.{key}", params[key])
-        if "span" in params:
-            _check_number("delay.params.span", params["span"], integer=True)
-            if params["span"] > MAX_SPAN:
-                raise ParameterError(
-                    f"delay.params.span: must be at most 2**63 - 1, got {params['span']!r}"
-                )
-        periods = params.get("periods", 1.0)
-        if isinstance(periods, (list, tuple)):
-            for i, period in enumerate(periods):
-                _check_number(f"delay.params.periods[{i}]", period)
+            _read(params, f"delay.params.{key}", float, 0.0, least=0)
+        _read(params, "delay.params.span", int, 0, least=0, below=MAX_SPAN + 1)
+        periods = params.get("periods")
+        if isinstance(periods, (list, tuple)):  # each entry, named by its index
+            entries = {f"periods[{i}]": period for i, period in enumerate(periods)}
+            for name in entries:
+                _read(entries, f"delay.params.{name}", float, least=0)
         else:
-            _check_number("delay.params.periods", periods)
+            _read(params, "delay.params.periods", float, 0.0, least=0)
 
     def latency_sampler(self, rng: np.random.Generator):
         """A no-argument function drawing one message latency from ``rng``."""
@@ -543,7 +529,12 @@ def run_pserver(
     base_target = kernel.target
 
     def is_state(x) -> bool:
-        return base_target.support.holds(x) if base_target.is_finite else np.shape(x) == (base_target.dim,)
+        if base_target.is_finite:
+            return base_target.support.holds(x)
+        try:  # finite numbers, one per dimension
+            return _finite_array(x, "params.init").shape == (base_target.dim,)
+        except ValidationError:
+            return False
 
     if coupled:
         target = coupled_embed(base_target, m)

@@ -225,6 +225,19 @@ def _run_file(tmp_path, doc) -> int:
     return main(["run", str(path)])
 
 
+# a delay field, and its path, with "X" where a value is put
+_DELAY_FIELDS = [
+    ({"kind": "fifo_fixed", "params": {"jitter": "X"}}, "delay.params.jitter"),
+    ({"kind": "fifo_fixed", "params": {"latency": "X"}}, "delay.params.latency"),
+    ({"kind": "fifo_random", "params": {"mean": "X"}}, "delay.params.mean"),
+    ({"kind": "fifo_fixed", "params": {"periods": "X"}}, "delay.params.periods"),
+    ({"kind": "fifo_fixed", "params": {"periods": [1.0, 1.0, "X", 1.0]}}, "delay.params.periods[2]"),
+    ({"kind": "reorder_random", "params": {"span": "X"}}, "delay.params.span"),
+    ({"kind": "X"}, "delay.kind"),
+    ({"params": "X"}, "delay.params"),
+]
+
+
 class TestMalformedRunParameters:
     @pytest.mark.parametrize(
         "params,field",
@@ -245,6 +258,23 @@ class TestMalformedRunParameters:
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "delay,field,value",
+        [
+            *((delay, field, value) for delay, field in _DELAY_FIELDS for value in (10**400, None)),
+            ({"kind": "fifo_fixed", "staleness_cap": "X"}, "delay.staleness_cap", None),  # any size of cap is valid
+        ],
+        ids=lambda v: "1e400" if v == 10**400 else None,
+    )
+    def test_delay_field_past_float_range_or_null_exits_1(self, tmp_path, capsys, delay, field, value):
+        # a 400-digit integer in a delay number ended in an OverflowError traceback
+        doc = _small_pserver_config(tmp_path)
+        doc["delay"] = json.loads(json.dumps(delay).replace('"X"', json.dumps(value)))
+        assert _run_file(tmp_path, doc) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: {field}: " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("burn", [1.0, -0.1, 1.5, "half", True])
     @pytest.mark.parametrize("mode", ["pserver", "shmem_replay"])

@@ -2,9 +2,10 @@
 
 Each example takes a small working config of one mode and experiment and
 sets one of its fields, at any depth of nested objects, to a value of the
-wrong JSON type, ``null``, a boolean, NaN, a negative number or 0.  No
-value raises a size above the base config's, so no run starts more than two
-threads or runs long.  Run with the ``test`` extra installed
+wrong JSON type, ``null``, a boolean, NaN, a negative number or 0; each
+field whose base value is a JSON float is also set to an integer past float
+range.  No value raises a size above the base config's, so no run starts
+more than two threads or runs long.  Run with the ``test`` extra installed
 (``hypothesis``); the test is derandomized, so each run tries the same
 examples.
 """
@@ -124,27 +125,56 @@ def _run(doc: dict) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def _base(base: str) -> dict:
+    """A fresh copy of the named base config."""
+    return json.loads(json.dumps({"name": "fuzz", "seed": 1, **BASES[base]}))
+
+
 @pytest.mark.parametrize("base", sorted(BASES))
 def test_base_configs_run(base):
-    code, err = _run({"name": "fuzz", "seed": 1, **BASES[base]})
+    code, err = _run(_base(base))
     assert code == 0, err
+
+
+def _with(base: str, path: str, value) -> dict:
+    """The base config with the field at ``path`` set to ``value``."""
+    doc = _base(base)
+    *parents, name = path.split(".")
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    owner[name] = value
+    return doc
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
 @given(st.sampled_from(FIELDS), st.sampled_from(BAD_VALUES))
 def test_no_fuzzed_config_ends_in_a_traceback(field, value):
     base, path = field
-    doc = json.loads(json.dumps({"name": "fuzz", "seed": 1, **BASES[base]}))
-    *parents, name = path.split(".")
-    owner = doc
-    for key in parents:
-        owner = owner[key]
-    owner[name] = value
-    code, err = _run(doc)  # an exception escaping main fails the test with its traceback
+    code, err = _run(_with(base, path, value))  # an exception escaping main fails the test with its traceback
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     if code == 1:  # the field, or one inside it
         assert re.search(rf"{re.escape(path)}[:.\[]", err), err
+
+
+def _get(doc: dict, path: str):
+    for key in path.split("."):
+        doc = doc[key]
+    return doc
+
+
+# Every field whose base value is a JSON float.  Integer size fields stay
+# out: no run can hold a 400-digit horizon, instances or ops.
+FLOAT_FIELDS = [(base, path) for base, path in FIELDS if isinstance(_get(_base(base), path), float)]
+
+
+@pytest.mark.parametrize("base,path", FLOAT_FIELDS)
+def test_number_past_float_range_exits_1_naming_it(base, path):
+    code, err = _run(_with(base, path, 10**400))
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"usage error: {path}: " in err, err
 
 
 def _objects(doc: dict, prefix: str = ""):
@@ -171,7 +201,7 @@ MISSPELT = [
 
 @pytest.mark.parametrize("base,path,key,new", MISSPELT)
 def test_misspelt_nested_key_exits_1_naming_it(base, path, key, new):
-    doc = json.loads(json.dumps({"name": "fuzz", "seed": 1, **BASES[base]}))
+    doc = _base(base)
     owner = doc
     for part in path.split("."):
         owner = owner[part]
@@ -188,12 +218,6 @@ def test_misspelt_nested_key_exits_1_naming_it(base, path, key, new):
     ("coupled", "delay", {"params": {"latency": 3.0}}, "params.latency"),  # fifo_random
 ])
 def test_key_of_a_type_left_to_its_default_exits_1(base, path, obj, key):
-    doc = json.loads(json.dumps({"name": "fuzz", "seed": 1, **BASES[base]}))
-    *parents, name = path.split(".")
-    owner = doc
-    for part in parents:
-        owner = owner[part]
-    owner[name] = obj
-    code, err = _run(doc)
+    code, err = _run(_with(base, path, obj))
     assert code == 1
     assert f"usage error: {path}.{key}: unknown field" in err, err

@@ -55,6 +55,24 @@ class TestTargets:
         with pytest.raises(ValidationError):
             finite_target([0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: finite_target([10**400, 1.0]), "target.weights"),
+            (lambda: gaussian_target([10**400], ((1.0,),)), "target.mean"),
+            (lambda: gaussian_target([0.0], ((10**400,),)), "target.precision"),
+            (lambda: TableIndependenceProposal(three_state().support, [10**400, 1.0, 1.0]),
+             "kernel.proposal.weights"),
+            (lambda: GaussianIndependenceProposal([10**400], 1.0), "kernel.proposal.center"),
+            (lambda: GaussianRandomWalkProposal(10**400), "kernel.proposal.scale"),
+            (lambda: GaussianIndependenceProposal([0.0], 10**400), "kernel.proposal.scale"),
+        ],
+    )
+    def test_int_past_float_range_named(self, build, field):
+        # numpy's float conversion of a 400-digit int raised OverflowError
+        with pytest.raises(ValidationError, match=f"^{field}: "):
+            build()
+
     def test_gaussian_requires_spd_precision(self):
         with pytest.raises(ValidationError):
             GaussianTarget((0.0, 0.0), ((1.0, 2.0), (2.0, 1.0)))

@@ -216,7 +216,7 @@ class TestRunPServer:
     def test_mode_validation(self):
         with pytest.raises(ParameterError):
             run_pserver(mh_uniform(), 1, 10, zero_delay(), "bogus", 1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             DelayModel("warp", {}, 1)
 
     @pytest.mark.parametrize(
@@ -232,11 +232,31 @@ class TestRunPServer:
             ("reorder_random", {"span": 2**63}, "span"),
             ("fifo_fixed", {"periods": [1.0, -1.0]}, r"periods\[1\]"),
             ("fifo_fixed", {"mean": 2.0}, "mean"),  # the key of another kind's latency law
+            # a 400-digit integer overflowed math.isfinite
+            ("fifo_fixed", {"jitter": 10**400}, "jitter"),
+            ("fifo_fixed", {"latency": 10**400}, "latency"),
+            ("fifo_random", {"mean": 10**400}, "mean"),
+            ("fifo_fixed", {"periods": 10**400}, "periods"),
+            ("fifo_fixed", {"periods": [1.0, 10**400]}, r"periods\[1\]"),
+            ("fifo_fixed", {"periods": (1.0, 10**400)}, r"periods\[1\]"),
+            # a null is not an absent field
+            ("fifo_fixed", {"jitter": None}, "jitter"),
+            ("fifo_fixed", {"periods": [1.0, None]}, r"periods\[1\]"),
         ],
     )
     def test_delay_params_validated_at_construction(self, kind, params, field):
-        with pytest.raises(ParameterError, match=f"delay.params.{field}:"):
+        with pytest.raises(ValidationError, match=f"delay.params.{field}:"):
             DelayModel(kind, params)
+
+    @pytest.mark.parametrize("field,value", [("kind", None), ("params", None), ("staleness_cap", None),
+                                             ("staleness_cap", True), ("staleness_cap", -1)])
+    def test_delay_fields_checked_by_name(self, field, value):
+        with pytest.raises(ValidationError, match=f"delay.{field}:"):
+            DelayModel(**{field: value})
+
+    def test_delay_kind_defaults_to_geometric_latency(self):
+        delay = DelayModel(params={"mean": 3.0})
+        assert (delay.kind, delay.staleness_cap) == ("fifo_random", 64)
 
     def test_span_up_to_the_int64_limit_accepted(self):
         # numpy draws latencies in [0, span] as int64, so 2**63 - 1 is the largest span
@@ -319,6 +339,16 @@ class TestCoupled:
         for init in (((0.0,), (0.0,)), (0.0, 0.0), ((0.0, 0.0),), ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))):
             with pytest.raises(ValidationError, match="^params.init: "):
                 run_pserver(spec, 2, 10, zero_delay(), "mh_corrected", 1, coupled=True, init=init)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize("bad", [("a", "b"), (10**400, 0.0), (math.nan, 0.0), (0.0, math.inf)])
+    def test_gaussian_init_of_other_than_finite_numbers_rejected(self, bad, coupled):
+        # these raised TypeError, OverflowError and NumericError from the density
+        target = gaussian_target([0.0, 0.0], ((1.0, 0.0), (0.0, 1.0)))
+        spec = KernelSpec("metropolis_hastings", target, GaussianIndependenceProposal((0.0, 0.0), 1.5))
+        init = ((0.0, 0.0), bad) if coupled else bad
+        with pytest.raises(ValidationError, match="^params.init: "):
+            run_pserver(spec, 2, 10, zero_delay(), "mh_corrected", 1, coupled=coupled, init=init)
 
     def test_replica_marginals_near_target(self):
         spec = mh_uniform()

@@ -11,11 +11,18 @@ with the probability its ``logpdf`` gives and accepted with probability
 ``m`` workers with probability ``1/m``.  The server's stationary law is the
 window chain's, marginalized on ``x_t``.
 
+When messages come in rounds of ``m`` and each reads the state at its
+round's start (``m`` round-robin workers), message ``j`` of a round reads
+``j`` versions back.  There is one window matrix per lag on a window of
+``m`` states; the stationary law of their product over a round, pushed
+through each phase, gives the server's law averaged over the ``m`` phases.
+
 A proposal that ignores the read keeps that law at pi at every lag.  A stale
 ``gibbs_single_site`` proposal does not: its server chain is biased, the
 failure mode of asynchronous Gibbs sampling (Terenin, Simpson & Draper,
 *Asynchronous Gibbs Sampling*, AISTATS 2020).
 """
+import functools
 import itertools
 import math
 
@@ -56,17 +63,18 @@ def _sends(prop, x):
             yield y, {}, math.exp(prop.logpdf(y, x, {}))
 
 
-def server_law(target, states, props, k: int) -> np.ndarray:
-    """The stationary law of the server's state over ``states``, every message
-    reading ``k`` versions back from a worker drawn uniformly from ``props``."""
+def window_chain(target, states, props, size: int, lag: int):
+    """The windows ``(x_t, ..., x_{t-size+1})`` of positions in ``states``,
+    and the row-stochastic matrix of one message on them, the message
+    reading ``x_{t-lag}`` from a worker drawn uniformly from ``props``."""
     n = len(states)
     position = {s: i for i, s in enumerate(states)}
-    windows = list(itertools.product(range(n), repeat=k + 1))  # (x_t, ..., x_{t-k}) as positions
+    windows = list(itertools.product(range(n), repeat=size))
     code = {w: i for i, w in enumerate(windows)}
     log_unnorm = target.log_unnorm
     rows = np.zeros((len(windows), len(windows)))
     for i, window in enumerate(windows):
-        current, read = states[window[0]], states[window[-1]]
+        current, read = states[window[0]], states[window[lag]]
         stay = code[(window[0], *window[:-1])]
         for prop in props:
             for x_star, params, p in _sends(prop, read):
@@ -82,14 +90,45 @@ def server_law(target, states, props, k: int) -> np.ndarray:
                 rows[i, code[(position[cand], *window[:-1])]] += share * accept
                 rows[i, stay] += share * (1.0 - accept)
     assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
-    # pi P = pi with pi summing to 1; transient windows get mass 0
-    system = np.vstack([rows.T - np.eye(len(windows)), np.ones(len(windows))])
-    rhs = np.zeros(len(windows) + 1)
+    return windows, rows
+
+
+def _stationary(rows) -> np.ndarray:
+    """The law ``mu`` with ``mu rows = mu`` summing to 1; transient rows get mass 0."""
+    n = len(rows)
+    system = np.vstack([rows.T - np.eye(n), np.ones(n)])
+    rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
-    stationary = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    law = np.zeros(n)
-    np.add.at(law, [w[0] for w in windows], stationary)
-    return law
+    return np.linalg.lstsq(system, rhs, rcond=None)[0]
+
+
+def _current(windows, law, n: int) -> np.ndarray:
+    """The marginal on ``x_t`` of a law over windows."""
+    marginal = np.zeros(n)
+    np.add.at(marginal, [w[0] for w in windows], law)
+    return marginal
+
+
+def server_law(target, states, props, k: int) -> np.ndarray:
+    """The stationary law of the server's state over ``states``, every message
+    reading ``k`` versions back from a worker drawn uniformly from ``props``."""
+    windows, rows = window_chain(target, states, props, k + 1, k)
+    return _current(windows, _stationary(rows), len(states))
+
+
+def round_robin_law(target, states, props, m: int) -> np.ndarray:
+    """The server's state law over ``states`` averaged over the ``m`` phases
+    of a round, when messages come in rounds of ``m`` and each reads the
+    state at its round's start: message ``j`` of a round reads ``j``
+    versions back."""
+    chains = [window_chain(target, states, props, m, lag) for lag in range(m)]
+    windows, steps = chains[0][0], [rows for _, rows in chains]
+    phase = _stationary(functools.reduce(np.matmul, steps))  # at a round's start
+    marginals = []
+    for step in steps:
+        marginals.append(_current(windows, phase, len(states)))
+        phase = phase @ step
+    return np.mean(marginals, axis=0)
 
 
 def _pi(target, states) -> np.ndarray:
@@ -148,6 +187,31 @@ def test_stale_gibbs_is_biased(k, tv):
     target = _gibbs_two_sites()
     states = target.support.labels
     law = server_law(target, states, [GibbsSiteProposal(target)], k)
+    got = _tv(law, _pi(target, states))
+    assert got >= 1e-2
+    assert got == pytest.approx(tv, abs=5e-6)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", sorted(_INDEPENDENCE))
+def test_independence_proposal_keeps_pi_round_robin(name, m):
+    states = _BASE.support.labels
+    law = round_robin_law(_BASE, states, [_INDEPENDENCE[name]], m)
+    assert _tv(law, _pi(_BASE, states)) <= 1e-10
+
+
+def test_one_round_robin_worker_gibbs_keeps_pi():
+    target = _gibbs_two_sites()
+    states = target.support.labels
+    law = round_robin_law(target, states, [GibbsSiteProposal(target)], 1)
+    assert _tv(law, _pi(target, states)) <= 1e-10
+
+
+@pytest.mark.parametrize("m,tv", [(2, 1.416e-2), (3, 2.266e-2)])
+def test_round_robin_gibbs_is_biased(m, tv):
+    target = _gibbs_two_sites()
+    states = target.support.labels
+    law = round_robin_law(target, states, [GibbsSiteProposal(target)], m)
     got = _tv(law, _pi(target, states))
     assert got >= 1e-2
     assert got == pytest.approx(tv, abs=5e-6)
