@@ -45,13 +45,36 @@ EXIT_VIOLATION = 3
 # for more than 13.
 MAX_WORKERS = 256
 
-# the experiments of each mode; ``determinism_repro`` runs under any mode
+# The largest size a config may ask for in ``horizon``, ``params.instances``
+# or ``params.ops``: ten times the largest canned size.
+MAX_SIZE = 10**7
+
+# The experiments of each mode: the optional config objects each one reads,
+# out of ``target``, ``kernel``, ``delay`` and ``correction``, and the keys
+# its ``params`` may hold.  ``ExperimentConfig`` checks a config against its
+# entry before any builder runs.
+_CHAIN = ("target", "kernel")  # built by every experiment but determinism_repro
+_SERVER = ("burn_fraction", "init", "frozen_workers")
+_DETERMINISM = ((), ("configs",))  # runs the canned configs it names, under any mode
 EXPERIMENTS = {
-    "measure_sim": ("run", "theorem4_campaign", "contraction_campaign", "frozen_worker_counterexample"),
-    "shmem_real": ("run", "torn_state"),
-    "shmem_replay": ("run",),
-    "pserver": ("run", "naive_divergence_control", "coupled"),
+    "measure_sim": {
+        "run": (_CHAIN, ("mu0", "schedule", "threshold")),
+        "theorem4_campaign": (_CHAIN, ("instances", "n_states_max", "m_max", "b_max")),
+        "contraction_campaign": (_CHAIN, ("instances",)),
+        "frozen_worker_counterexample": (_CHAIN, ("mu0",)),
+        "determinism_repro": _DETERMINISM,
+    },
+    "shmem_real": {"run": (_CHAIN, ("burn_fraction", "watchdog_b")), "torn_state": (_CHAIN, ("ops",)),
+                   "determinism_repro": _DETERMINISM},
+    "shmem_replay": {"run": (_CHAIN, ("burn_fraction", "schedule")), "determinism_repro": _DETERMINISM},
+    "pserver": {
+        "run": ((*_CHAIN, "delay", "correction"), (*_SERVER, "n_batches")),
+        "naive_divergence_control": ((*_CHAIN, "delay"), _SERVER),  # runs both corrections
+        "coupled": ((*_CHAIN, "delay", "correction"), _SERVER),
+        "determinism_repro": _DETERMINISM,
+    },
 }
+
 
 def _kind(doc: dict, path: str, keys_of: dict, default=...) -> str:
     """The ``type`` field of the object ``doc`` at ``path``, once no key of
@@ -87,25 +110,27 @@ class ExperimentConfig:
         name = _read(doc, "name", str)
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ValidationError(f"name: must be a plain directory name, got {name!r}")
-        if _read(doc, "mode", str) not in EXPERIMENTS:
+        experiments = EXPERIMENTS.get(_read(doc, "mode", str))
+        if experiments is None:
             raise ValidationError(f"mode: unknown mode {self.mode!r}")
         _read(doc, "seed", int, least=0)
         experiment = _read(doc, "experiment", str, "run")
-        runs = experiment != "determinism_repro"
-        if runs and experiment not in EXPERIMENTS[self.mode]:
+        if experiment not in experiments:
             raise ValidationError(f"experiment: unknown {self.mode} experiment {experiment!r}")
+        objects, keys = experiments[experiment]
         _read(doc, "m", int, least=1, below=MAX_WORKERS + 1)
         _read(doc, "b", int)
-        _read(doc, "horizon", int, least=1)
-        _read(doc, "params", dict)
+        _read(doc, "horizon", int, least=1, below=MAX_SIZE + 1)
         _read(doc, "out_dir", str, None)
-        _read(doc, "correction", str, None)
-        for field_name in ("target", "kernel", "delay"):
-            needed = runs and (field_name != "delay" or self.mode == "pserver")
-            _read(doc, field_name, dict, ... if needed else None)
-        serves = self.mode == "pserver" and experiment in ("run", "coupled")
-        if serves and self.correction not in pserver.MODES:
-            raise ValidationError(f"correction: must be one of {pserver.MODES}")
+        for field_name in ("target", "kernel", "delay", "correction"):
+            if field_name not in objects and doc[field_name] is not None:
+                raise ValidationError(f"{field_name}: the {self.mode} {experiment} experiment reads "
+                                      f"no {field_name}; leave it out or null, got {doc[field_name]!r}")
+        for field_name in objects:
+            _read(doc, field_name, str if field_name == "correction" else dict)
+        if "correction" in objects and self.correction not in pserver.MODES:
+            raise ValidationError(f"correction: must be one of {pserver.MODES}, got {self.correction!r}")
+        _only(_read(doc, "params", dict), "params", keys)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -246,17 +271,7 @@ def _finite_late_tv(indices, target, burn_fraction) -> float:
     return float(0.5 * np.abs(emp - pi.probs).sum())
 
 
-# the keys of ``params`` that each measure_sim experiment reads
-_MEASURE_PARAMS = {
-    "run": ("mu0", "schedule", "threshold"),
-    "theorem4_campaign": ("instances", "n_states_max", "m_max", "b_max"),
-    "contraction_campaign": ("instances",),
-    "frozen_worker_counterexample": ("mu0",),
-}
-
-
 def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
-    _only(cfg.params, "params", _MEASURE_PARAMS[cfg.experiment])
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
     matrix = kernels.render_matrix(kernel)
@@ -264,7 +279,7 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
 
     if cfg.experiment == "theorem4_campaign":
         report = measure_sim.run_theorem4_campaign(
-            _read(params, "params.instances", int, 1000),
+            _read(params, "params.instances", int, 1000, least=1, below=MAX_SIZE + 1),
             cfg.seed,
             length=cfg.horizon,
             n_states_max=_read(params, "params.n_states_max", int, 6, least=2, below=kernels.RENDER_CAP + 1),
@@ -276,7 +291,7 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
 
     if cfg.experiment == "contraction_campaign":
         report = measures.run_contraction_campaign(
-            _read(params, "params.instances", int, 1000, least=1), cfg.seed
+            _read(params, "params.instances", int, 1000, least=1, below=MAX_SIZE + 1), cfg.seed
         )
         summary = {"experiment": cfg.experiment, **dataclasses.asdict(report)}
         return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
@@ -326,16 +341,11 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
 
 
 def _run_shmem(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
-    if cfg.experiment == "torn_state":
-        keys = ("ops",)
-    else:
-        keys = ("burn_fraction", "watchdog_b" if cfg.mode == "shmem_real" else "schedule")
-    _only(cfg.params, "params", keys)
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
 
     if cfg.experiment == "torn_state":
-        ops = _read(cfg.params, "params.ops", int, 10**6, least=1)
+        ops = _read(cfg.params, "params.ops", int, 10**6, least=1, below=MAX_SIZE + 1)
         result = shmem.torn_state_stress(cfg.m, ops, cfg.seed)
         summary = {"experiment": cfg.experiment, **result}
         return (EXIT_OK if result["failures"] == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
@@ -372,7 +382,6 @@ def _gaussian_summary(record: pserver.PServerRecord, target, burn_fraction, n_ba
 
 
 def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
-    _only(cfg.params, "params", ("burn_fraction", "init", "frozen_workers", "n_batches"))
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
     delay = build_delay(cfg.delay)
@@ -390,7 +399,7 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
     sort = {"naive_divergence_control": "continuous", "coupled": "finite"}.get(cfg.experiment, target.sort)
     if target.sort != sort:
         raise ValidationError(f"target.type: the {cfg.experiment} experiment needs a {sort} target")
-    if "n_batches" in params and (target.is_finite or cfg.experiment != "run"):
+    if "n_batches" in params and target.is_finite:
         raise ValidationError("params.n_batches: only a run on a Gaussian target reports batch means")
 
     if cfg.experiment == "naive_divergence_control":
@@ -449,19 +458,9 @@ def _run_pserver(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
 
 
 def _run_determinism(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
-    _only(cfg.params, "params", ("configs",))
     names = _read(cfg.params, "params.configs", (list, str))
     if not names or not set(names) <= set(CATALOG):
         raise ValidationError(f"params.configs: must name canned configs, got {names!r}")
-    # each canned config brings its own; ``m``, ``b`` and ``horizon`` have
-    # defaults, so a value given there cannot be told from an absent one
-    for field_name in ("target", "kernel", "delay", "correction"):
-        value = getattr(cfg, field_name)
-        if value is not None:
-            raise ValidationError(
-                f"{field_name}: a determinism_repro config runs the canned configs it names "
-                f"and reads no {field_name}, got {value!r}"
-            )
     mismatches = []
     for name in names:
         sub = canned_config(name)

@@ -12,12 +12,8 @@ a fixed order:
 * ``gibbs_single_site`` kernel step: one integer draw for the site, then the
   site draw.
 
-The stream is a ``numpy.random.Generator``, or a :class:`_PCG64Draws` over
-one, which gives the same values in the same order from raw PCG64 outputs
-fetched 64 at a time.  Steps call only ``random()``, ``integers(low, high)``
-and, on Gaussian targets, ``standard_normal()``; the helper has no normal
-draw, so ``shmem.replay`` uses it for finite targets only, and
-``shmem.run_async`` always steps on the ``Generator``.
+The stream is a ``numpy.random.Generator``.  Steps call only ``random()``,
+``integers(low, high)`` and, on Gaussian targets, ``standard_normal()``.
 
 A uniform independence proposal never looks at the state, so the draws of
 its Metropolis-Hastings steps can be made ahead: :func:`index_draws`

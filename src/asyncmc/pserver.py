@@ -23,7 +23,10 @@ How a proposal lands depends on its scope:
   (``SERVER_PROPOSALS``), and rejects a random walk;
 * site proposals (Gibbs conditionals) and slot proposals (coupled replicas)
   apply their one updated component to the server's current state, which is
-  the componentwise reading of the coupled-operator picture.
+  the componentwise reading of the coupled-operator picture.  A coupled
+  ``gibbs_single_site`` message would draw one site of one slot, so the
+  rest of that slot would come from the stale read; :func:`run_pserver`
+  refuses it unless the base target has one site, the whole slot.
 
 Either way the server evaluates the density of the candidate itself: a
 message carries the worker's read, its proposal and the forward proposal
@@ -537,6 +540,10 @@ def run_pserver(
             return False
 
     if coupled:
+        if kernel.kind == "gibbs_single_site" and base_target.dim > 1:
+            raise UnsupportedTargetError(
+                f"kernel.kind: a coupled gibbs_single_site run needs a one-site target, not {base_target.dim} sites"
+            )
         target = coupled_embed(base_target, m)
         base_proposal = _worker_proposal(kernel)
         worker_props = [SlotProposal(base_proposal, w) for w in range(m)]

@@ -27,7 +27,6 @@ from .errors import LivenessError, ScheduleError
 from .kernels import (
     NEG_INF,
     KernelSpec,
-    _PCG64Draws,
     default_init,
     index_draws,
     kernel_step,
@@ -207,11 +206,10 @@ def replay(kernel: KernelSpec, schedule: Schedule, seed: int) -> RunRecord:
     (proposal index, accept uniform) pairs come from
     :func:`kernels.index_draws`, drawn in bulk, and each step compares
     per-state log densities in ``mh_step``'s operand order; the labels are
-    looked up once at the end.  Every other kernel on a finite target calls
-    ``kernel_step`` on :class:`kernels._PCG64Draws`, and a Gaussian kernel on
-    the ``Generator``.  Either way each value and each state equals the
-    ``Generator`` path's.  This only makes replay cheaper: a replay runs one
-    thread and says nothing about concurrency.
+    looked up once at the end, and each value and each state equals
+    ``kernel_step``'s.  Every other kernel calls ``kernel_step`` on the
+    ``Generator``.  This only makes replay cheaper: a replay runs one thread
+    and says nothing about concurrency.
     """
     violation = validate(schedule)
     if violation is not None:
@@ -223,8 +221,6 @@ def replay(kernel: KernelSpec, schedule: Schedule, seed: int) -> RunRecord:
     if steps_on_indices(kernel) and target.log_unnorm(init) != NEG_INF:
         versions = _replay_indices(kernel, events, rngs)
     else:
-        if target.is_finite:
-            rngs = [_PCG64Draws(rng) for rng in rngs]
         # version v lives at index v; the initial state, version -1, at the end
         versions = [None] * len(events) + [init]
         for seq, worker, read_from, _ in events:

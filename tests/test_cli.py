@@ -253,11 +253,14 @@ class TestMalformedRunParameters:
         ],
     )
     def test_bad_delay_params_exit_1(self, tmp_path, capsys, params, field):
+        # each field under the delay kind that reads it, so its value is what is refused
+        kinds = {"delay.params.mean": "fifo_random", "delay.params.latency": "fifo_fixed"}
+        kind = kinds.get(field, "reorder_random")
         doc = _small_pserver_config(tmp_path)
-        doc["delay"] = {**doc["delay"], "params": {**doc["delay"]["params"], **params}}
+        doc["delay"] = {"kind": kind, "params": params}
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert field in err and "Traceback" not in err
+        assert f"usage error: {field}: " in err and "unknown field" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "delay,field,value",
@@ -522,8 +525,11 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("experiment", ["run", "naive_divergence_control"])
     def test_frozen_worker_out_of_range_exit_1(self, tmp_path, capsys, frozen, experiment):
         # only the field under test: naive_divergence_control refuses the base's n_batches
+        # and correction, since it runs both corrections
         doc = _small_pserver_config(tmp_path)
         doc.update(m=2, experiment=experiment, params={"frozen_workers": frozen})
+        if experiment == "naive_divergence_control":
+            doc["correction"] = None
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "params.frozen_workers: worker ids must lie in [0, 2)" in err and "Traceback" not in err
@@ -555,7 +561,8 @@ class TestConfigBoundary:
         assert not (tmp_path / "out").exists()
 
     def test_coupled_needs_a_finite_target_exit_1(self, tmp_path, capsys):
-        doc = {**_small_pserver_config(tmp_path), "experiment": "coupled", "horizon": 50}
+        # without the base's n_batches, which a coupled run never reads
+        doc = {**_small_pserver_config(tmp_path), "experiment": "coupled", "horizon": 50, "params": {}}
         assert _run_file(tmp_path, doc) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "target.type:" in err and "Traceback" not in err
@@ -616,7 +623,8 @@ class TestEveryFieldNamed:
             ("pserver", {"delay": {"kind": "nope"}}, "delay.kind"),
             ("replay", {"kernel": {"kind": ["x"]}}, "kernel.kind"),
             ("replay", {**_MEASURE, "params": {"mu0": {"label": 99}}}, "params.mu0.label"),
-            ("replay", {"experiment": "determinism_repro", "params": {"configs": "ab"}}, "params.configs"),
+            ("replay", {"experiment": "determinism_repro", "target": None, "kernel": None,
+                        "params": {"configs": "ab"}}, "params.configs"),
             # a determinism_repro config runs canned configs and reads none of these
             ("replay", {"experiment": "determinism_repro", "params": {"configs": ["theorem4_smoke"]}},
              "target"),
@@ -630,7 +638,7 @@ class TestEveryFieldNamed:
             ("replay", {"out_dir": 5}, "out_dir"),
             ("replay", {**_MEASURE, "experiment": "frozen_worker_counterexample", "horizon": 5}, "horizon"),
             ("pserver", {"experiment": "naive_divergence_control", "target": {"type": "finite", "weights": [1, 2]},
-                         "kernel": {"kind": "gibbs_single_site"}}, "target.type"),
+                         "kernel": {"kind": "gibbs_single_site"}, "correction": None, "params": {}}, "target.type"),
             ("pserver", {"experiment": "coupled", "correction": None, "kernel": _MH_UNIFORM,
                          "target": {"type": "finite", "weights": [1, 2]}}, "correction"),
             # a kernel with no unique stationary law
@@ -651,9 +659,21 @@ class TestEveryFieldNamed:
             ("pserver", {"kernel": _MH_UNIFORM, "target": _THREE_STATE, "params": {"n_batches": 20}},
              "params.n_batches"),
             ("pserver", {"experiment": "naive_divergence_control", "kernel": {"kind": "gibbs_single_site"},
-                         "params": {"n_batches": 20}}, "params.n_batches"),
+                         "correction": None, "params": {"n_batches": 20}}, "params.n_batches"),
             ("replay", {**_THEOREM4, "params": {"mu0": {"type": "uniform"}}}, "params.mu0"),
             ("replay", {**_CONTRACTION, "params": {"mu0": {"type": "uniform"}}}, "params.mu0"),
+            # objects that the experiment never reads
+            ("replay", {"delay": {"kind": "fifo_fixed"}, "correction": "naive_accept"}, "delay"),
+            ("replay", {"correction": "naive_accept"}, "correction"),
+            ("replay", {**_MEASURE, "delay": {"kind": "fifo_fixed"}}, "delay"),
+            ("pserver", {"experiment": "naive_divergence_control", "kernel": {"kind": "gibbs_single_site"},
+                         "params": {}}, "correction"),
+            # sizes that no run can hold
+            ("replay", {"horizon": 10**400}, "horizon"),
+            ("pserver", {"horizon": 10**400}, "horizon"),
+            ("replay", {**_THEOREM4, "params": {"instances": 10**400}}, "params.instances"),
+            ("replay", {**_CONTRACTION, "params": {"instances": 10**400}}, "params.instances"),
+            ("replay", {**_TORN, "params": {"ops": 10**400}}, "params.ops"),
         ],
     )
     def test_bad_field_exit_1(self, tmp_path, capsys, base, overrides, field):

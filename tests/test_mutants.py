@@ -2,7 +2,9 @@
 
 A mutant is one ``monkeypatch`` of a ``src`` function, bound where its
 caller looks it up: ``cli`` and ``pserver`` bind the config reader's
-``_read`` and ``_only`` by name, and ``_read`` finds ``_is`` in ``errors``.
+``_read`` and ``_only`` by name, and ``_read`` finds ``_is`` in ``errors``;
+or of one entry of ``cli.EXPERIMENTS``, the table of what each experiment
+reads.
 Each case runs the input of its check through that check's own code
 (``cli.main`` or ``DelayModel``), asserts the check's expected outcome on
 the real code, and asserts that the outcome fails under the mutant.
@@ -26,14 +28,19 @@ _SERVER = {
     "delay": {"kind": "fifo_fixed", "params": {"latency": 1.0}},
     "params": {"burn_fraction": 0.2},
 }
+_REPLAY = {
+    "name": "mutant", "mode": "shmem_replay", "seed": 1, "m": 2, "b": 4, "horizon": 50,
+    "target": _SERVER["target"], "kernel": _SERVER["kernel"],
+}
 
 
-def _exits_1_naming(field: str, **overrides) -> bool:
-    """Whether ``asyncmc run`` of the server config with ``overrides`` exits 1
-    naming ``field``, with no exception escaping ``main``."""
+def _exits_1_naming(field: str, base: dict = _SERVER, **overrides) -> bool:
+    """Whether ``asyncmc run`` of the ``base`` config (the server one by
+    default) with ``overrides`` exits 1 naming ``field``, with no exception
+    escaping ``main``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps({**_SERVER, **overrides}))
+        path.write_text(json.dumps({**base, **overrides}))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
@@ -60,6 +67,10 @@ def _read_ignoring_least(doc, path, kind, default=..., least=None, below=None):
     return _read(doc, path, kind, default, None, below)
 
 
+def _read_ignoring_below(doc, path, kind, default=..., least=None, below=None):
+    return _read(doc, path, kind, default, least, None)
+
+
 def _only_letting_all_through(doc, path, keys) -> None:
     return None
 
@@ -70,13 +81,23 @@ def _delay_number_with_none_default(doc, path, kind, default=..., least=None, be
     return _read(doc, path, kind, default, least, below)
 
 
-# name: (owner, attribute, mutant, check)
+_REPLAY_OBJECTS, _REPLAY_KEYS = cli.EXPERIMENTS["shmem_replay"]["run"]
+
+# name: (owner, attribute, mutant, check); an owner that is a dict has the
+# mutant set as its item
 CASES = {
     "_is takes a bool as a number": (
         errors, "_is", _bool_is_a_number, lambda: _exits_1_naming("seed", seed=True),
     ),
     "cli._read ignores least": (
         cli, "_read", _read_ignoring_least, lambda: _exits_1_naming("seed", seed=-1),
+    ),
+    "cli._read ignores below": (
+        cli, "_read", _read_ignoring_below, lambda: _exits_1_naming("horizon", horizon=10**400),
+    ),
+    "the table lets delay into a shmem_replay run": (
+        cli.EXPERIMENTS["shmem_replay"], "run", ((*_REPLAY_OBJECTS, "delay"), _REPLAY_KEYS),
+        lambda: _exits_1_naming("delay", _REPLAY, delay={"kind": "fifo_fixed"}),
     ),
     "pserver._read ignores least": (
         pserver, "_read", _read_ignoring_least, lambda: _delay_refuses("delay.staleness_cap", staleness_cap=-1),
@@ -96,5 +117,8 @@ CASES = {
 def test_mutant_caught(monkeypatch, name):
     owner, attribute, mutant, check = CASES[name]
     assert check(), "the check fails on the real code"
-    monkeypatch.setattr(owner, attribute, mutant)
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, attribute, mutant)
+    else:
+        monkeypatch.setattr(owner, attribute, mutant)
     assert not check(), f"the mutant {name!r} survives its check"

@@ -315,6 +315,18 @@ class TestCoupled:
         assert record.states.shape == (2000, 1, 2)
         assert 0.3 < record.accept_rate < 0.9
 
+    def test_gibbs_needs_a_one_site_base_target(self):
+        # a slot message draws one site, so the slot's other sites would revert to the stale read
+        delay = DelayModel("fifo_fixed", {"latency": 0.0, "jitter": 0.5}, staleness_cap=10**9)
+        target = gaussian_target([0.0, 0.0], GaussianTarget.bivariate_correlated(0.9).precision)
+        with pytest.raises(UnsupportedTargetError, match="^kernel.kind: .* one-site target, not 2 sites$"):
+            run_pserver(KernelSpec("gibbs_single_site", target), 2, 100, delay, "mh_corrected", 1,
+                        init=((3.0, -3.0), (3.0, -3.0)), frozen_workers=(0,), coupled=True)
+        for one_site in (three_state(), gaussian_target([0.0], ((1.0,),))):
+            record = run_pserver(KernelSpec("gibbs_single_site", one_site), 2, 100, delay, "mh_corrected", 1,
+                                 coupled=True)
+            assert len(record.states) == 100 and record.accept_rate > 0
+
     def test_embed_product_weights(self):
         t = three_state()
         coupled = coupled_embed(t, 2)

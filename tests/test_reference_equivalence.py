@@ -1360,8 +1360,7 @@ class TestReplayPath:
         "kernel_name", sorted(n for n, k in replay_kernels().items() if k.target.is_finite)
     )
     def test_long_finite_replay_matches_reference(self, kernel_name):
-        # one worker reads thousands of raw outputs: every fetch size up to
-        # the cap, then several full refills
+        # one worker steps 5000 times: many bulk chunks on the index path
         kernel = replay_kernels()[kernel_name]
         schedule = synchronous_schedule(1, 5000)
         record = replay(kernel, schedule, 7)
