@@ -24,17 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, kernels, measure_sim, measures, pserver, schedules, shmem
-from .errors import (
-    AsyncMCError,
-    DimensionError,
-    LivenessError,
-    NonErgodicKernelError,
-    ParameterError,
-    UnsupportedTargetError,
-    ValidationError,
-    _only,
-    _read,
-)
+from .errors import AsyncMCError, LivenessError, NonErgodicKernelError, UnsupportedTargetError, ValidationError
+from .errors import _only, _read
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,26 +36,26 @@ EXIT_VIOLATION = 3
 # for more than 13.
 MAX_WORKERS = 256
 
-# The largest size a config may ask for in ``horizon``, ``params.instances``
-# or ``params.ops``: ten times the largest canned size.
+# The largest size a config may ask for in ``b``, ``horizon``,
+# ``params.instances`` or ``params.ops``: ten times the largest canned size.
 MAX_SIZE = 10**7
 
 # The experiments of each mode: the optional config objects each one reads,
 # out of ``target``, ``kernel``, ``delay`` and ``correction``, and the keys
 # its ``params`` may hold.  ``ExperimentConfig`` checks a config against its
 # entry before any builder runs.
-_CHAIN = ("target", "kernel")  # built by every experiment but determinism_repro
+_CHAIN = ("target", "kernel")  # the configured chain
 _SERVER = ("burn_fraction", "init", "frozen_workers")
 _DETERMINISM = ((), ("configs",))  # runs the canned configs it names, under any mode
 EXPERIMENTS = {
     "measure_sim": {
         "run": (_CHAIN, ("mu0", "schedule", "threshold")),
         "theorem4_campaign": (_CHAIN, ("instances", "n_states_max", "m_max", "b_max")),
-        "contraction_campaign": (_CHAIN, ("instances",)),
+        "contraction_campaign": ((), ("instances",)),
         "frozen_worker_counterexample": (_CHAIN, ("mu0",)),
         "determinism_repro": _DETERMINISM,
     },
-    "shmem_real": {"run": (_CHAIN, ("burn_fraction", "watchdog_b")), "torn_state": (_CHAIN, ("ops",)),
+    "shmem_real": {"run": (_CHAIN, ("burn_fraction", "watchdog_b")), "torn_state": ((), ("ops",)),
                    "determinism_repro": _DETERMINISM},
     "shmem_replay": {"run": (_CHAIN, ("burn_fraction", "schedule")), "determinism_repro": _DETERMINISM},
     "pserver": {
@@ -119,7 +110,7 @@ class ExperimentConfig:
             raise ValidationError(f"experiment: unknown {self.mode} experiment {experiment!r}")
         objects, keys = experiments[experiment]
         _read(doc, "m", int, least=1, below=MAX_WORKERS + 1)
-        _read(doc, "b", int)
+        _read(doc, "b", int, least=1, below=MAX_SIZE + 1)
         _read(doc, "horizon", int, least=1, below=MAX_SIZE + 1)
         _read(doc, "out_dir", str, None)
         for field_name in ("target", "kernel", "delay", "correction"):
@@ -233,7 +224,7 @@ def build_mu0(doc: dict, space: measures.StateSpace) -> measures.FiniteDistribut
         probs = _read(doc, "params.mu0.probs", (list, float))
         try:
             return measures.FiniteDistribution(space, np.asarray(probs, dtype=float))
-        except (DimensionError, ValidationError) as exc:
+        except ValidationError as exc:
             raise ValidationError(f"params.mu0.probs: {exc}") from exc
     raise ValidationError(f"params.mu0.type: unknown initial distribution {kind!r}")
 
@@ -272,11 +263,17 @@ def _finite_late_tv(indices, target, burn_fraction) -> float:
 
 
 def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
+    params = cfg.params
+    if cfg.experiment == "contraction_campaign":
+        report = measures.run_contraction_campaign(
+            _read(params, "params.instances", int, 1000, least=1, below=MAX_SIZE + 1), cfg.seed
+        )
+        summary = {"experiment": cfg.experiment, **dataclasses.asdict(report)}
+        return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
+
     target = build_target(cfg.target)
     kernel = build_kernel(cfg.kernel, target)
     matrix = kernels.render_matrix(kernel)
-    params = cfg.params
-
     if cfg.experiment == "theorem4_campaign":
         report = measure_sim.run_theorem4_campaign(
             _read(params, "params.instances", int, 1000, least=1, below=MAX_SIZE + 1),
@@ -285,13 +282,6 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
             n_states_max=_read(params, "params.n_states_max", int, 6, least=2, below=kernels.RENDER_CAP + 1),
             m_max=_read(params, "params.m_max", int, 5),
             b_max=_read(params, "params.b_max", int, 10),
-        )
-        summary = {"experiment": cfg.experiment, **dataclasses.asdict(report)}
-        return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
-
-    if cfg.experiment == "contraction_campaign":
-        report = measures.run_contraction_campaign(
-            _read(params, "params.instances", int, 1000, least=1, below=MAX_SIZE + 1), cfg.seed
         )
         summary = {"experiment": cfg.experiment, **dataclasses.asdict(report)}
         return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
@@ -341,15 +331,14 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
 
 
 def _run_shmem(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
-    target = build_target(cfg.target)
-    kernel = build_kernel(cfg.kernel, target)
-
     if cfg.experiment == "torn_state":
         ops = _read(cfg.params, "params.ops", int, 10**6, least=1, below=MAX_SIZE + 1)
         result = shmem.torn_state_stress(cfg.m, ops, cfg.seed)
         summary = {"experiment": cfg.experiment, **result}
         return (EXIT_OK if result["failures"] == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
 
+    target = build_target(cfg.target)
+    kernel = build_kernel(cfg.kernel, target)
     burn = _read(cfg.params, "params.burn_fraction", float, 0.5, least=0, below=1)
     if cfg.mode == "shmem_real":
         watchdog_b = _read(cfg.params, "params.watchdog_b", int, 50 * cfg.m * 10, least=1)
@@ -569,8 +558,7 @@ CATALOG: dict[str, dict] = {
         "demo": False,
         "config": {
             "name": "contraction_campaign", "mode": "measure_sim", "seed": 20240602,
-            "experiment": "contraction_campaign", "target": _THREE_STATE, "kernel": _MH_UNIFORM,
-            "horizon": 1, "params": {"instances": 1000},
+            "experiment": "contraction_campaign", "params": {"instances": 1000},
         },
     },
     "frozen_worker_counterexample": {
@@ -666,8 +654,7 @@ CATALOG: dict[str, dict] = {
         "demo": False,
         "config": {
             "name": "torn_state_stress", "mode": "shmem_real", "seed": 5,
-            "experiment": "torn_state", "target": _THREE_STATE, "kernel": _MH_UNIFORM,
-            "m": 4, "horizon": 1, "params": {"ops": 1_000_000},
+            "experiment": "torn_state", "m": 4, "params": {"ops": 1_000_000},
         },
     },
 }
@@ -675,7 +662,7 @@ CATALOG: dict[str, dict] = {
 
 def canned_config(name: str) -> ExperimentConfig:
     if name not in CATALOG:
-        raise ParameterError(f"no canned config named {name!r}")
+        raise ValidationError(f"no canned config named {name!r}")
     return ExperimentConfig.from_dict(CATALOG[name]["config"])
 
 
@@ -756,7 +743,7 @@ def main(argv=None) -> int:
     except LivenessError as exc:
         print(f"liveness error: {exc}", file=sys.stderr)
         return EXIT_LIVENESS
-    except (ValidationError, ParameterError, UnsupportedTargetError) as exc:
+    except ValidationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AsyncMCError as exc:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ValidationError
 
 MIN_BATCHES = 20
 
@@ -38,7 +38,7 @@ class MomentReport:
 
 def discard_burn_in(samples: np.ndarray, fraction: float = 0.2) -> np.ndarray:
     if not 0.0 <= fraction < 1.0:
-        raise ParameterError("burn-in fraction must lie in [0, 1)")
+        raise ValidationError("burn-in fraction must lie in [0, 1)")
     return samples[int(len(samples) * fraction):]
 
 
@@ -54,9 +54,9 @@ def moments(samples: np.ndarray, n_batches: int = 50) -> MomentReport:
         samples = samples[:, None]
     n, d = samples.shape
     if n_batches < MIN_BATCHES:
-        raise ParameterError(f"params.n_batches: need at least {MIN_BATCHES} batches, got {n_batches}")
+        raise ValidationError(f"params.n_batches: need at least {MIN_BATCHES} batches, got {n_batches}")
     if n < 10 * n_batches:
-        raise ParameterError(
+        raise ValidationError(
             f"params.n_batches: {n_batches} batches need at least {10 * n_batches} samples, got {n}"
         )
 

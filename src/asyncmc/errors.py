@@ -2,6 +2,11 @@
 config fields (``_read``, ``_only``): a value is taken as it is, or a
 ValidationError names its field.  It lives in this leaf module so that both
 ``cli`` and ``pserver.DelayModel`` read through it (``cli`` imports ``pserver``).
+
+Each exit code of ``asyncmc`` has one class: refused input is a
+ValidationError or one of its subclasses (exit 1), a stalled worker or
+message stream a LivenessError (exit 2), and every other AsyncMCError a
+violated guarantee (exit 3).
 """
 import sys
 
@@ -10,12 +15,12 @@ class AsyncMCError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(AsyncMCError):
-    """Operands live on different state spaces or have mismatched shapes."""
-
-
 class ValidationError(AsyncMCError):
-    """A value violates its type invariants (construction or deserialization)."""
+    """Refused input: a value, parameter or config field that is malformed or infeasible."""
+
+
+class DimensionError(ValidationError):
+    """Operands live on different state spaces or have mismatched shapes."""
 
 
 class NonErgodicKernelError(AsyncMCError):
@@ -26,15 +31,11 @@ class StationarityError(AsyncMCError):
     """Supplied distribution is not stationary for the kernel."""
 
 
-class ParameterError(AsyncMCError):
-    """Infeasible or malformed parameters."""
-
-
 class ScheduleError(AsyncMCError):
-    """A schedule failed validation where a valid one is required."""
+    """An invalid schedule handed to ``replay`` or ``propagate``."""
 
 
-class UnsupportedTargetError(AsyncMCError):
+class UnsupportedTargetError(ValidationError):
     """Operation needs a conditional or support the target does not provide."""
 
 

@@ -39,12 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ParameterError,
-    ProposalInconsistencyError,
-    UnsupportedTargetError,
-    ValidationError,
-)
+from .errors import ProposalInconsistencyError, UnsupportedTargetError, ValidationError
 from .measures import FiniteDistribution, StateSpace, StochasticMatrix
 
 NEG_INF = float("-inf")
@@ -381,7 +376,7 @@ def _with_site(target: TargetDensity, x, site: int, value):
 def gibbs_site_draw(target: TargetDensity, x, site: int, rng: np.random.Generator):
     """Draw coordinate ``site`` from its full conditional, others unchanged."""
     if site < 0 or site >= target.dim:
-        raise ParameterError(f"site {site} out of range for dim {target.dim}")
+        raise ValidationError(f"site {site} out of range for dim {target.dim}")
     if target.gaussian is not None:
         mean, var = target.gaussian.conditional(site, x)
         value = mean + math.sqrt(var) * rng.standard_normal()
@@ -516,7 +511,7 @@ def render_matrix(spec: KernelSpec) -> StochasticMatrix:
     space = target.support
     n = space.size
     if n > RENDER_CAP:
-        raise ParameterError(f"target.weights: state space size {n} exceeds render cap {RENDER_CAP}")
+        raise ValidationError(f"target.weights: state space size {n} exceeds render cap {RENDER_CAP}")
 
     if spec.kind == "gibbs_single_site":
         rows = sum(_site_matrix(target, s) for s in range(target.dim)) / target.dim

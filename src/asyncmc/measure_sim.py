@@ -26,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DimensionError,
-    InconclusiveCounterexampleError,
-    ParameterError,
-    ScheduleError,
-)
+from .errors import DimensionError, InconclusiveCounterexampleError, ScheduleError, ValidationError
 from .measures import (
     FiniteDistribution,
     StochasticMatrix,
@@ -203,7 +198,7 @@ def propagate_unbounded_counterexample(
     distance to stationarity forever.
     """
     if length < 10:
-        raise ScheduleError("counterexample needs length >= 10")
+        raise ValidationError("counterexample needs length >= 10")
     pi = stationary_distribution(m)
     if tv_distance(mu0, pi) == 0:
         raise InconclusiveCounterexampleError(
@@ -266,7 +261,7 @@ def run_theorem4_campaign(
         ("horizon", length, shortest, f" ({depth + 2} * params.b_max)"),
     ):
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise ParameterError(f"{field}: must be an integer >= {least}{why}, got {value!r}")
+            raise ValidationError(f"{field}: must be an integer >= {least}{why}, got {value!r}")
     rng = np.random.default_rng(seed)
     violations = 0
     worst_d = 0.0

@@ -21,12 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    NonErgodicKernelError,
-    StationarityError,
-    ValidationError,
-)
+from .errors import DimensionError, NonErgodicKernelError, StationarityError, ValidationError
 
 SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10

@@ -48,15 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    LivenessError,
-    NumericError,
-    ParameterError,
-    UnsupportedTargetError,
-    ValidationError,
-    _only,
-    _read,
-)
+from .errors import LivenessError, NumericError, UnsupportedTargetError, ValidationError, _only, _read
 from .kernels import (
     GaussianIndependenceProposal,
     GibbsSiteProposal,
@@ -148,7 +140,7 @@ class DelayModel:
         if not isinstance(periods, (list, tuple)):
             return [float(periods)] * m
         if len(periods) != m:
-            raise ParameterError(
+            raise ValidationError(
                 f"delay.params.periods: has {len(periods)} entries, need one per worker (m={m})"
             )
         return [float(p) for p in periods]
@@ -164,7 +156,7 @@ def coupled_embed(target: TargetDensity, m: int) -> TargetDensity:
     States are tuples of base states; the product space is never enumerated.
     """
     if m < 1:
-        raise ParameterError("need at least one replica")
+        raise ValidationError("need at least one replica")
 
     def log_unnorm(xs):
         return sum(target.log_unnorm(x) for x in xs)
@@ -519,13 +511,13 @@ def run_pserver(
     order as the scalar calls.
     """
     if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
+        raise ValidationError(f"unknown mode {mode!r}")
     if m < 1 or horizon < 1:
-        raise ParameterError("m and horizon must be positive")
+        raise ValidationError("m and horizon must be positive")
     periods = delay.periods(m)
     frozen = set(frozen_workers)
     if not frozen <= set(range(m)):
-        raise ParameterError(
+        raise ValidationError(
             f"params.frozen_workers: worker ids must lie in [0, {m}), got {list(frozen_workers)!r}"
         )
 

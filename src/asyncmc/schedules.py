@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ValidationError
 
 EVENT_KINDS = ("write", "server_commit")
 _WORD = 0xFFFFFFFF
@@ -47,9 +47,9 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
         if self.workers < 1:
-            raise ParameterError("need at least one worker")
+            raise ValidationError("need at least one worker")
         if self.staleness_bound < 1:
-            raise ParameterError("staleness bound must be positive")
+            raise ValidationError("staleness bound must be positive")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -111,11 +111,11 @@ def _silent_worker(last_write: list, k: int, writer: int, b: int) -> ScheduleVio
 
 def _check_feasible(m: int, b: int, length: int) -> None:
     if m < 1:
-        raise ParameterError("m: need at least one worker")
+        raise ValidationError("m: need at least one worker")
     if b < m:
-        raise ParameterError(f"b: b={b} < m={m}: some window of {b} events cannot hold all workers")
+        raise ValidationError(f"b: b={b} < m={m}: some window of {b} events cannot hold all workers")
     if length < b:
-        raise ParameterError(f"horizon: length {length} shorter than staleness bound {b}")
+        raise ValidationError(f"horizon: length {length} shorter than staleness bound {b}")
 
 
 def random_schedule(m: int, b: int, length: int, rng: np.random.Generator) -> Schedule:

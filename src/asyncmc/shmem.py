@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import LivenessError, ScheduleError
+from .errors import LivenessError, ScheduleError, ValidationError
 from .kernels import (
     NEG_INF,
     KernelSpec,
@@ -168,7 +168,7 @@ def run_async(
     convergence guarantees are conditional on that bound.
     """
     if m < 1 or horizon < 1 or watchdog_b < 1:
-        raise ScheduleError("m, horizon, and watchdog_b must all be positive")
+        raise ValidationError("m, horizon, and watchdog_b must all be positive")
     coord = _AsyncCoordinator(default_init(kernel.target), m, horizon, watchdog_b)
     rngs = worker_streams(seed, m)
 

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from asyncmc import cli, errors
 from asyncmc.cli import (
     _LINES_PER_WRITE,
     CATALOG,
+    EXIT_LIVENESS,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -192,6 +194,45 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "line 4" in err and "'worker'" in err and message in err
         assert "Traceback" not in err
+
+
+def _subclasses(cls) -> set:
+    return {sub for direct in cls.__subclasses__() for sub in {direct, *_subclasses(direct)}}
+
+
+# Each exit code has one class: refused input is a ValidationError, a stall a
+# LivenessError, and every other package error a violated guarantee.
+_EXIT_OF = {
+    errors.ValidationError: (EXIT_USAGE, "usage error: "),
+    errors.DimensionError: (EXIT_USAGE, "usage error: "),
+    errors.UnsupportedTargetError: (EXIT_USAGE, "usage error: "),
+    errors.LivenessError: (EXIT_LIVENESS, "liveness error: "),
+    errors.NonErgodicKernelError: (EXIT_VIOLATION, "error: "),
+    errors.StationarityError: (EXIT_VIOLATION, "error: "),
+    errors.ScheduleError: (EXIT_VIOLATION, "error: "),
+    errors.ProposalInconsistencyError: (EXIT_VIOLATION, "error: "),
+    errors.NumericError: (EXIT_VIOLATION, "error: "),
+    errors.InconclusiveCounterexampleError: (EXIT_VIOLATION, "error: "),
+}
+
+
+class TestExitCodes:
+    def test_table_covers_every_error_class(self):
+        assert set(_EXIT_OF) == _subclasses(errors.AsyncMCError)
+
+    @pytest.mark.parametrize("cls", list(_EXIT_OF), ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_the_class(self, tmp_path, capsys, monkeypatch, cls):
+        code, prefix = _EXIT_OF[cls]
+        assert code == (EXIT_USAGE if issubclass(cls, errors.ValidationError)
+                        else EXIT_LIVENESS if cls is errors.LivenessError else EXIT_VIOLATION)
+
+        def runner(cfg):
+            raise cls("raised by the runner")
+
+        monkeypatch.setattr(cli, "_run_measure_sim", runner)
+        assert main(["run", "theorem4_smoke", "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == f"{prefix}raised by the runner\n"
+        assert not (tmp_path / "out").exists()
 
 
 def _small_pserver_config(tmp_path, **overrides) -> dict:
@@ -588,8 +629,9 @@ class TestConfigBoundary:
         assert "params.watchdog_b" in err and "Traceback" not in err
 
 
-_TORN = {"mode": "shmem_real", "experiment": "torn_state"}
-_CONTRACTION = {"mode": "measure_sim", "experiment": "contraction_campaign"}
+# two experiments that read no target or kernel, on the replay base that carries both
+_TORN = {"mode": "shmem_real", "experiment": "torn_state", "target": None, "kernel": None}
+_CONTRACTION = {"mode": "measure_sim", "experiment": "contraction_campaign", "target": None, "kernel": None}
 _MEASURE = {"mode": "measure_sim", "params": {}}  # a replay's burn_fraction is no measure_sim key
 _MH_UNIFORM = _mh({"type": "uniform_independence"})
 _THEOREM4 = {"mode": "measure_sim", "experiment": "theorem4_campaign", "horizon": 104}
@@ -674,6 +716,14 @@ class TestEveryFieldNamed:
             ("replay", {**_THEOREM4, "params": {"instances": 10**400}}, "params.instances"),
             ("replay", {**_CONTRACTION, "params": {"instances": 10**400}}, "params.instances"),
             ("replay", {**_TORN, "params": {"ops": 10**400}}, "params.ops"),
+            ("replay", {"b": 10**400}, "b"),
+            ("replay", {**_MEASURE, "b": 10**400}, "b"),
+            # the campaign of random kernels and the cell stress read no configured chain
+            ("replay", {**_CONTRACTION, "target": _THREE_STATE, "params": {}}, "target"),
+            ("replay", {**_CONTRACTION, "kernel": _MH_UNIFORM, "params": {}}, "kernel"),
+            ("replay", {**_TORN, "target": _GAUSS, "kernel": {"kind": "gibbs_single_site"}, "params": {"ops": 100}},
+             "target"),
+            ("replay", {**_TORN, "kernel": _MH_UNIFORM, "params": {"ops": 100}}, "kernel"),
         ],
     )
     def test_bad_field_exit_1(self, tmp_path, capsys, base, overrides, field):

@@ -42,8 +42,7 @@ BASES = {
         "horizon": 104, "params": {"instances": 2, "n_states_max": 3, "m_max": 2, "b_max": 4},
     },
     "contraction_campaign": {
-        "mode": "measure_sim", "experiment": "contraction_campaign", "target": _FINITE,
-        "kernel": _UNIFORM, "params": {"instances": 3},
+        "mode": "measure_sim", "experiment": "contraction_campaign", "params": {"instances": 3},
     },
     "frozen_worker_counterexample": {
         "mode": "measure_sim", "experiment": "frozen_worker_counterexample",
@@ -55,8 +54,7 @@ BASES = {
         "params": {"watchdog_b": 200, "burn_fraction": 0.5},
     },
     "torn_state": {
-        "mode": "shmem_real", "experiment": "torn_state", "target": _FINITE, "kernel": _UNIFORM,
-        "m": 2, "params": {"ops": 1000},
+        "mode": "shmem_real", "experiment": "torn_state", "m": 2, "params": {"ops": 1000},
     },
     "shmem_replay": {
         "mode": "shmem_replay", "target": {**_FINITE, "labels": ["a", "b", "c"]},

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asyncmc.diagnostics import discard_burn_in, moments
-from asyncmc.errors import ParameterError
+from asyncmc.errors import ValidationError
 
 
 class TestMoments:
@@ -43,15 +43,15 @@ class TestMoments:
         assert abs(a.mean_se[0] - b.mean_se[0]) > 0
 
     def test_size_preconditions(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             moments(np.zeros(100), n_batches=20)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             moments(np.zeros(10_000), n_batches=5)
 
     def test_burn_in_slicing(self):
         x = np.arange(10)
         assert list(discard_burn_in(x, 0.2)) == list(range(2, 10))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             discard_burn_in(x, 1.0)
 
     def test_json_round_trip_fields(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from asyncmc.errors import (
-    ParameterError,
     ProposalInconsistencyError,
     UnsupportedTargetError,
     ValidationError,
@@ -225,7 +224,7 @@ class TestGibbs:
             KernelSpec("gibbs_single_site", no_structure)
         with pytest.raises(UnsupportedTargetError):
             gibbs_site_draw(no_structure, (9.0,), 0, np.random.default_rng(0))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             gibbs_site_draw(bare, (9.0,), 2, np.random.default_rng(0))
 
 
@@ -273,7 +272,7 @@ class TestRenderMatrix:
 
     def test_cap_enforced(self):
         target = finite_target(np.ones(RENDER_CAP + 1))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             render_matrix(mh_uniform_spec(target))
 
 

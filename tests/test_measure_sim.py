@@ -7,8 +7,8 @@ import pytest
 from asyncmc.errors import (
     DimensionError,
     InconclusiveCounterexampleError,
-    ParameterError,
     ScheduleError,
+    ValidationError,
 )
 from asyncmc.kernels import KernelSpec, UniformIndependenceProposal, finite_target, render_matrix
 from asyncmc.measure_sim import (
@@ -141,7 +141,7 @@ class TestVerify:
     )
     def test_campaign_sizes_checked_first(self, kwargs, field):
         kwargs = {"n_instances": 3, "length": 30, **kwargs}
-        with pytest.raises(ParameterError, match=f"^{field}: must be an integer"):
+        with pytest.raises(ValidationError, match=f"^{field}: must be an integer"):
             run_theorem4_campaign(kwargs.pop("n_instances"), 0, **kwargs)
 
     def test_shortest_campaign_horizon_passes(self):
@@ -232,7 +232,7 @@ class TestCounterexample:
 
     def test_too_short_rejected(self):
         m = two_state_matrix()
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ValidationError):
             propagate_unbounded_counterexample(m, FiniteDistribution.point_mass(m.space, 0), 5)
 
 

@@ -6,8 +6,9 @@ caller looks it up: ``cli`` and ``pserver`` bind the config reader's
 or of one entry of ``cli.EXPERIMENTS``, the table of what each experiment
 reads.
 Each case runs the input of its check through that check's own code
-(``cli.main`` or ``DelayModel``), asserts the check's expected outcome on
-the real code, and asserts that the outcome fails under the mutant.
+(``cli.main``, ``DelayModel`` or ``schedules.schedule_from_jsonl``), asserts
+the check's expected outcome on the real code, and asserts that the outcome
+fails under the mutant.
 """
 import contextlib
 import io
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from asyncmc import cli, errors, pserver
+from asyncmc import cli, errors, pserver, schedules
 from asyncmc.errors import ValidationError, _is, _read
 from asyncmc.pserver import DelayModel
 
@@ -59,6 +60,18 @@ def _delay_refuses(field: str, **fields) -> bool:
     return False
 
 
+def _server_trace_kinds() -> set:
+    """The event kinds that ``schedules.schedule_from_jsonl`` parses from the
+    ``trace.jsonl`` of ``asyncmc run`` of the server config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(_SERVER))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", str(path), "--out", str(Path(tmp) / "out")]) == 0
+        text = (Path(tmp) / "out" / "trace.jsonl").read_text()
+    return {event.kind for event in schedules.schedule_from_jsonl(text).events}
+
+
 def _bool_is_a_number(value, kind) -> bool:
     return (kind in (int, float) and isinstance(value, bool)) or _is(value, kind)
 
@@ -81,7 +94,18 @@ def _delay_number_with_none_default(doc, path, kind, default=..., least=None, be
     return _read(doc, path, kind, default, least, below)
 
 
+_parse_jsonl = schedules.schedule_from_jsonl  # the real parser, which the next mutant wraps
+
+
+def _parse_dropping_kind(text):
+    parsed = _parse_jsonl(text)
+    return schedules.Schedule(
+        tuple(event._replace(kind="write") for event in parsed.events), parsed.workers, parsed.staleness_bound
+    )
+
+
 _REPLAY_OBJECTS, _REPLAY_KEYS = cli.EXPERIMENTS["shmem_replay"]["run"]
+_TORN = {"name": "mutant", "mode": "shmem_real", "seed": 1, "experiment": "torn_state", "m": 2, "params": {"ops": 100}}
 
 # name: (owner, attribute, mutant, check); an owner that is a dict has the
 # mutant set as its item
@@ -109,6 +133,13 @@ CASES = {
     "a null jitter reads as absent": (
         pserver, "_read", _delay_number_with_none_default,
         lambda: _exits_1_naming("delay.params.jitter", delay={"kind": "fifo_fixed", "params": {"jitter": None}}),
+    ),
+    "the table lets target and kernel into a torn_state run": (
+        cli.EXPERIMENTS["shmem_real"], "torn_state", (("target", "kernel"), ("ops",)),
+        lambda: _exits_1_naming("target", _TORN, target=_SERVER["target"], kernel=_SERVER["kernel"]),
+    ),
+    "the trace parser drops kind": (
+        schedules, "schedule_from_jsonl", _parse_dropping_kind, lambda: _server_trace_kinds() == {"server_commit"},
     ),
 }
 

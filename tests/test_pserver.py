@@ -8,7 +8,6 @@ from asyncmc.diagnostics import discard_burn_in
 from asyncmc.errors import (
     LivenessError,
     NumericError,
-    ParameterError,
     UnsupportedTargetError,
     ValidationError,
 )
@@ -214,7 +213,7 @@ class TestRunPServer:
         assert record.config["resends"] > 50
 
     def test_mode_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             run_pserver(mh_uniform(), 1, 10, zero_delay(), "bogus", 1)
         with pytest.raises(ValidationError):
             DelayModel("warp", {}, 1)
@@ -264,7 +263,7 @@ class TestRunPServer:
 
     def test_periods_list_must_match_m(self):
         delay = DelayModel("fifo_fixed", {"periods": [1.0, 2.0]})
-        with pytest.raises(ParameterError, match="delay.params.periods: has 2 entries"):
+        with pytest.raises(ValidationError, match="delay.params.periods: has 2 entries"):
             run_pserver(mh_uniform(), 3, 10, delay, "mh_corrected", 1)
 
     @pytest.mark.parametrize("coupled", [False, True])

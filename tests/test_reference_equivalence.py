@@ -36,7 +36,6 @@ import pytest
 from asyncmc import cli, kernels, pserver, schedules, shmem
 from asyncmc.errors import (
     LivenessError,
-    ParameterError,
     ProposalInconsistencyError,
     ValidationError,
 )
@@ -540,7 +539,7 @@ def reference_random_schedule(m, b, length, rng, kind="write"):
     for seq in range(length):
         safe = reference_edf_safe_workers(deadlines, seq)
         if not safe:
-            raise ParameterError("scheduling dead end; parameters infeasible")
+            raise ValidationError("scheduling dead end; parameters infeasible")
         urgent = [w for w in safe if deadlines[w] == seq]
         pool = urgent if urgent else safe
         worker = int(pool[int(rng.integers(len(pool)))])
@@ -863,7 +862,7 @@ def reference_server_receive(st, msg, target, proposals, rng, *, mode="mh_correc
     every message, and one uniform is drawn per message in either mode.
     """
     if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
+        raise ValidationError(f"unknown mode {mode!r}")
     family = proposals.get(msg.proposal_id)
     if family is None:
         raise ProtocolError(f"proposal id {msg.proposal_id!r} is not registered")

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from asyncmc.errors import ParameterError, ScheduleError, ValidationError
+from asyncmc.errors import ScheduleError, ValidationError
 from asyncmc.kernels import KernelSpec, UniformIndependenceProposal, finite_target, render_matrix
 from asyncmc.measure_sim import propagate
 from asyncmc.measures import FiniteDistribution
@@ -69,11 +69,11 @@ class TestRandomSchedule:
 
     def test_infeasible_parameters(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             random_schedule(2, 1, 10, rng)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             random_schedule(0, 1, 10, rng)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             random_schedule(2, 3, 2, rng)
 
     def test_generator_soundness_ten_thousand(self):
@@ -118,7 +118,7 @@ class TestAdversarial:
         assert first_block.count(0) == b - 1
 
     def test_infeasible_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             adversarial_schedules(4, 2, 50)
 
 

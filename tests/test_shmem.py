@@ -76,6 +76,12 @@ class TestRunAsync:
             (ev.seq, ev.worker) for ev in events
         ]
 
+    @pytest.mark.parametrize("m,horizon,watchdog_b", [(0, 10, 5), (-1, 10, 5), (2, 0, 5), (2, 10, 0), (2, 10, -3)])
+    def test_non_positive_input_refused(self, m, horizon, watchdog_b):
+        # refused as input before any thread starts
+        with pytest.raises(ValidationError, match="^m, horizon, and watchdog_b must all be positive$"):
+            run_async(mh_spec(), m, horizon, seed=0, watchdog_b=watchdog_b)
+
     def test_watchdog_fires_on_infeasible_bound(self):
         # seq 1 always finds a worker that has not yet written
         fired = r"^liveness watchdog fired: worker [01] wrote nothing in window \(0, 1\]$"
