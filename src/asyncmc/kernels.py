@@ -534,7 +534,8 @@ def render_matrix(spec: KernelSpec) -> StochasticMatrix:
     if np.any(lp == NEG_INF):
         raise UnsupportedTargetError("target.weights: rendering requires strictly positive weights")
     lq = np.vstack([proposal.support_logpdfs(lab) for lab in space.labels])  # lq[i, j] = log f(j|i)
-    log_ratio = (lp[None, :] + lq.T) - (lp[:, None] + lq)
+    # a move never proposed has probability 0; its forward log read as 0 keeps -inf - -inf out of the ratio
+    log_ratio = (lp[None, :] + lq.T) - (lp[:, None] + np.where(lq == NEG_INF, 0.0, lq))
     accept = np.exp(np.minimum(0.0, log_ratio))
     moves = np.exp(lq) * accept
     rows = moves.copy()

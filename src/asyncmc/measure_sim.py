@@ -1,9 +1,9 @@
 """Deterministic measure-level propagation under asynchronous schedules.
 
-Instead of sampling states, this module pushes exact distributions through a
-schedule: version ``v`` of the shared state has a distribution ``mu_v``, and
-an event that reads version ``j`` and writes version ``v`` sets
-``mu_v = mu_j P``.  On top of the resulting trace it computes the windowed
+Instead of sampling states, this module pushes float64 probability vectors
+through a schedule: version ``v`` of the shared state has a distribution
+``mu_v``, and an event that reads version ``j`` and writes version ``v``
+sets ``mu_v = mu_j P``.  On the resulting trace it computes the windowed
 statistics that drive the convergence argument for bounded-staleness
 execution:
 
@@ -50,9 +50,8 @@ class MeasureTrace:
     """Everything the convergence argument needs, per state version.
 
     Version ``v`` has the law ``ladder[p[v]]``: row ``k`` of the read-only
-    ``ladder`` is ``mu0 P^k``, float64, or ``Fraction``s in an object array
-    when kernel and ``mu0`` are both exact.  ``d`` and ``d_star`` have the
-    ladder's arithmetic, ``p`` and ``p_star`` are integer arrays.
+    float64 ``ladder`` is ``mu0 P^k``.  ``d`` and ``d_star`` are float64
+    arrays, ``p`` and ``p_star`` integer ones.
     """
 
     schedule: Schedule
@@ -61,10 +60,6 @@ class MeasureTrace:
     d_star: np.ndarray
     p: np.ndarray
     p_star: np.ndarray
-
-    @property
-    def exact(self) -> bool:
-        return self.d.dtype == object
 
 
 def _window_stats(values: np.ndarray, b: int, reduce) -> np.ndarray:
@@ -80,16 +75,13 @@ def _ladder(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``mu0 P^k`` and its TV distance to ``pi`` for k = 0..depth.
 
-    Each row is the product :func:`apply_operator` takes, exact when both
-    operands are and float64 otherwise; the first takes ``mu0.probs`` itself,
-    so mixed operands also give the per-event path's values.  Every row is
+    Each row is the product :func:`apply_operator` takes.  Every row is
     checked as a distribution, and the rows are returned read-only.
     """
-    rows = np.empty((depth + 1, m.space.size), dtype=object if m.exact and mu0.exact else float)
-    rows[0] = vec = mu0.probs
+    rows = np.empty((depth + 1, m.space.size))
+    rows[0] = mu0.probs
     for k in range(1, depth + 1):
-        rows[k] = vec @ m.rows
-        vec = rows[k]
+        rows[k] = rows[k - 1] @ m.rows
     _check_probs(rows)
     rows.flags.writeable = False
     return rows, half_l1(rows, pi.probs)
@@ -140,9 +132,8 @@ def _offending(mask: np.ndarray, offset: int) -> list:
 def verify_theorem4(trace: MeasureTrace, *, threshold: float = CONVERGENCE_THRESHOLD) -> TheoremReport:
     """Check every numerical step of the convergence argument on a trace.
 
-    ``d_star`` may rise by at most the tolerance, 0 on an exact trace and
-    ``MONOTONE_TOL`` on a float one.  Failures signal an implementation bug
-    for valid inputs, never a theory bug; each failure message names the
+    ``d_star`` may rise by at most ``MONOTONE_TOL``.  Failures signal an
+    implementation bug for valid inputs, never a theory bug; each names the
     offending version index.  They are listed by kind, each kind in index
     order: ``d_star`` rises once the window is warm, ``p_star`` drops, the
     linear depth floor, ``d_star`` below ``d``, and the final distance.
@@ -150,11 +141,10 @@ def verify_theorem4(trace: MeasureTrace, *, threshold: float = CONVERGENCE_THRES
     b = trace.schedule.staleness_bound
     n = len(trace.schedule.events)
     d, d_star, p_star = trace.d, trace.d_star, trace.p_star
-    tolerance = 0 if trace.exact else MONOTONE_TOL
     depth_floor = (n - b) // b - 1
     p_star_final = int(p_star[n])
 
-    rises = _offending(d_star[b + 2 :] > d_star[b + 1 : -1] + tolerance, b + 2)
+    rises = _offending(d_star[b + 2 :] > d_star[b + 1 : -1] + MONOTONE_TOL, b + 2)
     failures = [f"d_star increases at k={k}" for k in rises]
     failures += [f"p_star decreases at k={k}" for k in _offending(p_star[1:] < p_star[:-1], 1)]
     if p_star_final < depth_floor:

@@ -1,21 +1,12 @@
-"""Exact probability machinery on finite state spaces.
+"""Probability machinery on finite state spaces, in float64.
 
 Distributions are probability vectors over an enumerated space and transition
 kernels are row-stochastic matrices acting on them by right multiplication of
-the row vector.  Two arithmetic modes coexist: float64 (default) and exact
-rationals, held as numpy object arrays of ``fractions.Fraction`` on which
-numpy's ``@``, ``abs``, ``sum`` and comparisons run exactly.
-The rational mode exists so that the convergence-proof replication can run
-with zero tolerance on small instances.  Each operation is one numpy
-expression whose arithmetic follows its operands: exact when all of them are
-exact, float64 when one is float (a product with mixed operands holds Python
-floats, which the constructors turn into a float64 array).
+the row vector.  Each operation is one numpy expression on float64 arrays.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -28,22 +19,6 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 POWER_ITER_STEP_TOL = 1e-13
 POWER_ITER_MAX = 10**6
 CONTRACTION_SIZES = tuple(range(2, 11))  # state-space sizes of the contraction campaign
-
-
-def _is_exact(arr: np.ndarray) -> bool:
-    return arr.dtype == object
-
-
-_to_fraction = np.frompyfunc(Fraction, 1, 1)
-
-
-def _as_prob_array(values: Sequence) -> np.ndarray:
-    # Exact when every entry is rational (Fractions, or the integers of an
-    # object identity), float64 when any entry is a float.
-    arr = np.asarray(values)
-    if _is_exact(arr) and all(isinstance(x, numbers.Rational) for x in arr.flat):
-        return _to_fraction(arr)
-    return np.asarray(arr, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -101,32 +76,30 @@ def _require_same_space(a: StateSpace, b: StateSpace, what: str) -> None:
 
 
 def _check_probs(probs: np.ndarray) -> None:
-    # One pass over a vector or over every row of a 2-D array; exact sums
-    # must be 1 exactly, float ones within SUM_TOL.  Fractions are always
-    # finite; a float NaN would pass both comparisons below.
-    if not _is_exact(probs) and not np.isfinite(probs).all():
+    # One pass over a vector or over every row of a 2-D array; each sum must
+    # be 1 within SUM_TOL.  A NaN would pass both comparisons below.
+    if not np.isfinite(probs).all():
         raise ValidationError("non-finite probability entry")
     if np.any(probs < 0):
         raise ValidationError("negative probability entry")
     sums = probs.sum(axis=-1, keepdims=True)
-    bad = np.abs(sums - 1) > (0 if _is_exact(probs) else SUM_TOL)
+    bad = np.abs(sums - 1) > SUM_TOL
     if np.any(bad):
-        raise ValidationError(f"probabilities sum to {sums[bad][0]!r}, not 1")
+        raise ValidationError(f"probabilities sum to {float(sums[bad][0])!r}, not 1")
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """A probability vector over a :class:`StateSpace`.
 
-    Entries must be non-negative and sum to 1 within ``SUM_TOL`` (exactly 1
-    in rational mode).
+    Entries must be non-negative and sum to 1 within ``SUM_TOL``.
     """
 
     space: StateSpace
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = _as_prob_array(self.probs)
+        probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", probs)
         if probs.shape != (self.space.size,):
             raise DimensionError(
@@ -134,10 +107,6 @@ class FiniteDistribution:
                 f"for a space of size {self.space.size}"
             )
         _check_probs(probs)
-
-    @property
-    def exact(self) -> bool:
-        return _is_exact(self.probs)
 
     @classmethod
     def point_mass(cls, space: StateSpace, label) -> "FiniteDistribution":
@@ -151,7 +120,7 @@ class FiniteDistribution:
 
     @classmethod
     def from_weights(cls, space: StateSpace, weights: Sequence) -> "FiniteDistribution":
-        w = _as_prob_array(weights)
+        w = np.asarray(weights, dtype=float)
         total = w.sum()
         if not np.all(w >= 0) or total <= 0:
             raise ValidationError("weights must be non-negative with positive total")
@@ -163,24 +132,19 @@ class StochasticMatrix:
     """A row-stochastic transition matrix over a :class:`StateSpace`.
 
     Entry ``rows[i][j]`` is the probability of moving from state ``i`` to
-    state ``j``; every row sums to 1 within ``SUM_TOL`` (exactly 1 in
-    rational mode).
+    state ``j``; every row sums to 1 within ``SUM_TOL``.
     """
 
     space: StateSpace
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = _as_prob_array(self.rows)
+        rows = np.asarray(self.rows, dtype=float)
         object.__setattr__(self, "rows", rows)
         n = self.space.size
         if rows.shape != (n, n):
             raise DimensionError(f"matrix shape {rows.shape} does not match space size {n}")
         _check_probs(rows)
-
-    @property
-    def exact(self) -> bool:
-        return _is_exact(self.rows)
 
 
 def apply_operator(m: StochasticMatrix, mu: FiniteDistribution) -> FiniteDistribution:
@@ -189,25 +153,15 @@ def apply_operator(m: StochasticMatrix, mu: FiniteDistribution) -> FiniteDistrib
     return FiniteDistribution(mu.space, mu.probs @ m.rows)
 
 
-def half_l1(x: np.ndarray, y: np.ndarray):
-    """Half the L1 distance between probability arrays along their last axis.
-
-    Exact when both arrays are; otherwise both are compared in float64.
-    """
-    if not (_is_exact(x) and _is_exact(y)):
-        x, y = x.astype(float, copy=False), y.astype(float, copy=False)
+def half_l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Half the L1 distance between probability arrays along their last axis."""
     return np.abs(x - y).sum(axis=-1) / 2
 
 
-def tv_distance(a: FiniteDistribution, b: FiniteDistribution):
-    """Total variation distance; on finite spaces half the L1 distance.
-
-    Returns a float in float mode and a ``Fraction`` when both operands are
-    exact.
-    """
+def tv_distance(a: FiniteDistribution, b: FiniteDistribution) -> float:
+    """Total variation distance; on finite spaces half the L1 distance."""
     _require_same_space(a.space, b.space, "distributions")
-    d = half_l1(a.probs, b.probs)
-    return d if a.exact and b.exact else float(d)
+    return float(half_l1(a.probs, b.probs))
 
 
 def _is_primitive(rows: np.ndarray) -> bool:
@@ -222,26 +176,19 @@ def _is_primitive(rows: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def _stationary_exact(m: StochasticMatrix) -> FiniteDistribution:
-    # Solve x P = x with sum(x) = 1 over the rationals by Gauss-Jordan
-    # elimination on the augmented system [P^T - I | 0], last row sum(x) = 1.
-    n = m.space.size
-    a = np.zeros((n, n + 1), dtype=object)
-    a[:, :n] = m.rows.T - np.identity(n, dtype=object)
-    a[n - 1] = Fraction(1)
-    for col in range(n):
-        pivot = col + int(np.argmax(a[col:, col] != 0))
-        if a[pivot, col] == 0:
-            raise NonErgodicKernelError("stationary system is singular")
-        a[[col, pivot]] = a[[pivot, col]]
-        a[col] /= a[col, col]
-        factors = a[:, col].copy()
-        factors[col] = 0
-        a -= np.outer(factors, a[col])
-    probs = a[:, n]
-    if np.any(probs < 0):
-        raise NonErgodicKernelError("stationary solve produced negative mass")
-    return FiniteDistribution(m.space, probs)
+def _stationary_solve(rows: np.ndarray) -> np.ndarray:
+    # pi (P - I) = 0, sum(pi) = 1 by Grassmann-Taksar-Heyman elimination (Oper. Res. 33(5), 1985):
+    # each diagonal of P - I stands implicitly as minus its row's off-diagonal sum, so nothing is
+    # subtracted, near-identity rows keep their digits and every entry stays nonnegative.
+    a = rows.copy()
+    n = len(a)
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += a[:k, k, None] * a[k, :k]
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
 
 
 def stationary_distribution(m: StochasticMatrix) -> FiniteDistribution:
@@ -250,20 +197,24 @@ def stationary_distribution(m: StochasticMatrix) -> FiniteDistribution:
     Ergodicity is checked operationally: the support pattern must be
     primitive (all entries of a high matrix power positive) and power
     iteration must converge.  Non-ergodic kernels, the identity included,
-    raise :class:`NonErgodicKernelError`.
+    raise :class:`NonErgodicKernelError`.  On a near-identity kernel power
+    iteration can stall far from pi, so a direct solve replaces its result
+    when the two differ by more than ``STATIONARY_RESIDUAL_TOL``.
     """
     if not _is_primitive(m.rows):
         raise NonErgodicKernelError("kernel support pattern is not primitive")
-    if m.exact:
-        return _stationary_exact(m)
     n = m.space.size
     v = np.full(n, 1.0 / n)
     for _ in range(POWER_ITER_MAX):
         nxt = v @ m.rows
         if 0.5 * float(np.abs(nxt - v).sum()) <= POWER_ITER_STEP_TOL:
-            return FiniteDistribution(m.space, nxt / nxt.sum())
+            break
         v = nxt
-    raise NonErgodicKernelError(f"power iteration did not converge in {POWER_ITER_MAX} steps")
+    else:
+        raise NonErgodicKernelError(f"power iteration did not converge in {POWER_ITER_MAX} steps")
+    probs = nxt / nxt.sum()
+    solved = _stationary_solve(m.rows)
+    return FiniteDistribution(m.space, solved if half_l1(probs, solved) > STATIONARY_RESIDUAL_TOL else probs)
 
 
 @dataclass(frozen=True)
@@ -282,11 +233,10 @@ def check_contraction(
     """
     residual = tv_distance(apply_operator(m, pi), pi)
     if residual > STATIONARY_RESIDUAL_TOL:
-        raise StationarityError(f"pi is not stationary for m (residual {float(residual):.3e})")
+        raise StationarityError(f"pi is not stationary for m (residual {residual:.3e})")
     d_before = tv_distance(mu, pi)
     d_after = tv_distance(apply_operator(m, mu), pi)
-    tol = 0 if (m.exact and mu.exact and pi.exact) else SUM_TOL
-    return ContractionCheck(bool(d_after <= d_before + tol), d_before, d_after)
+    return ContractionCheck(bool(d_after <= d_before + SUM_TOL), d_before, d_after)
 
 
 def random_stochastic_matrix(rng: np.random.Generator, n: int) -> StochasticMatrix:

@@ -381,6 +381,47 @@ def test_pserver_zero_weight_target_runs(tmp_path):
     assert summary["detailed_balance_error"] is None and summary["late_tv"] < 0.2
 
 
+def test_pserver_table_that_never_proposes_a_state_runs(tmp_path, capsys):
+    # state 1 is never proposed, so neither move from it to itself is: its
+    # rendered row must hold no NaN
+    doc = _finite_pserver_config(tmp_path, [1.0, 2.0, 3.0], {})
+    doc.update(horizon=2000, kernel=_mh({"type": "table_independence", "weights": [1.0, 0.0, 1.0]}),
+               delay={"kind": "fifo_fixed", "params": {"latency": 1.0}})
+    assert _run_file(tmp_path, doc) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["detailed_balance_error"] < 1e-15
+
+
+def _measure_run_config(tmp_path, target_weights, proposal_weights, **params) -> dict:
+    return {
+        "name": "x", "mode": "measure_sim", "seed": 1, "m": 2, "b": 4, "horizon": 100,
+        "target": {"type": "finite", "weights": target_weights},
+        "kernel": _mh({"type": "table_independence", "weights": proposal_weights}),
+        "params": params, "out_dir": str(tmp_path / "out"),
+    }
+
+
+def test_measure_run_on_a_table_that_never_proposes_a_state_exit_1(tmp_path, capsys):
+    assert _run_file(tmp_path, _measure_run_config(tmp_path, [1.0, 3.0], [1.0, 0.0])) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error: kernel: metropolis_hastings[table_independence] is not ergodic on this target" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_measure_run_on_a_near_identity_kernel_measures_against_pi(tmp_path):
+    # power iteration stalls at uniform on this kernel; pi is [0.25, 0.75], and
+    # 100 events from the point mass at state 0 barely move it
+    assert _run_file(tmp_path, _measure_run_config(tmp_path, [1.0, 3.0], [1.0, 1e-13])) == EXIT_VIOLATION
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["d_final"] == pytest.approx(0.75, abs=1e-9)
+
+
+def test_mu0_bad_sum_named_as_a_plain_float(tmp_path, capsys):
+    doc = _measure_run_config(tmp_path, [1.0, 3.0], [1.0, 1.0], mu0={"type": "probs", "probs": [0.5, 0.4]})
+    assert _run_file(tmp_path, doc) == EXIT_USAGE
+    assert "usage error: params.mu0.probs: probabilities sum to 0.9, not 1\n" in capsys.readouterr().err
+
+
 def test_pserver_init_is_a_label_of_a_finite_target(tmp_path, capsys):
     doc = _finite_pserver_config(tmp_path, [1.0, 2.0, 3.0], {"init": 2})
     assert _run_file(tmp_path, doc) == EXIT_OK

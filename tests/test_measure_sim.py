@@ -1,6 +1,3 @@
-import dataclasses
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -28,11 +25,7 @@ from asyncmc.measures import (
     stationary_distribution,
 )
 from asyncmc.schedules import random_schedule, synchronous_schedule, validate
-from test_reference_equivalence import (
-    matrix_power_consistency,
-    random_rational_distribution,
-    random_rational_matrix,
-)
+from test_reference_equivalence import matrix_power_consistency
 
 
 def three_state_matrix():
@@ -156,48 +149,6 @@ class TestVerify:
         report = verify_theorem4(trace, threshold=1e-30)
         assert not report.passed
         assert any("final version 20" in f for f in report.failures)
-
-
-class TestExactMode:
-    def test_exact_trace_has_zero_tolerance(self):
-        rng = np.random.default_rng(3)
-        m = random_rational_matrix(np.random.default_rng(1), 3)
-        mu0 = random_rational_distribution(np.random.default_rng(2), 3)
-        trace = propagate(m, mu0, random_schedule(2, 4, 80, rng))
-        assert trace.exact
-        report = verify_theorem4(trace, threshold=Fraction(1, 10**6))
-        assert all(f.startswith("d at final version") for f in report.failures)
-        # a rise far below MONOTONE_TOL still fails an exact trace
-        rise = trace.d_star.copy()
-        rise[20] = rise[19] + Fraction(1, 10**30)
-        report = verify_theorem4(dataclasses.replace(trace, d_star=rise), threshold=Fraction(1, 10**6))
-        assert "d_star increases at k=20" in report.failures
-
-    def test_exact_and_float_distances_agree(self):
-        rng = np.random.default_rng(8)
-        for trial in range(10):
-            n = int(rng.integers(2, 5))
-            m_exact = random_rational_matrix(rng, n)
-            mu_exact = random_rational_distribution(rng, n)
-            schedule = random_schedule(2, 3, 100, rng)
-            m_float = StochasticMatrix(m_exact.space, m_exact.rows.astype(float))
-            mu_float = FiniteDistribution(mu_exact.space, mu_exact.probs.astype(float))
-            t_exact = propagate(m_exact, mu_exact, schedule)
-            t_float = propagate(m_float, mu_float, schedule)
-            diff = max(abs(float(a) - b) for a, b in zip(t_exact.d, t_float.d))
-            assert diff <= 1e-10
-
-    def test_exact_mode_spot_check_campaign(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            m = random_rational_matrix(rng, n)
-            mu0 = random_rational_distribution(rng, n)
-            schedule = random_schedule(int(rng.integers(1, 4)), 4, 60, rng)
-            trace = propagate(m, mu0, schedule)
-            report = verify_theorem4(trace, threshold=Fraction(1, 1))
-            assert report.passed
-            assert matrix_power_consistency(trace, m)
 
 
 class TestCounterexample:

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from asyncmc.errors import (
     ValidationError,
 )
 from asyncmc import measures
+from asyncmc.kernels import KernelSpec, TableIndependenceProposal, finite_target, render_matrix
 from asyncmc.measures import (
     ContractionCheck,
     FiniteDistribution,
@@ -24,7 +24,7 @@ from asyncmc.measures import (
     stationary_distribution,
     tv_distance,
 )
-from test_reference_equivalence import matrix_power, random_rational_distribution, random_rational_matrix
+from test_reference_equivalence import matrix_power
 
 
 def space(n):
@@ -66,18 +66,6 @@ class TestConstruction:
     def test_row_sum_rejected(self):
         with pytest.raises(ValidationError):
             StochasticMatrix(space(2), [[0.5, 0.6], [0.5, 0.5]])
-
-    def test_exact_mode_sums_exactly(self):
-        d = FiniteDistribution(space(2), [Fraction(1, 3), Fraction(2, 3)])
-        assert d.exact
-        with pytest.raises(ValidationError):
-            FiniteDistribution(space(2), [Fraction(1, 3), Fraction(2, 3) + Fraction(1, 10**12)])
-        # an excess far below SUM_TOL, which float mode would accept
-        tiny = Fraction(1, 10**15)
-        with pytest.raises(ValidationError):
-            FiniteDistribution(space(2), [Fraction(1, 3), Fraction(2, 3) + tiny])
-        with pytest.raises(ValidationError):
-            StochasticMatrix(space(2), [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 3) - tiny]])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -141,11 +129,6 @@ class TestTVDistance:
             assert tv_distance(a, c) <= dab + tv_distance(b, c) + 1e-12
         assert tv_distance(a, a) == 0.0
 
-    def test_exact_mode_returns_fraction(self):
-        a = FiniteDistribution(space(2), [Fraction(3, 4), Fraction(1, 4)])
-        b = FiniteDistribution(space(2), [Fraction(1, 4), Fraction(3, 4)])
-        assert tv_distance(a, b) == Fraction(1, 2)
-
 
 class TestStationary:
     def test_doubly_stochastic_gives_uniform(self):
@@ -173,13 +156,13 @@ class TestStationary:
             pi = stationary_distribution(m)
             assert tv_distance(apply_operator(m, pi), pi) <= 1e-10
 
-    def test_exact_rational_solve(self):
-        m = StochasticMatrix(
-            space(2),
-            [[Fraction(9, 10), Fraction(1, 10)], [Fraction(1, 5), Fraction(4, 5)]],
-        )
-        pi = stationary_distribution(m)
-        assert list(pi.probs) == [Fraction(2, 3), Fraction(1, 3)]
+    def test_near_identity_kernel_reaches_pi(self):
+        # one power-iteration step from uniform moves less than POWER_ITER_STEP_TOL
+        # although uniform is 0.25 from pi = [0.25, 0.75] in TV
+        t = finite_target([1.0, 3.0])
+        m = render_matrix(KernelSpec("metropolis_hastings", t, TableIndependenceProposal(t.support, [1.0, 1e-13])))
+        assert m.rows[0, 1] == pytest.approx(1e-13)
+        assert np.allclose(stationary_distribution(m).probs, [0.25, 0.75], rtol=0, atol=1e-12)
 
 
 def reference_is_primitive(pattern: np.ndarray) -> bool:
@@ -278,18 +261,3 @@ class TestComposition:
                 break
         assert below
 
-
-class TestExactGenerators:
-    def test_rational_matrix_is_exact_and_ergodic(self):
-        rng = np.random.default_rng(11)
-        m = random_rational_matrix(rng, 4)
-        assert m.exact
-        assert all(sum(row) == 1 for row in m.rows)
-        pi = stationary_distribution(m)
-        assert pi.exact
-        assert tv_distance(apply_operator(m, pi), pi) == 0
-
-    def test_rational_distribution_sums_to_one(self):
-        rng = np.random.default_rng(12)
-        d = random_rational_distribution(rng, 5)
-        assert sum(d.probs) == 1

@@ -9,16 +9,27 @@ Each case runs the input of its check through that check's own code
 (``cli.main``, ``DelayModel`` or ``schedules.schedule_from_jsonl``), asserts
 the check's expected outcome on the real code, and asserts that the outcome
 fails under the mutant.
+
+The law-level mutants break what a scientific check measures, not an input
+check.  Their checks are test methods, run as they are, and each mutant is
+bound in the test module that calls the function: ``test_shmem`` calls
+``replay``, ``test_reference_equivalence`` calls ``verify_theorem4`` and
+``test_server_exactness`` calls ``_candidate``.
 """
 import contextlib
+import inspect
 import io
 import json
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from asyncmc import cli, errors, pserver, schedules
+import test_reference_equivalence
+import test_server_exactness
+import test_shmem
+from asyncmc import cli, errors, measure_sim, pserver, schedules
 from asyncmc.errors import ValidationError, _is, _read
 from asyncmc.pserver import DelayModel
 
@@ -104,6 +115,45 @@ def _parse_dropping_kind(text):
     )
 
 
+def _passes(test, *args) -> bool:
+    """Whether the test function or method ``test`` passes on ``args``."""
+    try:
+        test(*args)
+    except AssertionError:
+        return False
+    return True
+
+
+def _source_mutant(function, old: str, new: str):
+    """``function`` compiled again from its own source with the one ``old`` in
+    it replaced by ``new``, over its module's globals."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, f"{old!r} is not once in {function.__name__}"
+    scope: dict = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), function.__globals__, scope)
+    return scope[function.__name__]
+
+
+_replay = test_shmem.replay  # the real replay, which the next mutant wraps
+
+
+def _replay_reading_newest(kernel, schedule, seed):
+    newest = tuple(event._replace(read_from=event.seq - 1) for event in schedule.events)
+    return _replay(kernel, schedules.Schedule(newest, schedule.workers, schedule.staleness_bound), seed)
+
+
+# the d_star rise check one index early: it also counts the rise into the first warm window
+_verify_rise_one_early = _source_mutant(
+    measure_sim.verify_theorem4,
+    "d_star[b + 2 :] > d_star[b + 1 : -1] + MONOTONE_TOL, b + 2",
+    "d_star[b + 1 :] > d_star[b : -1] + MONOTONE_TOL, b + 1",
+)
+
+
+def _whole_proposal(current, x_star, params, sites):
+    return x_star
+
+
 _REPLAY_OBJECTS, _REPLAY_KEYS = cli.EXPERIMENTS["shmem_replay"]["run"]
 _TORN = {"name": "mutant", "mode": "shmem_real", "seed": 1, "experiment": "torn_state", "m": 2, "params": {"ops": 100}}
 
@@ -140,6 +190,20 @@ CASES = {
     ),
     "the trace parser drops kind": (
         schedules, "schedule_from_jsonl", _parse_dropping_kind, lambda: _server_trace_kinds() == {"server_commit"},
+    ),
+    "replay reads the newest version": (
+        test_shmem, "replay", _replay_reading_newest,
+        lambda: _passes(
+            test_shmem.TestSampleMeasureIdentity().test_counts_match_mu_v_at_every_version, "uniform_mh", "random"
+        ),
+    ),
+    "verify_theorem4 checks d_star rises from one index early": (
+        test_reference_equivalence, "verify_theorem4", _verify_rise_one_early,
+        lambda: _passes(test_reference_equivalence.TestReferenceVerify().test_planted_failures),
+    ),
+    "the server candidate is the whole proposal": (
+        test_server_exactness, "_candidate", _whole_proposal,
+        lambda: _passes(test_server_exactness.test_coupled_slots_keep_pi, "uniform", 1),
     ),
 }
 

@@ -2,8 +2,9 @@
 
 The references below are the per-event implementations: one operator
 application and one TV distance per event, element loops over
-``Fraction``s for exact mode (vector-matrix and matrix-matrix products,
-binary powering, half-L1), one sort per candidate worker,
+``Fraction``s as the exact reference of the float64 measure layer
+(vector-matrix and matrix-matrix products, binary powering, half-L1, a
+Gauss-Jordan stationary solve), one sort per candidate worker,
 a schedule generator with two scalar ``rng.integers`` calls per event,
 scalar ``Generator.random``/``integers`` calls for the raw-word draws,
 a parameter-server loop that sends every message as a ``ServerMessage``
@@ -16,12 +17,15 @@ versions, a ``validate`` that checks every worker's silence at every event,
 and trace and samples writers with one ``json.dumps`` per line.  The fast
 paths must agree with them exactly (``==`` and equal bytes, never
 approximately), because the canned experiments' artifacts are required to
-stay byte-identical.
+stay byte-identical; only the float64 measure layer is held to its exact
+reference within a tolerance.
 
 The module also holds the constructors that only tests need, which other test
-modules import from here: random rational matrices and distributions,
+modules import from here: random rational matrices and distributions as
+``Fraction`` arrays,
 multi-site product targets, and the matrix-power cross-check of a trace.
 """
+import collections
 import dataclasses
 import heapq
 import itertools
@@ -72,7 +76,6 @@ from asyncmc.measures import (
     random_distribution,
     random_stochastic_matrix,
     stationary_distribution,
-    tv_distance,
 )
 from asyncmc.pserver import (
     MODES,
@@ -100,18 +103,19 @@ from asyncmc.shmem import RunRecord, replay, samples_csv
 
 
 RATIONAL_MAX_WEIGHT = 20  # integer weights of the random rational matrices and distributions
+_fractions = np.frompyfunc(Fraction, 1, 1)
 
 
 def random_rational_matrix(rng, n):
-    """Exact-mode analogue of ``measures.random_stochastic_matrix``."""
-    draws = rng.integers(1, RATIONAL_MAX_WEIGHT + 1, size=(n, n)).astype(object)
-    weights = np.frompyfunc(Fraction, 1, 1)(draws)
-    return StochasticMatrix(StateSpace(tuple(range(n))), weights / weights.sum(axis=1, keepdims=True))
+    """A random ergodic kernel as an n x n ``Fraction`` array whose rows sum to 1 exactly."""
+    weights = _fractions(rng.integers(1, RATIONAL_MAX_WEIGHT + 1, size=(n, n)).astype(object))
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def random_rational_distribution(rng, n):
-    weights = rng.integers(1, RATIONAL_MAX_WEIGHT + 1, size=n).astype(object)
-    return FiniteDistribution.from_weights(StateSpace(tuple(range(n))), weights)
+    """A random distribution as a ``Fraction`` array that sums to 1 exactly."""
+    weights = _fractions(rng.integers(1, RATIONAL_MAX_WEIGHT + 1, size=n).astype(object))
+    return weights / weights.sum()
 
 
 def product_finite_target(site_domains, log_weight):
@@ -129,7 +133,7 @@ def product_finite_target(site_domains, log_weight):
 
 
 def matrix_power(m, k):
-    """``m`` to the ``k``-th power by numpy's binary powering, exact when ``m`` is."""
+    """``m`` to the ``k``-th power by numpy's binary powering."""
     return StochasticMatrix(m.space, np.linalg.matrix_power(m.rows, k))
 
 
@@ -140,9 +144,8 @@ def matrix_power_consistency(trace, m, *, tol=1e-10):
     that produced the trace, so this is an independent cross-check.
     """
     mu0 = FiniteDistribution(m.space, trace.ladder[0])
-    zero = 0 if trace.exact else tol
     return all(
-        half_l1(trace.ladder[k], apply_operator(matrix_power(m, k), mu0).probs) <= zero
+        half_l1(trace.ladder[k], apply_operator(matrix_power(m, k), mu0).probs) <= tol
         for k in set(trace.p.tolist())
     )
 
@@ -152,13 +155,12 @@ def is_exact(arr):
 
 
 def reference_vec_dot_mat(vec, rows):
-    """``mu P``: numpy's product for two float arrays, else one Python sum per
-    entry in index order, exact only when both operands are."""
-    if not (is_exact(vec) or is_exact(rows)):
+    """``mu P``: numpy's product on float64 arrays, one Python sum per entry,
+    in index order, on ``Fraction`` arrays."""
+    if not is_exact(vec):
         return vec @ rows
     n = len(vec)
-    out = [sum(vec[i] * rows[i][j] for i in range(n)) for j in range(n)]
-    return np.array(out, dtype=object if is_exact(vec) and is_exact(rows) else float)
+    return np.array([sum(vec[i] * rows[i][j] for i in range(n)) for j in range(n)], dtype=object)
 
 
 def reference_mat_mul(a, b):
@@ -182,26 +184,57 @@ def reference_matrix_power(rows, k):
 
 
 def reference_tv(x, y):
-    """Half the L1 distance: a sum over Fractions when both arrays are exact,
-    the float64 expression on float copies otherwise."""
-    if is_exact(x) and is_exact(y):
+    """Half the L1 distance: a sum over ``Fraction``s on exact arrays, the
+    float64 expression otherwise."""
+    if is_exact(x):
         return sum(abs(a - b) for a, b in zip(x, y)) / 2
-    xf, yf = (np.array([float(v) for v in arr]) for arr in (x, y))
-    return 0.5 * float(np.abs(xf - yf).sum())
+    return 0.5 * float(np.abs(x - y).sum())
 
 
-def reference_propagate(m, mu0, schedule, pi):
-    mus, p, d = [mu0.probs], [0], [reference_tv(mu0.probs, pi.probs)]
+def reference_stationary(rows):
+    """The stationary law of exact ergodic ``rows``: ``x P = x`` with
+    ``sum(x) = 1`` solved over the rationals by Gauss-Jordan elimination on
+    the augmented system ``[P^T - I | 0]``, its last row ``sum(x) = 1``."""
+    n = len(rows)
+    a = np.zeros((n, n + 1), dtype=object)
+    a[:, :n] = rows.T - np.identity(n, dtype=object)
+    a[n - 1] = Fraction(1)
+    for col in range(n):
+        pivot = col + int(np.argmax(a[col:, col] != 0))
+        assert a[pivot, col] != 0, "the stationary system is singular"
+        a[[col, pivot]] = a[[pivot, col]]
+        a[col] /= a[col, col]
+        factors = a[:, col].copy()
+        factors[col] = 0
+        a -= np.outer(factors, a[col])
+    return a[:, n]
+
+
+def reference_propagate(rows, mu0, schedule, pi):
+    """Per event, one operator application and one TV distance on the
+    arrays ``rows``, ``mu0`` and ``pi``, all float64 or all ``Fraction``s."""
+    mus, p, d = [mu0], [0], [reference_tv(mu0, pi)]
     for ev in schedule.events:
         j = ev.read_from + 1
-        nxt = reference_vec_dot_mat(mus[j], m.rows)
+        nxt = reference_vec_dot_mat(mus[j], rows)
         mus.append(nxt)
         p.append(p[j] + 1)
-        d.append(reference_tv(nxt, pi.probs))
+        d.append(reference_tv(nxt, pi))
     b = schedule.staleness_bound
     d_star = [max(d[max(0, k - b + 1) : k + 1]) for k in range(len(d))]
     p_star = [min(p[max(0, k - b + 1) : k + 1]) for k in range(len(p))]
     return mus, d, d_star, p, p_star
+
+
+# The exact law of every version of a schedule: ``mus[v]``, ``d`` and ``d_star``
+# hold ``Fraction``s, ``p`` and ``p_star`` integers, all as numpy arrays.
+ExactTrace = collections.namedtuple("ExactTrace", "schedule mus d d_star p p_star")
+
+
+def exact_reference_trace(rows, mu0, schedule):
+    mus, d, d_star, p, p_star = reference_propagate(rows, mu0, schedule, reference_stationary(rows))
+    d, d_star = np.array(d, dtype=object), np.array(d_star, dtype=object)
+    return ExactTrace(schedule, mus, d, d_star, np.array(p), np.array(p_star))
 
 
 def assert_same_entries(got, want):
@@ -223,19 +256,16 @@ def reference_edf_safe_workers(deadlines, seq):
 
 
 def assert_identical(trace, m, mu0, pi):
-    mus, d, d_star, p, p_star = reference_propagate(m, mu0, trace.schedule, pi)
+    mus, d, d_star, p, p_star = reference_propagate(m.rows, mu0.probs, trace.schedule, pi.probs)
     assert trace.p.dtype == trace.p_star.dtype == np.int64
     assert trace.p.tolist() == p and trace.p_star.tolist() == p_star
     for got, want in ((trace.d, d), (trace.d_star, d_star)):
-        assert got.dtype == (object if trace.exact else np.float64)
+        assert got.dtype == np.float64
         assert_same_entries(got, want)
-        if not trace.exact:
-            assert got.tobytes() == np.array(want).tobytes()
+        assert got.tobytes() == np.array(want).tobytes()
     assert trace.ladder.shape == (max(p) + 1, m.space.size) and not trace.ladder.flags.writeable
     assert len(trace.p) == len(mus)
-    # row 0 is mu0 in the ladder's dtype: float64 for an exact mu0 under a float kernel
-    assert_same_entries(trace.ladder[0], mus[0].astype(trace.ladder.dtype))
-    for v, want in enumerate(mus[1:], 1):
+    for v, want in enumerate(mus):
         assert_same_entries(trace.ladder[trace.p[v]], want)
 
 
@@ -291,123 +321,66 @@ class TestFloatPropagation:
             trace.ladder[0, 0] = 1.0
 
 
-class TestExactPropagation:
-    def test_random_schedules(self):
-        rng = np.random.default_rng(202)
-        for _ in range(12):
+class TestExactReference:
+    """The float measure layer against the ``Fraction`` references: the same
+    depths and distances within 1e-10, and a zero-tolerance theorem check of
+    the exact traces themselves."""
+
+    def test_reference_stationary_solve(self):
+        rows = np.array([[Fraction(9, 10), Fraction(1, 10)], [Fraction(1, 5), Fraction(4, 5)]])
+        assert reference_stationary(rows).tolist() == [Fraction(2, 3), Fraction(1, 3)]
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            rows = random_rational_matrix(rng, n)
+            pi = reference_stationary(rows)
+            assert sum(pi) == 1 and reference_vec_dot_mat(pi, rows).tolist() == pi.tolist()
+            got = stationary_distribution(StochasticMatrix(StateSpace(tuple(range(n))), rows.astype(float)))
+            assert reference_tv(got.probs, pi.astype(float)) <= 1e-12
+
+    def test_float_propagate_agrees_with_exact_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
             n = int(rng.integers(2, 5))
-            m = random_rational_matrix(rng, n)
-            mu0 = random_rational_distribution(rng, n)
-            workers = int(rng.integers(1, 4))
-            schedule = random_schedule(workers, int(rng.integers(workers, 6)), 60, rng)
-            trace = propagate(m, mu0, schedule)
-            assert trace.exact
-            assert_identical(trace, m, mu0, stationary_distribution(m))
+            rows, mu0 = random_rational_matrix(rng, n), random_rational_distribution(rng, n)
+            schedule = random_schedule(2, 3, 100, rng)
+            space = StateSpace(tuple(range(n)))
+            trace = propagate(
+                StochasticMatrix(space, rows.astype(float)), FiniteDistribution(space, mu0.astype(float)), schedule
+            )
+            exact = exact_reference_trace(rows, mu0, schedule)
+            assert trace.p.tolist() == exact.p.tolist()
+            assert max(abs(float(a) - b) for a, b in zip(exact.d, trace.d)) <= 1e-10
 
-    def test_adversarial_and_frozen(self):
-        rng = np.random.default_rng(3)
-        m = random_rational_matrix(rng, 3)
-        mu0 = random_rational_distribution(rng, 3)
-        pi = stationary_distribution(m)
-        for schedule in adversarial_schedules(2, 4, 40).values():
-            assert_identical(propagate(m, mu0, schedule), m, mu0, pi)
-        assert_identical(propagate_unbounded_counterexample(m, mu0, 40), m, mu0, pi)
-
-
-def rational_instances(seed, count):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(2, 7))
-        yield rng, random_rational_matrix(rng, n), random_rational_distribution(rng, n)
-
-
-class TestExactOperations:
-    def test_apply_operator(self):
-        for _, m, mu in rational_instances(31, 40):
-            out = apply_operator(m, mu)
-            assert out.exact
-            assert_same_entries(out.probs, reference_vec_dot_mat(mu.probs, m.rows))
-
-    @pytest.mark.parametrize("k", [0, 1, 2, 7, 64])
-    def test_matrix_power(self, k):
-        for _, m, _ in rational_instances(33 + k, 8):
-            power = matrix_power(m, k)
-            assert power.exact
-            assert_same_entries(power.rows, reference_matrix_power(m.rows, k))
-
-    def test_tv_distance(self):
-        for rng, _, a in rational_instances(34, 40):
-            b = random_rational_distribution(rng, a.space.size)
-            for x, y in ((a, b), (a, a)):
-                got = tv_distance(x, y)
-                assert type(got) is Fraction and got == reference_tv(x.probs, y.probs)
-
-    def test_propagate(self):
-        for rng, m, mu0 in rational_instances(35, 12):
-            workers = int(rng.integers(1, 4))
-            schedule = random_schedule(workers, int(rng.integers(workers, 7)), 60, rng)
-            trace = propagate(m, mu0, schedule)
-            assert trace.exact
-            assert_identical(trace, m, mu0, stationary_distribution(m))
-
-
-def mixed_pairs(seed, count):
-    """An exact kernel with a float mu0 and a float kernel with an exact mu0,
-    on spaces of 2 to 11 states."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(2, 12))
-        yield rng, random_rational_matrix(rng, n), random_distribution(rng, n)
-        yield rng, random_stochastic_matrix(rng, n), random_rational_distribution(rng, n)
-
-
-class TestMixedOperands:
-    """One exact operand and one float one give float results, equal by
-    ``==`` to what the per-event loops computed."""
-
-    def test_apply_operator(self):
-        for _, m, mu in mixed_pairs(41, 40):
-            out = apply_operator(m, mu)
-            assert not out.exact and out.probs.dtype == np.float64
-            assert_same_entries(out.probs, reference_vec_dot_mat(mu.probs, m.rows))
-
-    def test_tv_distance(self):
-        for _, m, mu in mixed_pairs(42, 40):
-            pi = stationary_distribution(m)
-            got = tv_distance(mu, pi)
-            assert type(got) is float and got == reference_tv(mu.probs, pi.probs)
-
-    def test_propagate(self):
-        for rng, m, mu0 in mixed_pairs(43, 8):
-            workers = int(rng.integers(1, 4))
-            schedule = random_schedule(workers, int(rng.integers(workers, 7)), 80, rng)
-            trace = propagate(m, mu0, schedule)
-            assert not trace.exact
-            assert_identical(trace, m, mu0, stationary_distribution(m))
+    def test_exact_reference_spot_check_campaign(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n = int(rng.integers(2, 5))
+            rows, mu0 = random_rational_matrix(rng, n), random_rational_distribution(rng, n)
+            schedule = random_schedule(int(rng.integers(1, 4)), 4, 60, rng)
+            trace = exact_reference_trace(rows, mu0, schedule)
+            assert reference_verify_theorem4(trace, 1, tolerance=0) == ()
+            # every version's law is mu0 times the kernel's power at its depth
+            laws = {k: reference_vec_dot_mat(mu0, reference_matrix_power(rows, k)) for k in set(trace.p.tolist())}
+            assert all(mu.tolist() == laws[k].tolist() for mu, k in zip(trace.mus, trace.p.tolist()))
 
 
 class TestLadderValidation:
     def test_rows_checked_like_single_distributions(self):
-        # the one check the ladder runs over all its rows
-        tiny = Fraction(1, 10**15)
+        # the one check the ladder runs over all its rows; a bad sum is named as a plain float
         for rows, message in (
             (np.array([[0.5, 0.5], [-0.5, 1.5]]), "negative"),
-            (np.array([[0.5, 0.5], [0.5, 0.6]]), "sum to"),
+            (np.array([[0.5, 0.5], [0.5, 0.6]]), r"sum to 1\.1, not 1$"),
             (np.array([[0.5, 0.5], [np.nan, 1.0]]), "non-finite"),
-            (np.array([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2) + tiny]]), "sum to"),
         ):
             with pytest.raises(ValidationError, match=message):
                 _check_probs(rows)
 
 
 class TestMatrixPowerConsistency:
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_detects_a_corrupted_version(self, exact):
+    def test_detects_a_corrupted_version(self):
         rng = np.random.default_rng(9)
-        if exact:
-            m, mu0 = random_rational_matrix(rng, 3), random_rational_distribution(rng, 3)
-        else:
-            m, mu0 = random_stochastic_matrix(rng, 3), random_distribution(rng, 3)
+        m, mu0 = random_stochastic_matrix(rng, 3), random_distribution(rng, 3)
         schedule = random_schedule(2, 4, 50, rng)
         trace = propagate(m, mu0, schedule)
         assert matrix_power_consistency(trace, m)
@@ -420,12 +393,12 @@ class TestMatrixPowerConsistency:
         assert not matrix_power_consistency(other, m)
 
 
-def reference_verify_theorem4(trace, threshold):
-    """The failures of the per-index loops, over the trace's values as lists."""
+def reference_verify_theorem4(trace, threshold, *, tolerance=MONOTONE_TOL):
+    """The failures of the per-index loops, over the trace's values as lists;
+    ``d_star`` may rise by at most ``tolerance``."""
     b = trace.schedule.staleness_bound
     n = len(trace.schedule.events)
     d, d_star, p_star = trace.d.tolist(), trace.d_star.tolist(), trace.p_star.tolist()
-    tolerance = 0 if trace.exact else MONOTONE_TOL
     failures = []
     for k in range(b + 1, n):
         if d_star[k + 1] > d_star[k] + tolerance:
@@ -456,7 +429,7 @@ def planted_failures(trace, unit):
     rise = trace.d_star.copy()
     for j in (b + 1, b + 3, n):  # b + 1 is before the window is warm
         rise[j] = rise[j - 1] + unit
-    rise[b + 5] = rise[b + 4] + unit / 10**4  # within the float tolerance, not the exact one
+    rise[b + 5] = rise[b + 4] + unit / 10**4  # within MONOTONE_TOL, so no failure
     drop = trace.p_star.copy()
     for j in (1, n // 2):
         drop[j] = drop[j - 1] - 1
@@ -487,16 +460,11 @@ class TestReferenceVerify:
     """The array checks of ``verify_theorem4`` name the same failures, in the
     same order, as the per-index loops."""
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_planted_failures(self, exact):
+    def test_planted_failures(self):
         rng = np.random.default_rng(17)
-        if exact:
-            m, mu0 = random_rational_matrix(rng, 3), random_rational_distribution(rng, 3)
-            unit = Fraction(1, 10**9)
-        else:
-            m, mu0, unit = blended_kernel(rng, 4), random_distribution(rng, 4), 1e-9
+        m, mu0 = blended_kernel(rng, 4), random_distribution(rng, 4)
         trace = propagate(m, mu0, random_schedule(3, 5, 60, rng))
-        for crafted, threshold, kinds in planted_failures(trace, unit):
+        for crafted, threshold, kinds in planted_failures(trace, 1e-9):
             want = reference_verify_theorem4(crafted, threshold)
             report = verify_theorem4(crafted, threshold=threshold)
             assert report.failures == want
@@ -506,28 +474,13 @@ class TestReferenceVerify:
             assert bool(want) == bool(kinds)
             assert all(any(kind in f for f in want) for kind in kinds), (kinds, want)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_frozen_worker_counterexample(self, exact):
+    def test_frozen_worker_counterexample(self):
         rng = np.random.default_rng(18)
-        if exact:
-            m, mu0 = random_rational_matrix(rng, 2), random_rational_distribution(rng, 2)
-        else:
-            m, mu0 = random_stochastic_matrix(rng, 2), random_distribution(rng, 2)
+        m, mu0 = random_stochastic_matrix(rng, 2), random_distribution(rng, 2)
         trace = propagate_unbounded_counterexample(m, mu0, 60)
         report = verify_theorem4(trace)  # at the default threshold
         assert report.failures == reference_verify_theorem4(trace, CONVERGENCE_THRESHOLD)
         assert not report.passed
-
-    def test_fraction_threshold(self):
-        # the message prints a Fraction threshold as a float: before Python
-        # 3.12 a Fraction takes no ".1e" format spec
-        rng = np.random.default_rng(19)
-        m, mu0 = random_rational_matrix(rng, 3), random_rational_distribution(rng, 3)
-        trace = propagate(m, mu0, synchronous_schedule(1, 20))
-        threshold = Fraction(1, 10**30)
-        report = verify_theorem4(trace, threshold=threshold)
-        assert report.failures == reference_verify_theorem4(trace, threshold)
-        assert report.failures == (f"d at final version 20 is {float(trace.d[20]):.3e} > 1.0e-30",)
 
 
 def reference_random_schedule(m, b, length, rng, kind="write"):
@@ -1633,7 +1586,12 @@ def reference_detailed_balance_error(kernel):
 
 @pytest.mark.parametrize(
     "proposal",
-    [{"type": "uniform_independence"}, {"type": "table_independence", "weights": [1.0, 3.0, 2.0, 0.5]}],
+    [
+        {"type": "uniform_independence"},
+        {"type": "table_independence", "weights": [1.0, 3.0, 2.0, 0.5]},
+        # states 1 and 3 are never proposed, so neither move between them is
+        {"type": "table_independence", "weights": [1.0, 0.0, 2.0, 0.0]},
+    ],
 )
 def test_detailed_balance_error_matches_pairwise_loop(proposal, tmp_path):
     doc = {
