@@ -76,6 +76,7 @@ from asyncmc.measures import (
     random_distribution,
     random_stochastic_matrix,
     stationary_distribution,
+    tv_distance,
 )
 from asyncmc.pserver import (
     MODES,
@@ -363,6 +364,101 @@ class TestExactReference:
             # every version's law is mu0 times the kernel's power at its depth
             laws = {k: reference_vec_dot_mat(mu0, reference_matrix_power(rows, k)) for k in set(trace.p.tolist())}
             assert all(mu.tolist() == laws[k].tolist() for mu, k in zip(trace.mus, trace.p.tolist()))
+
+    def test_rational_generators_are_exact(self):
+        rng = np.random.default_rng(12)
+        for n in range(2, 7):
+            rows, mu = random_rational_matrix(rng, n), random_rational_distribution(rng, n)
+            assert rows.shape == (n, n) and mu.shape == (n,)
+            assert all(type(x) is Fraction and x > 0 for x in [*rows.ravel(), *mu])
+            assert all(sum(row) == 1 for row in rows) and sum(mu) == 1
+
+    def test_zero_tolerance_catches_a_tiny_rise(self):
+        rng = np.random.default_rng(3)
+        rows, mu0 = random_rational_matrix(rng, 3), random_rational_distribution(rng, 3)
+        trace = exact_reference_trace(rows, mu0, random_schedule(2, 4, 80, rng))
+        assert reference_verify_theorem4(trace, 1, tolerance=0) == ()
+        # a rise far below MONOTONE_TOL fails at tolerance 0 and passes at MONOTONE_TOL
+        rise = trace.d_star.copy()
+        rise[20] = rise[19] + Fraction(1, 10**30)
+        crafted = trace._replace(d_star=rise)
+        assert reference_verify_theorem4(crafted, 1, tolerance=0) == ("d_star increases at k=20",)
+        assert reference_verify_theorem4(crafted, 1) == ()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda space, rows, mu: FiniteDistribution(space, mu).probs,
+            lambda space, rows, mu: FiniteDistribution.from_weights(space, 7 * mu).probs,
+            lambda space, rows, mu: StochasticMatrix(space, rows).rows,
+        ],
+        ids=["distribution", "from_weights", "matrix"],
+    )
+    def test_constructors_take_the_float_image_of_fractions(self, build):
+        rng = np.random.default_rng(13)
+        rows, mu = random_rational_matrix(rng, 4), random_rational_distribution(rng, 4)
+        got = build(StateSpace(tuple(range(4))), rows, mu)
+        assert got.dtype == np.float64
+        want = (mu if got.ndim == 1 else rows).astype(float)
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_apply_operator(self):
+        for _, rows, mu in rational_instances(31, 40):
+            m, d = float_image(rows, mu)
+            want = reference_vec_dot_mat(mu, rows).astype(float)
+            assert np.allclose(apply_operator(m, d).probs, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 64])
+    def test_matrix_power(self, k):
+        for _, rows, mu in rational_instances(33 + k, 8):
+            m, _ = float_image(rows, mu)
+            want = reference_matrix_power(rows, k).astype(float)
+            assert np.allclose(matrix_power(m, k).rows, want, rtol=0, atol=1e-13)
+
+    def test_tv_distance(self):
+        for rng, rows, a in rational_instances(34, 40):
+            b = random_rational_distribution(rng, len(a))
+            fa, fb = (float_image(rows, x)[1] for x in (a, b))
+            got = tv_distance(fa, fb)
+            assert type(got) is float and abs(got - float(reference_tv(a, b))) <= 1e-15
+            assert tv_distance(fa, fa) == 0.0
+
+    def test_propagate_on_random_schedules(self):
+        for rng, rows, mu0 in rational_instances(35, 12):
+            workers = int(rng.integers(1, 4))
+            schedule = random_schedule(workers, int(rng.integers(workers, 7)), 60, rng)
+            assert_near_exact_reference(propagate(*float_image(rows, mu0), schedule), rows, mu0)
+
+    def test_propagate_on_adversarial_and_frozen_schedules(self):
+        _, rows, mu0 = next(rational_instances(3, 1))
+        m, d = float_image(rows, mu0)
+        for schedule in adversarial_schedules(2, 4, 40).values():
+            assert_near_exact_reference(propagate(m, d, schedule), rows, mu0)
+        assert_near_exact_reference(propagate_unbounded_counterexample(m, d, 40), rows, mu0)
+
+
+def rational_instances(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        yield rng, random_rational_matrix(rng, n), random_rational_distribution(rng, n)
+
+
+def float_image(rows, mu):
+    """The float64 kernel and distribution of the ``Fraction`` arrays ``rows`` and ``mu``."""
+    space = StateSpace(tuple(range(len(mu))))
+    return StochasticMatrix(space, rows.astype(float)), FiniteDistribution(space, mu.astype(float))
+
+
+def assert_near_exact_reference(trace, rows, mu0):
+    """The float trace has the exact reference's depths, and its laws and
+    distances lie within 1e-10 of the exact ones."""
+    exact = exact_reference_trace(rows, mu0, trace.schedule)
+    assert trace.p.tolist() == exact.p.tolist() and trace.p_star.tolist() == exact.p_star.tolist()
+    for got, want in ((trace.d, exact.d), (trace.d_star, exact.d_star)):
+        assert np.allclose(got, want.astype(float), rtol=0, atol=1e-10)
+    for v, mu in enumerate(exact.mus):
+        assert np.allclose(trace.ladder[trace.p[v]], mu.astype(float), rtol=0, atol=1e-10)
 
 
 class TestLadderValidation:
