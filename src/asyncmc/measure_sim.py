@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, InconclusiveCounterexampleError, ScheduleError, ValidationError
 from .measures import (
@@ -43,6 +42,7 @@ MONOTONE_TOL = 1e-12
 CONVERGENCE_THRESHOLD = 1e-8
 FROZEN_STALENESS_BOUND = 2  # declared bound of the frozen-worker schedule, broken by construction
 CAMPAIGN_UNIFORM_MIX = (0.55, 0.9)  # range of the campaign kernels' uniform-blend weight
+SETTLE_STRIDE = 8  # the ladder looks for a repeated row at every 8th depth
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +63,19 @@ class MeasureTrace:
 
 
 def _window_stats(values: np.ndarray, b: int, reduce) -> np.ndarray:
-    # Reduce each trailing window of b values; the first b-1 windows are
-    # truncated at 0, which front-padding with values[0] reproduces.
-    width = min(b, len(values))
-    padded = np.concatenate([np.full(width - 1, values[0], dtype=values.dtype), values])
-    return reduce(sliding_window_view(padded, width), axis=1)
+    # Reduce (np.maximum or np.minimum) each trailing window of b values, the
+    # first b-1 windows truncated at 0.  Spans double from 1 while they fit
+    # in the window; two overlapping spans of the largest then cover it.
+    n = len(values)
+    b = min(b, n)
+    out = values.copy()
+    span = 1
+    while 2 * span <= b:
+        out[span:] = reduce(out[span:], out[: n - span])
+        span *= 2
+    shift = b - span
+    out[shift:] = reduce(out[shift:], out[: n - shift])
+    return out
 
 
 def _ladder(
@@ -75,13 +83,19 @@ def _ladder(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``mu0 P^k`` and its TV distance to ``pi`` for k = 0..depth.
 
-    Each row is the product :func:`apply_operator` takes.  Every row is
+    Each row is the product :func:`apply_operator` takes.  Once a row
+    repeats the one before it bit for bit, the product has reached its
+    float64 fixed point, so every later row is a copy of it.  Every row is
     checked as a distribution, and the rows are returned read-only.
     """
     rows = np.empty((depth + 1, m.space.size))
     rows[0] = mu0.probs
     for k in range(1, depth + 1):
         rows[k] = rows[k - 1] @ m.rows
+        # bytes, not ==, which takes -0.0 for 0.0
+        if k % SETTLE_STRIDE == 0 and rows[k].tobytes() == rows[k - 1].tobytes():
+            rows[k + 1 :] = rows[k]
+            break
     _check_probs(rows)
     rows.flags.writeable = False
     return rows, half_l1(rows, pi.probs)
@@ -100,7 +114,7 @@ def _propagate_events(
     d = dist[depth]
     b = schedule.staleness_bound
     return MeasureTrace(
-        schedule, ladder, d, _window_stats(d, b, np.max), depth, _window_stats(depth, b, np.min)
+        schedule, ladder, d, _window_stats(d, b, np.maximum), depth, _window_stats(depth, b, np.minimum)
     )
 
 

@@ -168,11 +168,12 @@ def _is_primitive(rows: np.ndarray) -> bool:
     # Wielandt: a primitive n x n matrix has every power from (n-1)^2 + 1 on
     # strictly positive, and no other nonnegative matrix has any positive
     # power.  Squaring ((n-1)^2).bit_length() times reaches a power 2^j at
-    # or above that bound.
+    # or above that bound.  The 0/1 pattern is squared in float64, whose
+    # products count paths exactly up to 2^53 states, so that BLAS runs it.
     n = rows.shape[0]
-    reach = (rows > 0).astype(int)
+    reach = (rows > 0).astype(float)
     for _ in range(((n - 1) ** 2).bit_length()):
-        reach = ((reach @ reach) > 0).astype(int)
+        reach = ((reach @ reach) > 0).astype(float)
     return bool(reach.all())
 
 

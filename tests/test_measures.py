@@ -207,6 +207,11 @@ class TestIsPrimitive:
         power = np.linalg.matrix_power(pattern.astype(np.int64), (n - 1) ** 2 - 1) > 0
         assert not ((power.astype(int) @ pattern) > 0).all()
 
+    def test_two_hundred_states(self):
+        # far past the exact reference's reach: exponent 199^2 + 1 = 39 602
+        assert measures._is_primitive(wielandt_matrix(200))
+        assert not measures._is_primitive(np.roll(np.eye(200), 1, axis=1))
+
 
 class TestContraction:
     def test_mu_equals_pi(self):

@@ -14,7 +14,8 @@ The law-level mutants break what a scientific check measures, not an input
 check.  Their checks are test methods, run as they are, and each mutant is
 bound in the test module that calls the function: ``test_shmem`` calls
 ``replay``, ``test_reference_equivalence`` calls ``verify_theorem4`` and
-``test_server_exactness`` calls ``_candidate``.
+``test_server_exactness`` calls ``_candidate``; ``measure_sim`` looks up its
+own ``_ladder`` and ``_window_stats``, so those two are bound there.
 """
 import contextlib
 import inspect
@@ -24,6 +25,7 @@ import tempfile
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import test_reference_equivalence
@@ -150,6 +152,17 @@ _verify_rise_one_early = _source_mutant(
 )
 
 
+# the ladder settles once consecutive rows agree to 1e-12, not bit for bit
+_ladder_settling_near = _source_mutant(
+    measure_sim._ladder,
+    "rows[k].tobytes() == rows[k - 1].tobytes()",
+    "np.allclose(rows[k], rows[k - 1], rtol=0, atol=1e-12)",
+)
+
+# the second of the two overlapping spans starts one value early: windows of b + 1
+_window_one_too_wide = _source_mutant(measure_sim._window_stats, "shift = b - span", "shift = b - span + 1")
+
+
 def _whole_proposal(current, x_star, params, sites):
     return x_star
 
@@ -200,6 +213,14 @@ CASES = {
     "verify_theorem4 checks d_star rises from one index early": (
         test_reference_equivalence, "verify_theorem4", _verify_rise_one_early,
         lambda: _passes(test_reference_equivalence.TestReferenceVerify().test_planted_failures),
+    ),
+    "the ladder settles within 1e-12": (
+        measure_sim, "_ladder", _ladder_settling_near,
+        lambda: _passes(test_reference_equivalence.TestFloatPropagation().test_random_schedules),
+    ),
+    "the window statistics reduce b + 1 values": (
+        measure_sim, "_window_stats", _window_one_too_wide,
+        lambda: _passes(test_reference_equivalence.TestWindowStats().test_matches_a_max_and_min_per_window, np.int64),
     ),
     "the server candidate is the whole proposal": (
         test_server_exactness, "_candidate", _whole_proposal,

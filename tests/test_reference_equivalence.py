@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asyncmc import cli, kernels, pserver, schedules, shmem
+from asyncmc import cli, kernels, measure_sim, pserver, schedules, shmem
 from asyncmc.errors import (
     LivenessError,
     ProposalInconsistencyError,
@@ -61,6 +61,7 @@ from asyncmc.kernels import (
 from asyncmc.measure_sim import (
     CONVERGENCE_THRESHOLD,
     MONOTONE_TOL,
+    SETTLE_STRIDE,
     frozen_worker_schedule,
     propagate,
     propagate_unbounded_counterexample,
@@ -320,6 +321,57 @@ class TestFloatPropagation:
         assert sorted(set(trace.p.tolist())) == list(range(len(trace.ladder)))
         with pytest.raises(ValueError):
             trace.ladder[0, 0] = 1.0
+
+    def test_ladder_repeating_at_the_first_row(self):
+        # uniform is fixed by a doubly stochastic kernel, and with dyadic
+        # entries every product is exact, so row 1 repeats row 0 bit for bit
+        m = StochasticMatrix(
+            StateSpace((0, 1, 2, 3)),
+            [[0.5, 0.25, 0.25, 0.0], [0.25, 0.5, 0.0, 0.25], [0.25, 0.0, 0.5, 0.25], [0.0, 0.25, 0.25, 0.5]],
+        )
+        mu0 = FiniteDistribution(m.space, [0.25] * 4)
+        trace = propagate(m, mu0, synchronous_schedule(1, 50))
+        assert_identical(trace, m, mu0, stationary_distribution(m))
+        assert {row.tobytes() for row in trace.ladder} == {mu0.probs.tobytes()}
+
+    def test_ladder_without_a_repeat(self):
+        # eigenvalue -0.998: the rows oscillate, still moving at the deepest depth
+        m = StochasticMatrix(StateSpace((0, 1)), [[1e-3, 1 - 1e-3], [1 - 1e-3, 1e-3]])
+        mu0 = FiniteDistribution.point_mass(m.space, 0)
+        trace = propagate(m, mu0, random_schedule(3, 5, 3000, np.random.default_rng(11)))
+        assert_identical(trace, m, mu0, stationary_distribution(m))
+        rows = [row.tobytes() for row in trace.ladder]
+        assert all(a != b for a, b in zip(rows, rows[1:]))
+
+    @pytest.mark.parametrize(
+        "depth", [1, SETTLE_STRIDE - 1, SETTLE_STRIDE + 1, 4 * SETTLE_STRIDE + 3, 16 * SETTLE_STRIDE + 5]
+    )
+    def test_ladder_depths_off_the_check_stride(self, depth):
+        rng = np.random.default_rng(depth)
+        raw = random_stochastic_matrix(rng, 5)
+        m = StochasticMatrix(raw.space, 0.1 * raw.rows + 0.9 / 5)
+        mu0 = random_distribution(rng, 5)
+        trace = propagate(m, mu0, synchronous_schedule(1, depth))
+        assert_identical(trace, m, mu0, stationary_distribution(m))
+        # the two deepest ladders repeat a row (at depths 21 and 13), so
+        # their last rows are the copies filled in after the check
+        settled = trace.ladder[-1].tobytes() == trace.ladder[-2].tobytes()
+        assert settled == (depth > 2 * SETTLE_STRIDE)
+
+
+class TestWindowStats:
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_matches_a_max_and_min_per_window(self, dtype):
+        rng = np.random.default_rng(23)
+        for n in range(1, 41):
+            values = rng.integers(-9, 10, n).astype(dtype) if dtype is np.int64 else rng.standard_normal(n)
+            before = values.tobytes()
+            for b in sorted({1, 2, 3, n - 1, n, n + 5} - {0}):
+                for reduce, plain in ((np.maximum, max), (np.minimum, min)):
+                    want = np.array([plain(values[max(0, k - b + 1) : k + 1]) for k in range(n)], dtype=dtype)
+                    got = measure_sim._window_stats(values, b, reduce)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, b, reduce)
+            assert values.tobytes() == before
 
 
 class TestExactReference:
