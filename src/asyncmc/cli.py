@@ -26,16 +26,12 @@ import numpy as np
 from . import diagnostics, kernels, measure_sim, measures, pserver, schedules, shmem
 from .errors import AsyncMCError, LivenessError, NonErgodicKernelError, UnsupportedTargetError, ValidationError
 from .errors import _only, _read
+from .schedules import MAX_WORKERS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_LIVENESS = 2
 EXIT_VIOLATION = 3
-# The most workers a config may ask for: every mode builds one stream per
-# worker before it runs.  No canned config, test or benchmark workload asks
-# for more than 13.
-MAX_WORKERS = 256
-
 # The largest size a config may ask for in ``b``, ``horizon``,
 # ``params.instances`` or ``params.ops``: ten times the largest canned size.
 MAX_SIZE = 10**7
@@ -280,8 +276,8 @@ def _run_measure_sim(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
             cfg.seed,
             length=cfg.horizon,
             n_states_max=_read(params, "params.n_states_max", int, 6, least=2, below=kernels.RENDER_CAP + 1),
-            m_max=_read(params, "params.m_max", int, 5),
-            b_max=_read(params, "params.b_max", int, 10),
+            m_max=_read(params, "params.m_max", int, 5, least=1, below=MAX_WORKERS + 1),
+            b_max=_read(params, "params.b_max", int, 10, least=1, below=MAX_SIZE + 1),
         )
         summary = {"experiment": cfg.experiment, **dataclasses.asdict(report)}
         return (EXIT_OK if report.violations == 0 else EXIT_VIOLATION), summary, _kv_csv(summary)
@@ -482,8 +478,9 @@ def _run_determinism(cfg: ExperimentConfig) -> tuple[int, dict, dict]:
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Run one config; returns (exit_code, summary). Writes artifacts.
 
-    The runners return their artifacts and the output directory is made only
-    after the run, so a config rejected with exit 1 leaves nothing behind.
+    The runners check every input, then run and return each artifact as lines.
+    Only after the run is the output directory made and every file, summary
+    included, streamed into it by ``_write_text``: a refused config makes none.
     """
     if cfg.experiment == "determinism_repro":
         code, summary, artifacts = _run_determinism(cfg)
@@ -493,31 +490,27 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         code, summary, artifacts = _run_shmem(cfg)
     else:
         code, summary, artifacts = _run_pserver(cfg)
+    summary = {"name": cfg.name, "seed": cfg.seed, **summary}
+    artifacts["summary.json"] = json.dumps(summary, sort_keys=True, indent=2).split("\n")
     out = Path(cfg.out_dir) if cfg.out_dir else Path("asyncmc_out") / cfg.name
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        _write_text(out / name, text)
-    summary = {"name": cfg.name, "seed": cfg.seed, **summary}
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    for name, lines in artifacts.items():
+        _write_text(out / name, lines)
     return code, summary
 
 
 def _kv_csv(doc: dict) -> dict:
-    """A ``metrics.csv`` artifact of ``key,value`` rows, keys sorted."""
-    lines = ["key,value"] + [f"{k},{doc[k]!r}" for k in sorted(doc)]
-    return {"metrics.csv": "\n".join(lines) + "\n"}
+    """A ``metrics.csv`` artifact: the lines of ``key,value`` rows, keys sorted."""
+    return {"metrics.csv": ["key,value"] + [f"{k},{doc[k]!r}" for k in sorted(doc)]}
 
 
 _LINES_PER_WRITE = 4096
 
 
-def _write_text(path: Path, text) -> None:
-    """Write a string as is, or any other iterable of lines, each ended by a
-    newline, joined into one ``write`` per ``_LINES_PER_WRITE`` lines."""
-    if isinstance(text, str):
-        path.write_text(text)
-        return
-    lines = iter(text)
+def _write_text(path: Path, lines) -> None:
+    """Write lines, each without its newline, each followed by one, in one
+    ``write`` per ``_LINES_PER_WRITE`` lines: every file of a run comes here."""
+    lines = iter(lines)
     with path.open("w") as fh:
         while chunk := list(itertools.islice(lines, _LINES_PER_WRITE)):
             fh.write("\n".join(chunk))

@@ -19,7 +19,6 @@ distribution, so arrays here are offset by one from event sequence numbers.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -212,17 +211,13 @@ def propagate_unbounded_counterexample(
     return _propagate_events(m, mu0, schedule, pi)
 
 
-def measure_trace_csv(trace: MeasureTrace) -> str:
-    """One row per event: schedule fields plus the post-write statistics."""
-    buf = io.StringIO()
-    buf.write("seq,worker,read_from,d_k,d_star_k,p_k,p_star_k\n")
-    for ev in trace.schedule.events:
-        v = ev.seq + 1
-        buf.write(
-            f"{ev.seq},{ev.worker},{ev.read_from},"
-            f"{float(trace.d[v])!r},{float(trace.d_star[v])!r},{trace.p[v]},{trace.p_star[v]}\n"
-        )
-    return buf.getvalue()
+def measure_trace_csv(trace: MeasureTrace):
+    """The ``metrics.csv`` lines of a trace: a header, then one row per event,
+    its schedule fields and the statistics of the version it writes."""
+    yield "seq,worker,read_from,d_k,d_star_k,p_k,p_star_k"
+    columns = (trace.d[1:].tolist(), trace.d_star[1:].tolist(), trace.p[1:].tolist(), trace.p_star[1:].tolist())
+    for (seq, worker, read_from, _), d, d_star, p, p_star in zip(trace.schedule.events, *columns):
+        yield f"{seq},{worker},{read_from},{d!r},{d_star!r},{p},{p_star}"
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ import numpy as np
 from .errors import ValidationError
 
 EVENT_KINDS = ("write", "server_commit")
+# The most workers a schedule may have: every mode builds one stream, and
+# ``validate`` one list entry, per worker.  No canned config asks for over 13.
+MAX_WORKERS = 256
 _WORD = 0xFFFFFFFF
 
 
@@ -285,9 +288,9 @@ def trace_lines(workers: int, staleness_bound: int, events, extras=None):
         )
 
 
-def schedule_to_jsonl(s: Schedule) -> str:
-    """One event per line; a leading meta line carries workers and bound."""
-    return "\n".join(trace_lines(s.workers, s.staleness_bound, s.events)) + "\n"
+def schedule_to_jsonl(s: Schedule):
+    """The trace's lines, without newlines: a meta line, then one per event."""
+    return trace_lines(s.workers, s.staleness_bound, s.events)
 
 
 def _int_field(doc: dict, field: str, line: int) -> int:
@@ -311,8 +314,9 @@ def _lines(text: str):
 
 
 def schedule_from_jsonl(text: str) -> Schedule:
-    """Parse a JSONL trace; infers workers/bound when the meta line is absent."""
-    workers = bound = None
+    """Parse a JSONL trace; infers workers/bound when the meta line is absent.
+    Workers, declared or inferred, are at most ``MAX_WORKERS``."""
+    workers = bound = too_many = None
     events = []
     for line, ln in enumerate(_lines(text), start=1):
         if not ln.strip():
@@ -328,10 +332,14 @@ def schedule_from_jsonl(text: str) -> Schedule:
             for field, value in (("workers", workers), ("staleness_bound", bound)):
                 if value < 1:
                     raise ValidationError(f"trace line {line}: field {field!r} must be >= 1, got {value}")
+            if workers > MAX_WORKERS:
+                raise ValidationError(f"trace line {line}: field 'workers' must be <= {MAX_WORKERS}, got {workers}")
             continue
         seq, worker, read_from = (_int_field(doc, f, line) for f in ("seq", "worker", "read_from"))
         if worker < 0:
             raise ValidationError(f"trace line {line}: field 'worker' is negative ({worker})")
+        if worker >= MAX_WORKERS and too_many is None:
+            too_many = line, worker
         kind = doc.get("kind", "write")
         if kind not in EVENT_KINDS:
             raise ValidationError(f"trace line {line}: field 'kind' must be one of {EVENT_KINDS}, got {kind!r}")
@@ -339,6 +347,9 @@ def schedule_from_jsonl(text: str) -> Schedule:
     if not events and workers is None:
         raise ValidationError("trace contains no events")
     if workers is None:
+        if too_many:  # a worker id that no meta line declared, past the cap
+            line, worker = too_many
+            raise ValidationError(f"trace line {line}: field 'worker' must be < {MAX_WORKERS}, got {worker}")
         workers = max(ev.worker for ev in events) + 1
     if bound is None:
         bound = max(max((ev.seq - ev.read_from) for ev in events), 1)

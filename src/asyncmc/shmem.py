@@ -297,8 +297,9 @@ def _state_str(state) -> str:
     return json.dumps(state)
 
 
-def samples_csv(record: RunRecord) -> str:
-    lines = ["seq,worker,state"]
+def samples_csv(record: RunRecord):
+    """The ``metrics.csv`` lines of a run: a header, then one row per write."""
+    yield "seq,worker,state"
     # Keyed by identity, not equality: equal states such as 0.0 and -0.0
     # print differently.  Every key stays alive in ``record.states``.
     texts = {}
@@ -306,5 +307,4 @@ def samples_csv(record: RunRecord) -> str:
         text = texts.get(id(state))
         if text is None:
             text = texts[id(state)] = _state_str(state)
-        lines.append(f'{seq},{worker},"{text}"')
-    return "\n".join(lines) + "\n"
+        yield f'{seq},{worker},"{text}"'

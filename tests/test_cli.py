@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from asyncmc import cli, errors
+from asyncmc import cli, errors, schedules
 from asyncmc.cli import (
     _LINES_PER_WRITE,
     CATALOG,
@@ -152,13 +152,13 @@ class TestRun:
 class TestValidateCommand:
     def test_valid_trace(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
-        path.write_text(schedule_to_jsonl(synchronous_schedule(2, 30, b=4)))
+        path.write_text("\n".join(schedule_to_jsonl(synchronous_schedule(2, 30, b=4))))
         assert main(["validate", str(path)]) == EXIT_OK
         assert "ok:" in capsys.readouterr().out
 
     def test_invalid_trace(self, tmp_path, capsys):
         sched = synchronous_schedule(2, 30, b=4)
-        lines = schedule_to_jsonl(sched).splitlines()
+        lines = list(schedule_to_jsonl(sched))
         doc = json.loads(lines[10])
         doc["read_from"] = doc["seq"] - 9
         lines[10] = json.dumps(doc)
@@ -184,7 +184,7 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("value,message", [("x", "must be an integer"), (-3, "is negative")])
     def test_bad_worker_value_is_usage_error(self, tmp_path, capsys, value, message):
-        lines = schedule_to_jsonl(synchronous_schedule(2, 10, b=4)).splitlines()
+        lines = list(schedule_to_jsonl(synchronous_schedule(2, 10, b=4)))
         doc = json.loads(lines[4])
         doc["worker"] = value
         lines[4] = json.dumps(doc)
@@ -194,6 +194,28 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "line 4" in err and "'worker'" in err and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("meta", [True, False])
+    def test_workers_past_max_workers_exit_1(self, tmp_path, capsys, meta):
+        # 10**30 fits no index; a smaller value past the cap would make
+        # validate allocate its per-worker list before failing
+        lines = [json.dumps({"kind": "meta", "workers": 2, "staleness_bound": 4})]
+        lines += [json.dumps({"seq": k, "worker": k % 2, "read_from": k - 1}) for k in range(10)]
+        if meta:
+            lines[0] = json.dumps({"kind": "meta", "workers": 10**30, "staleness_bound": 4})
+            line, field = 1, "'workers' must be <= 256"
+        else:
+            doc = json.loads(lines[6])
+            doc["worker"] = 10**30
+            lines[6] = json.dumps(doc)
+            lines = lines[1:]  # no meta line: workers are inferred
+            line, field = 6, "'worker' must be < 256"
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines))
+        assert main(["validate", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"line {line}: field {field}, got {10**30}" in err and "Traceback" not in err
+        assert cli.MAX_WORKERS == schedules.MAX_WORKERS == 256
 
 
 def _subclasses(cls) -> set:
@@ -582,6 +604,8 @@ class TestConfigBoundary:
             ({"n_states_max": 1}, "params.n_states_max"),
             ({"m_max": 0}, "params.m_max"),
             ({"b_max": 0}, "params.b_max"),
+            ({"m_max": 10**30}, "params.m_max"),
+            ({"b_max": 10**30}, "params.b_max"),
             ({"horizon": 5, "b_max": 10}, "horizon"),
             ({"horizon": 26 * 4 - 1}, "horizon"),
             ({"horizon": 26 * 4}, None),
@@ -826,7 +850,33 @@ class TestWriteText:
         self.line_by_line(tmp_path / "reference", lines)
         assert (tmp_path / "chunked").read_bytes() == (tmp_path / "reference").read_bytes()
 
-    @pytest.mark.parametrize("text", ["", "key,value\nm,4\n", "no newline at the end"])
-    def test_plain_string_written_as_is(self, tmp_path, text):
-        _write_text(tmp_path / "out", text)
-        assert (tmp_path / "out").read_bytes() == text.encode()
+    @pytest.mark.parametrize(
+        "base,overrides",
+        [
+            ("replay", _MEASURE),
+            ("replay", {**_THEOREM4, "params": {"instances": 2, "n_states_max": 3, "m_max": 2, "b_max": 4}}),
+            ("replay", {**_CONTRACTION, "params": {"instances": 5}}),
+            ("replay", {**_MEASURE, "experiment": "frozen_worker_counterexample", "horizon": 20}),
+            ("replay", {}),
+            ("replay", {**_TORN, "params": {"ops": 100}}),
+            ("pserver", {"horizon": 1000}),  # enough samples for the default batch means
+            ("pserver", {"experiment": "naive_divergence_control", "correction": None, "params": {}}),
+            ("pserver", {"experiment": "coupled", "kernel": _MH_UNIFORM, "target": _THREE_STATE, "params": {}}),
+        ],
+    )
+    def test_every_artifact_is_streamed_as_lines(self, tmp_path, monkeypatch, base, overrides):
+        # one config per runner branch: each file it writes, summary.json
+        # included, reaches the one writer as lines, never as a whole string
+        written = {}
+
+        def record(path, lines):
+            written[path.name] = type(lines)
+            _write_text(path, lines)
+
+        monkeypatch.setattr(cli, "_write_text", record)
+        doc = _small_pserver_config(tmp_path) if base == "pserver" else _replay_config(tmp_path, 0.5)
+        doc.update(overrides)
+        run_experiment(ExperimentConfig.from_dict(doc))
+        assert sorted(written) == sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert "summary.json" in written and "metrics.csv" in written
+        assert not [name for name, kind in written.items() if issubclass(kind, str)]

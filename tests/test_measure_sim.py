@@ -192,8 +192,7 @@ class TestExport:
         m = three_state_matrix()
         mu0 = FiniteDistribution.point_mass(m.space, 0)
         trace = propagate(m, mu0, synchronous_schedule(2, 40, b=3))
-        text = measure_trace_csv(trace)
-        lines = text.strip().splitlines()
+        lines = list(measure_trace_csv(trace))
         assert lines[0] == "seq,worker,read_from,d_k,d_star_k,p_k,p_star_k"
         assert len(lines) == 41
         first = lines[1].split(",")

@@ -1339,6 +1339,11 @@ def test_server_receive_once_per_processed_message(monkeypatch, case):
 # ---------------------------------------------------------------------------
 
 
+def file_text(lines):
+    """The text that ``cli._write_text`` writes for these lines."""
+    return "".join(f"{line}\n" for line in lines)
+
+
 def reference_schedule_to_jsonl(s):
     """One ``json.dumps`` per line."""
     lines = [json.dumps({"kind": "meta", "workers": s.workers, "staleness_bound": s.staleness_bound})]
@@ -1453,8 +1458,8 @@ class TestReplayPath:
             want = reference_replay_samples(kernel, schedule, seed)
             # repr tells 0.0 from -0.0 and keeps label types apart
             assert repr(record.states) == repr(want), name
-            assert samples_csv(record) == reference_samples_csv(record), name
-            assert schedule_to_jsonl(schedule) == reference_schedule_to_jsonl(schedule), name
+            assert file_text(samples_csv(record)) == reference_samples_csv(record), name
+            assert file_text(schedule_to_jsonl(schedule)) == reference_schedule_to_jsonl(schedule), name
 
     @pytest.mark.parametrize(
         "kernel_name", sorted(n for n, k in replay_kernels().items() if k.target.is_finite)
@@ -1471,7 +1476,7 @@ class TestReplayPath:
         states = [(0.0, 1.0), negative, (0.0, 1.0), negative, 1, 1.0, True, (float("nan"), 2.5)]
         schedule = synchronous_schedule(1, len(states))
         record = RunRecord(schedule, states, {})
-        text = samples_csv(record)
+        text = file_text(samples_csv(record))
         assert text == reference_samples_csv(record)
         assert text.count('"[-0.0, 1.0]"') == 2 and text.count('"[0.0, 1.0]"') == 2
 
@@ -1482,7 +1487,7 @@ class TestReplayPath:
         record = run_pserver(kernel, 3, 2000, delay, "mh_corrected", 4)
         assert list(trace_jsonl_lines(record)) == list(reference_server_trace_lines(record))
         schedule = schedule_from_jsonl("\n".join(trace_jsonl_lines(record)))
-        assert schedule_to_jsonl(schedule) == reference_schedule_to_jsonl(schedule)
+        assert file_text(schedule_to_jsonl(schedule)) == reference_schedule_to_jsonl(schedule)
 
 
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645

@@ -1,11 +1,12 @@
-"""Pinned artifacts of ``shmem_replay`` and ``pserver`` runs that no canned config covers.
+"""Pinned artifacts of ``shmem_replay``, ``pserver`` and ``measure_sim`` runs that no canned config covers.
 
 The sha256 of ``trace.jsonl``, ``metrics.csv`` and ``summary.json`` of the
 replays were recorded with the ``kernel_step`` replay loop, before
 finite-target Metropolis-Hastings replays stepped on state indices; those of
 the server runs with the per-message loop in which each worker shipped the
 density of its proposal and a coupled finite run enumerated the product of
-its replica spaces.  A run that changes any value, any stream order or any
+its replica spaces; those of the measure runs while each artifact was still
+built as one string.  A run that changes any value, any stream order or any
 label object shows up here as a changed byte.  Regenerate the table with
 ``python tests/test_replay_hashes.py`` only on a commit whose outputs are the
 reference.
@@ -21,6 +22,7 @@ from asyncmc.cli import ExperimentConfig, run_experiment
 _MH = "metropolis_hastings"
 _REPLAY = "shmem_replay"
 _SERVER = "pserver"
+_MEASURE = "measure_sim"
 _GAUSSIAN_GIBBS_FROZEN = {
     "target": {"type": "gaussian_correlated", "rho": 0.9},
     "kernel": {"kind": "gibbs_single_site"},
@@ -101,6 +103,35 @@ CONFIGS = {
     "server_coupled_m3_frozen": {
         "mode": _SERVER, **_COUPLED_TABLE, "m": 3, "seed": 25, "params": {"frozen_workers": [0]},
     },
+    # the measure pins: one schedule kind and one mu0 type each, then the frozen worker
+    "measure_random_uniform": {
+        "mode": _MEASURE,
+        "target": {"type": "finite", "weights": [1.0, 2.0, 3.0, 0.5]},
+        "kernel": {"kind": _MH, "proposal": {"type": "uniform_independence"}},
+        "m": 3, "b": 5, "horizon": 401, "seed": 31,
+        "params": {"mu0": {"type": "uniform"}},
+    },
+    "measure_synchronous_probs": {
+        "mode": _MEASURE,
+        "target": {"type": "finite", "weights": [2.0, 1.0, 3.0]},
+        "kernel": {"kind": "gibbs_single_site"},
+        "m": 2, "b": 3, "horizon": 300, "seed": 32,
+        "params": {"mu0": {"type": "probs", "probs": [0.5, 0.25, 0.25]}, "schedule": {"type": "synchronous"}},
+    },
+    "measure_adversarial_point_mass": {
+        "mode": _MEASURE,
+        "target": {"type": "finite", "weights": [1.0, 2.0, 3.0, 0.5]},
+        "kernel": {"kind": _MH, "proposal": {"type": "table_independence", "weights": [1.0, 3.0, 2.0, 1.0]}},
+        "m": 3, "b": 6, "horizon": 500, "seed": 33,
+        "params": {"mu0": {"type": "point_mass", "label": 2},
+                   "schedule": {"type": "adversarial", "name": "alternating_window"}},
+    },
+    "measure_frozen_worker": {
+        "mode": _MEASURE, "experiment": "frozen_worker_counterexample",
+        "target": {"type": "finite", "weights": [1.0, 2.0]},
+        "kernel": {"kind": _MH, "proposal": {"type": "uniform_independence"}},
+        "horizon": 601, "seed": 34,
+    },
 }
 
 PINNED = {
@@ -118,6 +149,26 @@ PINNED = {
         "metrics.csv": "c750174934724f0428bf500d86f2e6ea80ea740f27a1a04873c280d811860014",
         "summary.json": "496cb28a6967ef94a4b17796e5c96d649ac9627049ac2b3876a4ac2f3fda2a2a",
         "trace.jsonl": "8d33deab0237c94067d11de22632aa455290308834da195e41b66cd08ba58084",
+    },
+    "measure_adversarial_point_mass": {
+        "metrics.csv": "d6097bc26460d982f943fc5f56f872b8723b628c42285547917b345477f08a34",
+        "summary.json": "b0659f94028356fa28fd1abb00db64e7a5a77fc9b312c78858e572867e1f531a",
+        "trace.jsonl": "8fc1ea96579ac91a460673d40e2bcbe8ad045f9fdfdb0a2bf5349cec5e68b6e2",
+    },
+    "measure_frozen_worker": {
+        "metrics.csv": "f4cb09f5eb63822a4bf3e99417558fbe0654e674838814d99d534dadaa01000f",
+        "summary.json": "e9fef2998b9cf42d4f8b9f32eb342f007beb929d5745fc742e84e56de206c2af",
+        "trace.jsonl": "a43cea873feb4aa03eff0878b434bb0e26d117645570c1620f046cfd4141f5d4",
+    },
+    "measure_random_uniform": {
+        "metrics.csv": "0222cfd5ca0c587f2773828521c6344534b965d1fdbccc7c63d92c1e2b3e4d0f",
+        "summary.json": "b633a00cd7441bc015feb23bae15e34efdbfc897a802fddeb78dfdc2ba4459ff",
+        "trace.jsonl": "fbca5a079414dce718b14d0d388358d0d6e17a36c388bbce2b110337307817c8",
+    },
+    "measure_synchronous_probs": {
+        "metrics.csv": "1800780809f59f9d7aec9805d019099bcf255fefc7ec8edc2bc3ffc581b996dc",
+        "summary.json": "7a0df929f8766c549f906996c4e0f306ba5c9ab56d22b0a400582c7f6ad2fb28",
+        "trace.jsonl": "f1950f64740977989a2c2c53cb9e1fcecd46f73ab95043d5870d9b96012c41fb",
     },
     "server_coupled_m2_frozen": {
         "metrics.csv": "fe42382cf77fc9c3adb6f1a67a8b72b1da24dd95d1c816b8d0a6d684f053c711",
@@ -182,6 +233,11 @@ def test_replay_artifacts_match_pinned_hashes(name, tmp_path):
 
 @pytest.mark.parametrize("name", _named(_SERVER))
 def test_server_artifacts_match_pinned_hashes(name, tmp_path):
+    assert digests(name, tmp_path) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", _named(_MEASURE))
+def test_measure_artifacts_match_pinned_hashes(name, tmp_path):
     assert digests(name, tmp_path) == PINNED[name]
 
 

@@ -102,4 +102,4 @@ def test_jsonl_round_trip(shape, seed, case, kinds, slack):
     # the declared bound is kept as written, also above the minimal one
     bound = minimal_valid_bound([e[:3] for e in events], workers) + slack
     for s in (generated, Schedule(events, workers, bound)):
-        assert schedule_from_jsonl(schedule_to_jsonl(s)) == s
+        assert schedule_from_jsonl("\n".join(schedule_to_jsonl(s))) == s

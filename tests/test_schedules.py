@@ -126,11 +126,11 @@ class TestSerialization:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(3)
         s = random_schedule(3, 5, 80, rng)
-        assert schedule_from_jsonl(schedule_to_jsonl(s)) == s
+        assert schedule_from_jsonl("\n".join(schedule_to_jsonl(s))) == s
 
     def test_meta_free_traces_infer_shape(self):
         s = synchronous_schedule(2, 20, b=4)
-        text = "\n".join(schedule_to_jsonl(s).splitlines()[1:])
+        text = "\n".join(list(schedule_to_jsonl(s))[1:])
         recovered = schedule_from_jsonl(text)
         assert recovered.workers == 2
         assert [e.seq for e in recovered.events] == list(range(20))
@@ -206,7 +206,7 @@ class TestValidateOnce:
 
     def test_mutated_jsonl_round_trip_is_checked(self, setting):
         generated = random_schedule(3, 5, 60, np.random.default_rng(1))
-        lines = schedule_to_jsonl(generated).splitlines()
+        lines = list(schedule_to_jsonl(generated))
         lines[31] = '{"seq": 30, "worker": 0, "read_from": 10, "kind": "write"}'
         self.assert_refused(setting, schedule_from_jsonl("\n".join(lines)))
 

@@ -71,7 +71,7 @@ class TestRunAsync:
         events = record.trace.events
         assert [ev.seq for ev in events] == list(range(2000))
         assert len(record.states) == len(events)
-        rows = samples_csv(record).splitlines()[1:]
+        rows = list(samples_csv(record))[1:]
         assert [tuple(map(int, row.split(",")[:2])) for row in rows] == [
             (ev.seq, ev.worker) for ev in events
         ]
@@ -273,6 +273,6 @@ class TestTornState:
 class TestExport:
     def test_samples_csv_format(self):
         record = replay(mh_spec(), synchronous_schedule(1, 5), seed=1)
-        lines = samples_csv(record).strip().splitlines()
+        lines = list(samples_csv(record))
         assert lines[0] == "seq,worker,state"
         assert len(lines) == 6
